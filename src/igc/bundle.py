@@ -181,23 +181,8 @@ def tangent_bundle_patch(
     return y, sphere_transport(x, y, w)
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertVector:
-    """An element of the centered-L2 fiber at a density."""
-
-    at: Density
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.at.base.points.shape:
-            raise InvariantError("fiber values must match the support size")
-        mean = float(self.at.prob @ vals)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if abs(mean) > _SPHERE_TOL * scale:
-            raise InvariantError("fiber vector is not centered under its density")
+class HilbertVector(TangentVector):
+    """An element of the centered-L2 fiber at a density: a tangent vector at it."""
 
 
 def hilbert_vector(p: Density, values) -> HilbertVector:

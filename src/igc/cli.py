@@ -1,9 +1,9 @@
 """Command-line front end: deterministic tables and JSON records for every demo.
 
 Exit codes: 0 when all checks pass, 1 on a tolerance failure, 2 on usage
-errors.  Identical (command, seed, version) triples produce byte-identical
-output.  The IGC_THREADS environment variable caps worker parallelism; all
-computations here are single-threaded, so it is accepted and recorded only.
+errors and on input the library rejects; the latter prints one JSON record
+{schema_version, command, error, pass: false}.  Identical (command, seed,
+version) triples produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .flows import (
 from .manifold import chart_s, cumulant, divergence, orthogonal_mixture_third, patch_e, pythagorean_check
 from .measures import (
     Density,
+    InvariantError,
     RandomVariable,
     boolean_measure,
     boolean_signs,
@@ -55,6 +55,7 @@ SCHEMA_VERSION = 1
 NONSTEEP_REFERENCE = 0.8037381  # profile value at the domain edge for a = 1/2
 PROFILE_CSV_HEADER = ("alpha", "value", "divergent")
 ARC_CSV_HEADER = ("t", "mass", "psi")
+DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.1)
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,6 @@ class RunConfig:
     tol: float | None
     out: str | None
     fmt: str
-    threads: int
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("IGC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _inputs_hash(payload) -> str:
@@ -108,39 +100,35 @@ def _write_csv(config: RunConfig, header, rows) -> None:
         dump(sys.stdout)
 
 
-def _random_density(measure, rng, spread=0.5) -> Density:
-    return Density.random(measure, rng, spread)
+def _profile(config: RunConfig, args) -> tuple[list, list[dict]]:
+    """The half-line profile rows, written as the CSV table and returned with their JSON form."""
+    rows = nonsteep_profile(args.a, args.alphas)
+    _write_csv(config, PROFILE_CSV_HEADER, [(r.alpha, r.value, r.divergent) for r in rows])
+    return rows, [{"alpha": r.alpha, "value": None if r.divergent else r.value, "divergent": r.divergent} for r in rows]
 
 
 def cmd_orlicz(config: RunConfig, args) -> int:
-    rows = nonsteep_profile(args.a, args.alphas)
-    _write_csv(config, PROFILE_CSV_HEADER, [(r.alpha, r.value, r.divergent) for r in rows])
-    values = {"rows": [{"alpha": r.alpha, "value": None if r.divergent else r.value, "divergent": r.divergent} for r in rows]}
-    return _emit_record(config, {"a": args.a, "alphas": args.alphas}, values, True)
+    _, json_rows = _profile(config, args)
+    return _emit_record(config, {"a": args.a, "alphas": args.alphas}, {"rows": json_rows}, True)
 
 
 def cmd_steepness(config: RunConfig, args) -> int:
-    alphas = args.alphas if args.alphas is not None else [0.0, 0.25, 0.5, 0.75, 1.0, 1.1]
-    rows = nonsteep_profile(args.a, alphas)
-    _write_csv(config, PROFILE_CSV_HEADER, [(r.alpha, r.value, r.divergent) for r in rows])
+    rows, json_rows = _profile(config, args)
     tol = config.tol if config.tol is not None else 1e-5
     ok = True
     edge = next((r for r in rows if r.alpha == 1.0), None)
     if args.a == 0.5 and edge is not None:
         ok &= abs(edge.value - NONSTEEP_REFERENCE) <= tol
     ok &= all(r.divergent for r in rows if abs(r.alpha) > 1.0)
-    values = {
-        "rows": [{"alpha": r.alpha, "value": None if r.divergent else r.value, "divergent": r.divergent} for r in rows],
-        "edge_value": None if edge is None else edge.value,
-    }
-    return _emit_record(config, {"a": args.a, "alphas": alphas}, values, bool(ok))
+    values = {"rows": json_rows, "edge_value": None if edge is None else edge.value}
+    return _emit_record(config, {"a": args.a, "alphas": args.alphas}, values, bool(ok))
 
 
 def cmd_chart(config: RunConfig, args) -> int:
     rng = np.random.default_rng(config.seed)
     m = finite_measure(np.arange(float(args.n)))
-    p = _random_density(m, rng)
-    q = _random_density(m, rng)
+    p = Density.random(m, rng)
+    q = Density.random(m, rng)
     u = chart_s(p, q)
     defect = float(np.max(np.abs(patch_e(p, u).values - q.values)))
     tol = config.tol if config.tol is not None else 1e-12
@@ -152,8 +140,8 @@ def cmd_chart(config: RunConfig, args) -> int:
 def cmd_div(config: RunConfig, args) -> int:
     rng = np.random.default_rng(config.seed)
     m = finite_measure(np.arange(float(args.n)))
-    q = _random_density(m, rng)
-    r = _random_density(m, rng)
+    q = Density.random(m, rng)
+    r = Density.random(m, rng)
     res = divergence(q, r, Density.uniform(m))
     defect = abs(res.direct - res.bregman)
     tol = config.tol if config.tol is not None else 1e-10
@@ -165,8 +153,8 @@ def cmd_div(config: RunConfig, args) -> int:
 def cmd_pyth(config: RunConfig, args) -> int:
     rng = np.random.default_rng(config.seed)
     m = finite_measure(np.arange(float(args.n)))
-    p = _random_density(m, rng)
-    q = _random_density(m, rng)
+    p = Density.random(m, rng)
+    q = Density.random(m, rng)
     r = orthogonal_mixture_third(p, q, rng)
     res = pythagorean_check(p, q, r)
     split = res.d_r_q - res.d_r_p - res.d_p_q
@@ -188,8 +176,8 @@ def cmd_transport(config: RunConfig, args) -> int:
     for _ in range(args.trials):
         n = int(rng.integers(2, args.max_size + 1))
         m = finite_measure(np.arange(float(n)))
-        p = _random_density(m, rng)
-        q = _random_density(m, rng)
+        p = Density.random(m, rng)
+        q = Density.random(m, rng)
         u = hilbert_vector(p, rng.standard_normal(n))
         moved = hilbert_transport(p, q, u)
         iso = abs(float(q.prob @ (moved.values**2)) - float(p.prob @ (u.values**2)))
@@ -215,7 +203,7 @@ def cmd_flow(config: RunConfig, args) -> int:
     rng = np.random.default_rng(config.seed)
     if args.kind == "geodesic":
         m = finite_measure(np.arange(float(args.n)))
-        p0 = _random_density(m, rng)
+        p0 = Density.random(m, rng)
         f = RandomVariable(m, rng.standard_normal(args.n))
         record = integrate_e_chart(exponential_field(f), p0, args.T, args.dt)
         closed = e_geodesic(p0, f, record.times[-1])
@@ -266,8 +254,8 @@ def cmd_deformed(config: RunConfig, args) -> int:
     rng = np.random.default_rng(config.seed)
     d = make_deformed(args.family, args.param)
     m = finite_measure(np.arange(float(args.n)))
-    p = _random_density(m, rng)
-    q = _random_density(m, rng)
+    p = Density.random(m, rng)
+    q = Density.random(m, rng)
     tol = config.tol if config.tol is not None else 1e-10
     if args.kind == "arc":
         ts = [float(t) for t in np.linspace(0.0, 1.0, args.steps)]
@@ -291,9 +279,10 @@ def cmd_deformed(config: RunConfig, args) -> int:
     else:  # cumulant
         raw = 0.5 * rng.standard_normal(args.n)
         centered = raw - escort_expect(p, raw, d)
-        # shrink until u + log_phi p stays inside the deformed-exponential domain
+        # shrink until the patch provably exists: the constant k lies in [0, max u] for
+        # escort-centered u, so u - k + log_phi p stays above the domain edge
         for _ in range(60):
-            if float(np.min(centered + d.log(p.values))) > d.lower_bound:
+            if float(np.min(centered + d.log(p.values)) - np.max(centered)) > d.lower_bound:
                 break
             centered = 0.5 * centered
         u = RandomVariable(m, centered)
@@ -333,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_orlicz = add_parser("orlicz", help="Orlicz tables")
     p_orlicz.add_argument("action", choices=("profile",))
     p_orlicz.add_argument("--a", type=float, default=0.5)
-    p_orlicz.add_argument("--alphas", type=_alpha_list, default=[0.0, 0.25, 0.5, 0.75, 1.0, 1.1])
+    p_orlicz.add_argument("--alphas", type=_alpha_list, default=DEFAULT_ALPHAS)
 
     p_steep = add_parser("steepness", help="half-line steepness profile with edge check")
     p_steep.add_argument("--a", type=float, default=0.5)
-    p_steep.add_argument("--alphas", type=_alpha_list, default=None)
+    p_steep.add_argument("--alphas", type=_alpha_list, default=DEFAULT_ALPHAS)
 
     for name, helptext in (("chart", "chart/patch round trip"), ("div", "divergence cross-check"),
                            ("pyth", "orthogonal-triple divergence split")):
@@ -345,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=8)
 
     p_tr = add_parser("transport", help="fiber transport checks")
-    p_tr.add_argument("--check-isometry", action="store_true")
     p_tr.add_argument("--trials", type=int, default=50)
     p_tr.add_argument("--max-size", type=int, default=64)
 
@@ -395,11 +383,15 @@ def main(argv=None) -> int:
         tol=getattr(args, "tol", None),
         out=getattr(args, "out", None),
         fmt=getattr(args, "fmt", "json"),
-        threads=_threads_cap(),
     )
     if args.command == "deformed" and args.family in ("classical", "newton"):
         args.param = None
-    return _HANDLERS[args.command](config, args)
+    try:
+        return _HANDLERS[args.command](config, args)
+    except InvariantError as exc:
+        record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "pass": False}
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ A deformation is generated by a positive increasing function phi on the
 positive axis: the deformed logarithm is the integral of 1/phi from 1, and
 the deformed exponential is its inverse.  The families implemented are the
 power family (parameter q in (0, 1]), the symmetric power-mean family
-(parameter kappa in [0, 1)), the rational x/(x+1) family solved by
-root-finding, and the classical logarithm as the phi(x) = x special case.
+(parameter kappa in [0, 1)), the rational x/(x+1) family whose exponential
+is the Wright omega function, and the classical logarithm as the
+phi(x) = x special case.
 
 Charts, arcs and the cumulant-like normalizing constant follow the same
 pattern as the exponential manifold, with the escort weight phi(p) replacing
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from ._rootfind import BracketError, decreasing_root
 from .measures import (
@@ -95,11 +96,9 @@ def _tsallis(q: float) -> DeformedLogarithm:
         return np.expm1(eps * np.log(v)) / eps
 
     def exp_q(u):
-        u = np.asarray(u, dtype=float)
-        arg = 1.0 + eps * u
-        with np.errstate(invalid="ignore"):
-            out = np.where(arg > 0.0, np.maximum(arg, 0.0) ** (1.0 / eps), np.nan)
-        return np.where(arg == 0.0, 0.0, out)
+        # log1p keeps full precision as q -> 1; 0 at the edge, NaN below it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(np.log1p(eps * np.asarray(u, dtype=float)) / eps)
 
     return DeformedLogarithm("tsallis", q, lambda x: np.asarray(x, dtype=float) ** q, log_q, exp_q, edge)
 
@@ -115,13 +114,12 @@ def _kaniadakis(kappa: float) -> DeformedLogarithm:
         x = np.asarray(x, dtype=float)
         return 2.0 * x / (x**kappa + x**-kappa)
 
+    # sinh/asinh forms of (v**k - v**-k) / 2k and (ku + sqrt(1 + (ku)**2))**(1/k): no cancellation
     def log_k(v):
-        v = np.asarray(v, dtype=float)
-        return (v**kappa - v**-kappa) / (2.0 * kappa)
+        return np.sinh(kappa * np.log(np.asarray(v, dtype=float))) / kappa
 
     def exp_k(u):
-        u = np.asarray(u, dtype=float)
-        return (kappa * u + np.sqrt(1.0 + (kappa * u) ** 2)) ** (1.0 / kappa)
+        return np.exp(np.arcsinh(kappa * np.asarray(u, dtype=float)) / kappa)
 
     return DeformedLogarithm("kaniadakis", kappa, phi, log_k, exp_k, -math.inf)
 
@@ -135,16 +133,9 @@ def _newton() -> DeformedLogarithm:
         v = np.asarray(v, dtype=float)
         return v - 1.0 + np.log(v)
 
-    def _exp_scalar(u: float) -> float:
-        # v - 1 + log(v) = u; bracket [exp(u - 1), max(u + 2, 1)] always contains the root
-        lo = min(math.exp(min(u, 0.0) - 1.0), 1.0)
-        hi = max(u + 2.0, 1.0)
-        return brentq(lambda v: v - 1.0 + math.log(v) - u, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
     def exp_n(u):
-        u = np.asarray(u, dtype=float)
-        out = np.array([_exp_scalar(float(t)) for t in np.atleast_1d(u)])
-        return out.reshape(u.shape) if u.shape else float(out[0])
+        # v - 1 + log(v) = u  <=>  log(v) + v = u + 1, so v is the Wright omega of u + 1
+        return wrightomega(np.asarray(u, dtype=float) + 1.0)
 
     return DeformedLogarithm("newton", 0.0, phi, log_n, exp_n, -math.inf)
 
@@ -253,8 +244,8 @@ def phi_connected(
 def _patch_mass(p: Density, u_vals: np.ndarray, d: DeformedLogarithm, k: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = d.exp(u_vals - k + d.log(p.values))
-    if np.any(np.isnan(vals)):
-        return 0.0  # domain exit on part of the support: treat as past the unit-mass target
+    if not np.all(vals > 0.0):
+        return 0.0  # domain exit (NaN) or a zero value: treat as past the unit-mass target
     total = float(p.base.weights @ vals)
     return total if math.isfinite(total) else math.inf
 
@@ -266,7 +257,9 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
     constant is nonnegative by convexity and zero exactly when u vanishes.
     Coordinates carrying a nonzero escort pairing are normalized all the
     same; their constant may take either sign.  Raises when u + log_phi p
-    leaves the domain of the deformed exponential or the mass diverges.
+    leaves the domain of the deformed exponential or the mass diverges.  If
+    the mass drops past 1 only at a domain exit, k is the largest constant
+    that keeps the patch inside the domain (its mass then exceeds 1).
     """
     u_vals = values_on(p.base, u)
     if float(np.max(np.abs(u_vals))) == 0.0:
@@ -278,32 +271,14 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
     mass0 = float(p.base.weights @ at_zero)
     if not math.isfinite(mass0):
         raise InvariantError("mass integral diverges at k = 0")
-    # mass is decreasing in k; bracket the unit-mass level on whichever side it lies
-    if mass0 >= 1.0:
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if _patch_mass(p, u_vals, d, hi) < 1.0:
-                break
-            hi *= 2.0
-        else:
-            raise InvariantError("no finite normalizing constant")
-    else:
-        hi, lo = 0.0, -1.0
-        for _ in range(200):
-            if _patch_mass(p, u_vals, d, lo) >= 1.0:
-                break
-            lo *= 2.0
-        else:
-            raise InvariantError("no finite normalizing constant")
-    for _ in range(200):
-        if hi - lo <= rel_tol * max(abs(hi), abs(lo), 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        if _patch_mass(p, u_vals, d, mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    k = 0.5 * (lo + hi)
+    # -mass(k(r)) is nonincreasing in r > 0 for k = 1/r (root k > 0) and k = -r (root k < 0);
+    # the root-finder's answer keeps mass(k) >= 1, the side inside the domain
+    to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
+    try:
+        r = decreasing_root(lambda r: -_patch_mass(p, u_vals, d, to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
+    except BracketError as exc:
+        raise InvariantError(f"no finite normalizing constant: {exc}") from exc
+    k = to_k(r)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
 

@@ -22,6 +22,7 @@ from .measures import (
     RandomVariable,
     TangentVector,
     lp_norm,
+    require_centered,
     require_same_base,
     tangent,
     values_on,
@@ -48,15 +49,9 @@ __all__ = [
     "EConvergenceRow",
 ]
 
-_CENTER_CHECK_TOL = 1e-9
-
 
 def _centered_values(p: Density, u, what: str) -> np.ndarray:
-    vals = values_on(p.base, u)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if abs(float(p.prob @ vals)) > _CENTER_CHECK_TOL * scale:
-        raise InvariantError(f"{what}: coordinate is not centered under the chart center")
-    return vals
+    return require_centered(p, values_on(p.base, u), what)
 
 
 def cumulant(p: Density, u) -> float:

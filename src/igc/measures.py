@@ -347,7 +347,7 @@ def coordinate(measure: Measure) -> RandomVariable:
 
 def values_on(base: Measure, u) -> np.ndarray:
     """Coerce a random variable, tangent/cotangent vector, array or scalar to values on base."""
-    if isinstance(u, (TangentVector, CotangentVector)):
+    if isinstance(u, TangentVector):
         u = u.rv
     if isinstance(u, RandomVariable):
         require_same_base(base, u, "values_on")
@@ -380,22 +380,29 @@ def lp_norm(p: Density, u, alpha: float) -> float:
     return float(p.prob @ vals**alpha) ** (1.0 / alpha)
 
 
-def _centered_ok(p: Density, vals: np.ndarray, tol: float) -> bool:
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    return abs(float(p.prob @ vals)) <= tol * scale
+def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
+    """Raise unless |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
+    if abs(float(p.prob @ vals)) > CENTER_TOL * max(1.0, float(np.max(np.abs(vals)))):
+        raise InvariantError(f"{what}: values are not centered under the base density")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """Random variable centered under its base density (exponential-side coordinate)."""
+    """Random variable centered under its base density (exponential-side coordinate).
+
+    The second field accepts a random variable or a raw value array on the
+    base of ``at``.
+    """
 
     at: Density
     rv: RandomVariable
 
     def __post_init__(self):
-        require_same_base(self.at, self.rv, "TangentVector")
-        if not _centered_ok(self.at, self.rv.values, CENTER_TOL):
-            raise InvariantError("tangent vector is not centered under its base density")
+        if not isinstance(self.rv, RandomVariable):
+            object.__setattr__(self, "rv", RandomVariable(self.at.base, self.rv))
+        require_same_base(self.at, self.rv, type(self).__name__)
+        require_centered(self.at, self.rv.values, type(self).__name__)
 
     @property
     def values(self) -> np.ndarray:
@@ -406,25 +413,8 @@ class TangentVector:
         return self.at.base
 
 
-@dataclass(frozen=True, eq=False)
-class CotangentVector:
+class CotangentVector(TangentVector):
     """Random variable centered under its base density (mixture-side coordinate)."""
-
-    at: Density
-    rv: RandomVariable
-
-    def __post_init__(self):
-        require_same_base(self.at, self.rv, "CotangentVector")
-        if not _centered_ok(self.at, self.rv.values, CENTER_TOL):
-            raise InvariantError("cotangent vector is not centered under its base density")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.rv.values
-
-    @property
-    def base(self) -> Measure:
-        return self.at.base
 
 
 def tangent(p: Density, u) -> TangentVector:

@@ -48,7 +48,7 @@ def test_chart_div_pyth(capsys):
 
 def test_transport(capsys):
     code, out = run_cli(
-        capsys, ["transport", "--check-isometry", "--trials", "25", "--max-size", "32"]
+        capsys, ["transport", "--trials", "25", "--max-size", "32"]
     )
     record = json.loads(out)
     assert code == 0
@@ -97,6 +97,29 @@ def test_deformed_subcommands(capsys):
         code, out = run_cli(capsys, argv)
         assert code == 0, argv
         assert json.loads(out)["pass"] is True
+
+
+def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
+    # the shrink loop must keep u - k + log_q p inside the domain for every k in [0, max u]
+    argv = ["deformed", "cumulant", "--family", "tsallis", "--param", "0.5", "--n", "16", "--seed", "7"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flow", "heat", "--dt", "1"], ["deformed", "cumulant", "--family", "tsallis", "--param", "2"]],
+)
+def test_invalid_input_exit_code(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"schema_version", "command", "error", "pass"}
+    assert record["schema_version"] == 1 and record["command"] == argv[0]
+    assert record["error"] and record["pass"] is False
 
 
 def test_usage_error_exit_code():

@@ -115,6 +115,22 @@ def test_newton_exp_residual():
     assert np.max(np.abs(residual)) < 1e-13
 
 
+def test_kaniadakis_exp_large_negative_argument():
+    d = make_deformed("kaniadakis", 0.5)
+    u = np.array([-1e8, 1e8])
+    v = d.exp(u)
+    assert v[0] * v[1] == pytest.approx(1.0, rel=1e-14)
+    assert np.max(np.abs(d.log(v) - u) / np.abs(u)) < 1e-14
+
+
+def test_newton_exp_extreme_arguments():
+    d = make_deformed("newton")
+    v = d.exp(np.array([-700.0, -800.0, 700.0]))
+    assert v[0] > 0.0 and v[2] > 0.0
+    assert d.log(v[[0, 2]]) == pytest.approx([-700.0, 700.0], rel=1e-14)
+    assert v[1] == 0.0  # the root is about exp(-799), below the smallest subnormal
+
+
 def test_phi_norm(space):
     rng, m = space
     p = Density.random(m, rng)

@@ -60,6 +60,18 @@ def test_geodesic_matches_integration(space):
     assert record.mass_drift() <= 1e-12
 
 
+def test_integrator_ends_at_requested_time(space):
+    # 0.1 / 0.03 is not a whole number of steps: four equal steps of 0.025 are taken
+    rng, m = space
+    p = Density.random(m, rng)
+    f = RandomVariable(m, rng.standard_normal(8))
+    record = integrate_e_chart(exponential_field(f), p, 0.1, 0.03)
+    assert record.times[-1] == 0.1
+    assert len(record.times) == 5
+    closed = e_geodesic(p, f, 0.1)
+    assert np.max(np.abs(record.densities[-1].values - closed.values)) <= 1e-6
+
+
 def test_geodesic_two_point_closed_form():
     two = finite_measure([1.0, -1.0])
     p = Density.uniform(two)
@@ -178,6 +190,23 @@ def test_natural_gradient_boolean_concentration():
     best = int(np.argmax(objective.values))
     assert float(res.record.densities[-1].prob[best]) >= 0.99
     assert np.all(np.diff(res.objective) >= -1e-12)
+
+
+def test_natural_gradient_singular_gram_is_regularized():
+    # a constant direction centers to exactly zero, so the Gram matrix is singular
+    rng = np.random.default_rng(32)
+    m = boolean_measure(4)
+    signs = boolean_signs(m)
+    objective = RandomVariable(m, signs @ rng.uniform(0.5, 1.5, 4))
+    p0 = Density.uniform(m)
+    basis = [tangent(p0, signs[:, k]) for k in range(4)]
+    plain = natural_gradient_ascent(objective, p0, basis, gamma=0.1, iters=20)
+    jittered = natural_gradient_ascent(
+        objective, p0, basis + [tangent(p0, np.ones(m.size))], gamma=0.1, iters=20
+    )
+    assert not plain.regularized
+    assert jittered.regularized
+    assert np.max(np.abs(jittered.objective - plain.objective)) < 1e-8
 
 
 def test_hessian_expectation(space):

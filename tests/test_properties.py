@@ -1,0 +1,74 @@
+"""Property-based checks of the single centering policy and of the deformed log/exp pairs."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
+from igc.deformed import make_deformed
+from igc.manifold import transport_e, transport_m
+from igc.measures import CENTER_TOL, Density, cotangent, finite_measure, tangent
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def assert_centered(vec):
+    vals = vec.values
+    assert abs(float(vec.at.prob @ vals)) <= CENTER_TOL * max(1.0, float(np.max(np.abs(vals))))
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 256),
+    spread=st.floats(0.1, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_centered_vectors_construct_within_center_tol(n, spread, scale, seed):
+    rng = np.random.default_rng(seed)
+    m = finite_measure(np.arange(float(n)))
+    p = Density.random(m, rng, spread)
+    q = Density.random(m, rng, spread)
+    raw = scale * rng.standard_normal(n)
+    t = tangent(p, raw)
+    c = cotangent(p, raw)
+    h = hilbert_vector(p, raw)
+    outputs = [
+        t,
+        c,
+        h,
+        transport_e(p, q, t),
+        transport_m(p, q, c),
+        hilbert_transport(p, q, h),
+        metric_derivative(p, h, scale * rng.standard_normal(n), tangent(p, rng.standard_normal(n))),
+    ]
+    for vec in outputs:
+        assert_centered(vec)
+
+
+# subnormal kappa is left out: kappa * u then loses all its digits
+FAMILIES = st.one_of(
+    st.tuples(st.just("classical"), st.none()),
+    st.tuples(st.just("tsallis"), st.floats(0.0, 1.0, exclude_min=True)),
+    st.tuples(st.just("kaniadakis"), st.just(0.0) | st.floats(1e-300, 1.0, exclude_max=True)),
+    st.tuples(st.just("newton"), st.none()),
+)
+
+
+@PROPERTY_SETTINGS
+@given(family=FAMILIES, u=st.floats(-700.0, 700.0) | st.sampled_from([-1e8, 1e8]))
+@example(family=("kaniadakis", 0.5), u=-1e8)
+@example(family=("kaniadakis", 0.5), u=1e8)
+@example(family=("newton", None), u=-700.0)
+@example(family=("newton", None), u=700.0)
+def test_deformed_log_inverts_exp(family, u):
+    d = make_deformed(*family)
+    assume(u > d.lower_bound)
+    with np.errstate(over="ignore", under="ignore"):
+        v = float(d.exp(np.array([u]))[0])
+    assume(1e-300 < v < 1e300)  # stay in the normal floating-point range
+    back = float(d.log(np.array([v]))[0])
+    assert math.isfinite(back)
+    assert abs(back - u) <= 1e-12 * max(1.0, abs(u))
