@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import wrightomega
 
 from ._rootfind import BracketError, decreasing_root
 from .measures import (
@@ -135,6 +134,8 @@ def _newton() -> DeformedLogarithm:
 
     def exp_n(u):
         # v - 1 + log(v) = u  <=>  log(v) + v = u + 1, so v is the Wright omega of u + 1
+        from scipy.special import wrightomega  # imported here so that `import igc` does not load scipy
+
         return wrightomega(np.asarray(u, dtype=float) + 1.0)
 
     return DeformedLogarithm("newton", 0.0, phi, log_n, exp_n, -math.inf)

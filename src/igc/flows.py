@@ -73,13 +73,17 @@ class VectorField:
         self._evaluator = evaluator
         self._domain = domain
 
-    def __call__(self, p: Density) -> TangentVector:
+    def raw(self, p: Density) -> np.ndarray:
+        """The evaluator's values at p, checked finite and inside the domain, not yet centered."""
         if self._domain is not None and not self._domain(p):
             raise FlowError("vector field evaluated outside its domain")
         vals = values_on(p.base, self._evaluator(p))
         if not np.all(np.isfinite(vals)):
             raise FlowError("vector field produced non-finite values")
-        return tangent(p, vals)
+        return vals
+
+    def __call__(self, p: Density) -> TangentVector:
+        return tangent(p, self.raw(p))
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,7 @@ def integrate_e_chart(
     anchor = p0
 
     def rhs(u_state: np.ndarray) -> np.ndarray:
-        pt = patch_e(anchor, tangent(anchor, u_state))
-        f = field(pt).values
+        f = field.raw(patch_e(anchor, u_state - float(anchor.prob @ u_state)))
         out = f - float(anchor.prob @ f)
         if not np.all(np.isfinite(out)):
             raise FlowError("non-finite vector field value; step rejected")
@@ -150,7 +153,7 @@ def integrate_e_chart(
     for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
         if not np.all(np.isfinite(u)):
             raise FlowError("non-finite chart state; step rejected")
-        pt = patch_e(anchor, tangent(anchor, u))
+        pt = patch_e(anchor, u - float(anchor.prob @ u))
         densities.append(pt)
         velocities.append(field(pt).values)
         if reanchor_threshold is not None and float(np.max(np.abs(u))) > reanchor_threshold:
@@ -221,12 +224,17 @@ def natural_gradient_ascent(
     objective_trace = []
     q = p0
     for k in range(iters + 1):
-        fq = f - float(q.prob @ f)
         objective_trace.append(float(q.prob @ f))
+        # shifting each function by its value at the mode of q leaves every covariance as it is,
+        # but keeps the centered values exact once q concentrates there
+        mode = int(np.argmax(q.prob))
+        fq = f - f[mode]
+        fq -= float(q.prob @ fq)
         if basis is None:
             direction = fq
         else:
-            centered = basis - (basis @ q.prob)[:, None]
+            centered = basis - basis[:, mode, None]
+            centered -= (centered @ q.prob)[:, None]
             gram = (centered * q.prob) @ centered.T
             rhs = (centered * q.prob) @ fq
             try:
@@ -240,7 +248,7 @@ def natural_gradient_ascent(
         if k == iters:
             break
         u = u + gamma * (direction - float(p0.prob @ direction))
-        q = patch_e(p0, tangent(p0, u))
+        q = patch_e(p0, u - float(p0.prob @ u))
         times.append(float(k + 1))
         densities.append(q)
     record = CurveRecord(p0, np.asarray(times), densities, velocities)
@@ -269,8 +277,7 @@ def one_sided_lipschitz_probe(
     rng = np.random.default_rng(seed)
 
     def chart_field(u_vals: np.ndarray) -> np.ndarray:
-        q = patch_e(p, tangent(p, u_vals))
-        fv = field(q).values
+        fv = field.raw(patch_e(p, u_vals - float(p.prob @ u_vals)))
         return fv - float(p.prob @ fv)
 
     worst = -math.inf
@@ -288,9 +295,15 @@ def one_sided_lipschitz_probe(
     return worst
 
 
+def _wrap(values: np.ndarray) -> np.ndarray:
+    """values between copies of its last and first entries: [2:] and [:-2] are the periodic neighbours."""
+    return np.concatenate((values[-1:], values, values[:1]))
+
+
 def second_difference(values: np.ndarray, h: float) -> np.ndarray:
     """Periodic three-point second difference with spacing h."""
-    return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / (h * h)
+    ext = _wrap(values)
+    return (ext[2:] - 2.0 * values + ext[:-2]) / (h * h)
 
 
 def heat_field(p0: Density) -> VectorField:
@@ -369,7 +382,8 @@ def heat_flow(
     length = b - a
     xs = p0.base.points
     dp_frame = record.velocities[-1]
-    logslope = (np.roll(final.values, -1) - np.roll(final.values, 1)) / (2.0 * h) / final.values
+    ext = _wrap(final.values)
+    logslope = (ext[2:] - ext[:-2]) / (2.0 * h) / final.values
     residuals = []
     for k in range(1, n_test_modes + 1):
         om = 2.0 * math.pi * k / length

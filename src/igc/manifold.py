@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .measures import (
     CotangentVector,
@@ -54,10 +53,15 @@ def _centered_values(p: Density, u, what: str) -> np.ndarray:
     return require_centered(p, values_on(p.base, u), what)
 
 
+def _log_partition(vals: np.ndarray, prob: np.ndarray) -> float:
+    """log sum(prob * exp(vals)), shifted by max(vals) so no exponential overflows."""
+    top = float(np.max(vals))
+    return top + float(np.log(prob @ np.exp(vals - top)))
+
+
 def cumulant(p: Density, u) -> float:
     """K_p(u) = log E_p[exp u] for u centered under p; overflow-safe."""
-    vals = _centered_values(p, u, "cumulant")
-    return float(logsumexp(vals, b=p.prob))
+    return _log_partition(_centered_values(p, u, "cumulant"), p.prob)
 
 
 _LOG_FLOOR = -700.0  # keeps exp() in the normal range; only bites below ~1e-304
@@ -70,7 +74,7 @@ def patch_e(p: Density, u) -> Density:
     probability, so strict positivity survives extreme concentration.
     """
     vals = _centered_values(p, u, "patch_e")
-    log_q = vals - float(logsumexp(vals, b=p.prob)) + np.log(p.values)
+    log_q = vals - _log_partition(vals, p.prob) + p.log_values
     q = np.exp(np.maximum(log_q, _LOG_FLOOR))
     return Density(p.base, q / float(q @ p.base.weights))
 
@@ -78,7 +82,7 @@ def patch_e(p: Density, u) -> Density:
 def chart_s(p: Density, q: Density) -> TangentVector:
     """The centered log-likelihood log(q/p) - E_p[log(q/p)]."""
     require_same_base(p, q, "chart_s")
-    return tangent(p, np.log(q.values) - np.log(p.values))
+    return tangent(p, np.log(q.values) - p.log_values)
 
 
 def cumulant_derivatives(

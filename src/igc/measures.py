@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 FINITE_MASS_TOL = 1e-12
 GRID_MASS_TOL = 1e-8
@@ -270,6 +269,13 @@ class Density:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """log(values), computed once per density that is used as a chart center."""
+        arr = np.log(self.values)
+        arr.setflags(write=False)
+        return arr
+
     def mass(self) -> float:
         return float(self.values @ self.base.weights)
 
@@ -437,7 +443,7 @@ def upper_incomplete_gamma_half(x: float) -> float:
     """
     if x <= 0:
         raise InvariantError("x must be positive")
-    return float(2.0 * math.exp(-x) / math.sqrt(x) - 2.0 * math.sqrt(math.pi) * special.erfc(math.sqrt(x)))
+    return 2.0 * math.exp(-x) / math.sqrt(x) - 2.0 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))
 
 
 def c_integral(theta: float, a: float) -> float:
@@ -452,9 +458,11 @@ def c_integral(theta: float, a: float) -> float:
         return math.inf
     if theta == 0:
         return 2.0 / math.sqrt(a)
+    from scipy.special import erfcx  # imported here so that `import igc` does not load scipy
+
     return float(
         2.0 / math.sqrt(a)
-        - 2.0 * math.sqrt(math.pi * theta) * special.erfcx(math.sqrt(theta * a))
+        - 2.0 * math.sqrt(math.pi * theta) * erfcx(math.sqrt(theta * a))
     )
 
 

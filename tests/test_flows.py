@@ -192,6 +192,23 @@ def test_natural_gradient_boolean_concentration():
     assert np.all(np.diff(res.objective) >= -1e-12)
 
 
+def test_natural_gradient_gram_velocity_exact_under_concentration():
+    # the objective lies in the span of the basis, so the projected velocity is objective - E_q[objective];
+    # once q concentrates the covariances are ~1e-13 and must not be taken from values of order 1
+    rng = np.random.default_rng(31)
+    m = boolean_measure(8)
+    signs = boolean_signs(m)
+    coefs = rng.uniform(0.5, 1.5, 8) * rng.choice([-1.0, 1.0], 8)
+    objective = RandomVariable(m, signs @ coefs)
+    p0 = Density.uniform(m)
+    basis = [tangent(p0, signs[:, k]) for k in range(8)]
+    res = natural_gradient_ascent(objective, p0, basis, gamma=0.1, iters=500)
+    assert float(res.record.densities[-1].prob.max()) >= 0.99
+    for q, velocity in zip(res.record.densities, res.record.velocities):
+        exact = objective.values - expect(q, objective)
+        assert np.max(np.abs(velocity - exact)) <= 1e-9
+
+
 def test_natural_gradient_singular_gram_is_regularized():
     # a constant direction centers to exactly zero, so the Gram matrix is singular
     rng = np.random.default_rng(32)

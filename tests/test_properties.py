@@ -1,14 +1,15 @@
-"""Property-based checks of the single centering policy and of the deformed log/exp pairs."""
+"""Property-based checks of the centering policy, the deformed log/exp pairs and the exponential chart."""
 
 import math
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
 from igc.deformed import make_deformed
-from igc.manifold import transport_e, transport_m
+from igc.manifold import _log_partition, chart_s, divergence, patch_e, transport_e, transport_m
 from igc.measures import CENTER_TOL, Density, cotangent, finite_measure, tangent
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -72,3 +73,41 @@ def test_deformed_log_inverts_exp(family, u):
     back = float(d.log(np.array([v]))[0])
     assert math.isfinite(back)
     assert abs(back - u) <= 1e-12 * max(1.0, abs(u))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 4096), spread=st.floats(0.0, 700.0), seed=st.integers(0, 2**32 - 1))
+@example(n=1, spread=700.0, seed=0)
+@example(n=4096, spread=700.0, seed=1)
+def test_log_partition_matches_scipy_logsumexp(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    prob = Density.random(finite_measure(np.arange(float(n))), rng).prob
+    vals = rng.uniform(-spread, spread, n)
+    ref = float(logsumexp(vals, b=prob))
+    assert abs(_log_partition(vals, prob) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 256),
+    spread=st.floats(0.1, 3.0),
+    scale=st.floats(1e-3, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chart_inverts_patch(n, spread, scale, seed):
+    rng = np.random.default_rng(seed)
+    p = Density.random(finite_measure(np.arange(float(n))), rng, spread)
+    u = tangent(p, scale * rng.standard_normal(n))
+    back = chart_s(p, patch_e(p, u)).values
+    assert np.max(np.abs(back - u.values)) <= 1e-12 * max(1.0, float(np.max(np.abs(u.values))))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 256), spread=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_bregman_divergence_equals_kl(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    m = finite_measure(np.arange(float(n)))
+    q, r, p = (Density.random(m, rng, spread) for _ in range(3))
+    for center in (None, p):
+        direct, bregman = divergence(q, r, center)
+        assert abs(bregman - direct) <= 1e-12 * max(1.0, direct)
