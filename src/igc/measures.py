@@ -387,8 +387,11 @@ def lp_norm(p: Density, u, alpha: float) -> float:
 
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
-    """Raise unless |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
-    if abs(float(p.prob @ vals)) > CENTER_TOL * max(1.0, float(np.max(np.abs(vals)))):
+    """Raise unless vals are finite and |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
+    sup = float(np.max(np.abs(vals)))
+    if not math.isfinite(sup):
+        raise InvariantError(f"{what}: values are not finite")
+    if abs(float(p.prob @ vals)) > CENTER_TOL * max(1.0, sup):
         raise InvariantError(f"{what}: values are not centered under the base density")
     return vals
 

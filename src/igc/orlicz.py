@@ -211,7 +211,7 @@ class WalshSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
-        for mask in self.coeffs:
+        for mask in (min(self.coeffs, default=0), max(self.coeffs, default=0)):
             if not 0 <= mask < (1 << self.n):
                 raise InvariantError(f"mask {mask} out of range for n={self.n}")
 
@@ -239,7 +239,8 @@ def walsh_transform(u: RandomVariable) -> WalshSpectrum:
     if n is None:
         raise InvariantError("walsh_transform needs a boolean base measure")
     coeffs = _fwht(u.values) / float(u.base.size)
-    return WalshSpectrum(n, {int(m): float(c) for m, c in enumerate(coeffs) if c != 0.0})
+    nz = np.flatnonzero(coeffs)
+    return WalshSpectrum(n, dict(zip(nz.tolist(), coeffs[nz].tolist())))
 
 
 def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
@@ -247,8 +248,10 @@ def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
     if measure.n_sites != spec.n or measure.size != (1 << spec.n):
         raise InvariantError("measure does not match the spectrum size")
     dense = np.zeros(measure.size)
-    for mask, c in spec.coeffs.items():
-        dense[mask] = c
+    count = len(spec.coeffs)
+    dense[np.fromiter(spec.coeffs.keys(), dtype=np.int64, count=count)] = np.fromiter(
+        spec.coeffs.values(), dtype=float, count=count
+    )
     return RandomVariable(measure, _fwht(dense))
 
 
@@ -276,48 +279,78 @@ def _gf2_kernel_basis(masks: Sequence[int]) -> list[int]:
 
 
 _MAX_SUPPORT = 24
+_BLOCK_BITS = 14  # kernel subsets are enumerated in blocks of 2**14
 
 
-def boolean_mgf(spec: WalshSpectrum, t: float) -> float:
-    """Moment generating function under the uniform density, by parity classes.
+def _xor_span(basis: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every XOR combination of ``basis`` with the parity of its bit count, built by doubling."""
+    combos = np.zeros(1, dtype=np.int64)
+    odd = np.zeros(1, dtype=bool)
+    for b in basis:
+        combos = np.concatenate([combos, combos ^ b])
+        odd = np.concatenate([odd, odd ^ bool(bin(b).count("1") & 1)])
+    return combos, odd
+
+
+def _factor_table(ch: np.ndarray, sh: np.ndarray) -> np.ndarray:
+    """table[x] = product over j of (sh[j] if bit j of x is set else ch[j])."""
+    table = np.ones(1)
+    for c, s in zip(ch, sh):
+        table = np.concatenate([table * c, table * s])
+    return table
+
+
+def _parity_class_sums(spec: WalshSpectrum, t: float) -> tuple[float, float]:
+    """Sums of the parity-class terms of E[exp(t*u)] over kernel subsets of even and of odd size.
 
     Expanding exp(t*u) factorwise over the spectrum support leaves exactly the
     subsets whose monomial product is constant, which are the solutions of an
-    XOR system over the support masks.  The value is the sum over that kernel
-    of products of cosh over the complement and sinh over the subset.
+    XOR system over the support masks.  Each such subset contributes the
+    product of sinh(t*c) over its members and cosh(t*c) over the rest; that
+    product is read from two tables, one per half of the support.  The 2**k
+    subsets of a k-dimensional kernel are enumerated in blocks of
+    2**_BLOCK_BITS, summed in a fixed order, so memory does not grow with k.
     """
-    items = [(m, c) for m, c in sorted(spec.coeffs.items()) if c != 0.0]
+    items = sorted((mask, c) for mask, c in spec.coeffs.items() if c != 0.0)
     m = len(items)
-    if m == 0:
-        return 1.0
     if m > _MAX_SUPPORT:
         raise InvariantError(f"spectrum support {m} exceeds the enumeration guard {_MAX_SUPPORT}")
-    masks = [mask for mask, _ in items]
+    kernel = _gf2_kernel_basis([mask for mask, _ in items])
     tc = t * np.array([c for _, c in items])
-    ch = np.cosh(tc)
-    sh = np.sinh(tc)
-    kernel = _gf2_kernel_basis(masks)
-    if len(kernel) > _MAX_SUPPORT:
-        raise InvariantError("parity-class kernel too large to enumerate")
-    positions = np.arange(m)
-    total = 0.0
-    for s in range(1 << len(kernel)):
-        b = 0
-        k = s
-        i = 0
-        while k:
-            if k & 1:
-                b ^= kernel[i]
-            k >>= 1
-            i += 1
-        member = ((b >> positions) & 1).astype(bool)
-        total += float(np.prod(np.where(member, sh, ch)))
-    return total
+    ch, sh = np.cosh(tc), np.sinh(tc)
+    half = m // 2
+    low_bits = (1 << half) - 1
+    low_table = _factor_table(ch[:half], sh[:half])
+    high_table = _factor_table(ch[half:], sh[half:])
+    block, block_odd = _xor_span(kernel[:_BLOCK_BITS])
+    block = block[np.argsort(block_odd, kind="stable")]  # even subsets first
+    n_even = int(np.count_nonzero(~block_odd))
+    heads, heads_odd = _xor_span(kernel[_BLOCK_BITS:])
+    even = odd = 0.0
+    for head, head_odd in zip(heads.tolist(), heads_odd.tolist()):
+        subsets = block ^ head
+        terms = low_table[subsets & low_bits] * high_table[subsets >> half]
+        first, rest = float(terms[:n_even].sum()), float(terms[n_even:].sum())
+        # XOR with an odd head flips the parity of every subset in the block
+        even += rest if head_odd else first
+        odd += first if head_odd else rest
+    return even, odd
+
+
+def boolean_mgf(spec: WalshSpectrum, t: float) -> float:
+    """Moment generating function E[exp(t*u)] under the uniform density, by parity classes."""
+    even, odd = _parity_class_sums(spec, t)
+    return even + odd
 
 
 def boolean_phi_moment(spec: WalshSpectrum, t: float) -> float:
-    """E_p[cosh(t*u) - 1] under the uniform density, as the symmetrized MGF."""
-    return 0.5 * (boolean_mgf(spec, t) + boolean_mgf(spec, -t)) - 1.0
+    """E_p[cosh(t*u) - 1] under the uniform density.
+
+    This is the symmetrized MGF; sinh is odd, so it keeps the kernel subsets
+    of even size.
+    """
+    even, _ = _parity_class_sums(spec, t)
+    return even - 1.0
 
 
 @dataclass(frozen=True)

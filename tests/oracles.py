@@ -32,6 +32,15 @@ def fd_hessian(p, u_vals, vi_vals, vj_vals, h=1e-5):
     return (d_plus - d_minus) / (4.0 * h * h)
 
 
+def walsh_values(spec):
+    """u(x) = sum over the spectrum of c * (-1)**popcount(x & mask), for every state x."""
+    states = range(1 << spec.n)
+    return np.array([
+        sum(c * (1.0 - 2.0 * (bin(x & mask).count("1") & 1)) for mask, c in spec.coeffs.items())
+        for x in states
+    ])
+
+
 def rk4_scalar(f, y0, t_final, n_steps):
     """Classical RK4 for a scalar autonomous equation y' = f(y)."""
     h = t_final / n_steps

@@ -61,6 +61,14 @@ def test_cumulant_requires_centering(space):
         cumulant(p, RandomVariable.constant(m, 1.0))
 
 
+@pytest.mark.parametrize("raw", [[math.nan] * 4, [math.inf, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("fn", [cumulant, patch_e])
+def test_chart_rejects_non_finite_coordinates(fn, raw):
+    p = Density.uniform(finite_measure(np.arange(4.0)))
+    with pytest.raises(InvariantError, match="not finite"):
+        fn(p, np.array(raw))
+
+
 def test_patch_chart_roundtrips(space):
     rng, m = space
     for _ in range(10):

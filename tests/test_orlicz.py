@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
+from oracles import walsh_values
 
 
 def _two_point():
@@ -201,6 +203,34 @@ def test_boolean_mgf_matches_enumeration():
             assert boolean_mgf(spec, t) == pytest.approx(direct, abs=1e-12)
             sym = float(np.mean(np.cosh(t * u.values))) - 1.0
             assert boolean_phi_moment(spec, t) == pytest.approx(sym, abs=1e-12)
+
+
+def test_boolean_mgf_spans_several_blocks_near_the_guard():
+    # 24 distinct nonzero masks on 5 sites: rank 5, so the kernel has dimension 19
+    # and 2**19 parity classes, more than one enumeration block holds
+    rng = np.random.default_rng(6)
+    masks = rng.choice(np.arange(1, 32), size=24, replace=False)
+    spec = WalshSpectrum(5, {int(mk): float(c) for mk, c in zip(masks, rng.normal(0.0, 0.3, 24))})
+    u = walsh_values(spec)
+    for t in (0.5, -1.3):
+        brute = float(np.mean(np.exp(t * u)))
+        assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
+        sym = float(np.mean(np.cosh(t * u))) - 1.0
+        assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * (1.0 + sym)
+    # the 2**19 terms alone would take 4 MiB; the blocked enumeration stays under 2 MiB
+    tracemalloc.start()
+    try:
+        boolean_mgf(spec, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("mask", [-1, 16, 17])
+def test_walsh_spectrum_rejects_out_of_range_mask(mask):
+    with pytest.raises(InvariantError, match=f"mask {mask} out of range"):
+        WalshSpectrum(4, {0: 1.0, 3: 0.5, mask: 0.25})
 
 
 def test_boolean_mgf_support_guard():

@@ -1,4 +1,4 @@
-"""Property-based checks of the centering policy, the deformed log/exp pairs and the exponential chart."""
+"""Property-based checks of the centering policy, the deformed log/exp pairs, the exponential chart and the Walsh layer."""
 
 import math
 
@@ -10,7 +10,9 @@ from scipy.special import logsumexp
 from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
 from igc.deformed import make_deformed
 from igc.manifold import _log_partition, chart_s, divergence, patch_e, transport_e, transport_m
-from igc.measures import CENTER_TOL, Density, cotangent, finite_measure, tangent
+from igc.measures import CENTER_TOL, Density, RandomVariable, boolean_measure, cotangent, finite_measure, tangent
+from igc.orlicz import WalshSpectrum, boolean_mgf, inverse_walsh, walsh_transform
+from oracles import walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -111,3 +113,31 @@ def test_bregman_divergence_equals_kl(n, spread, seed):
     for center in (None, p):
         direct, bregman = divergence(q, r, center)
         assert abs(bregman - direct) <= 1e-12 * max(1.0, direct)
+
+
+@st.composite
+def walsh_spectra(draw):
+    """Up to 24 distinct masks on 1-8 sites, mask 0 allowed; many masks force XOR dependencies."""
+    n = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=min(24, 1 << n), unique=True))
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(masks), max_size=len(masks)))
+    return WalshSpectrum(n, dict(zip(masks, coeffs)))
+
+
+@PROPERTY_SETTINGS
+@given(spec=walsh_spectra(), t=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+@example(spec=WalshSpectrum(1, {0: 0.7}), t=1.5, seed=0)
+@example(spec=WalshSpectrum(2, {0: -0.4, 1: 0.3, 2: -0.9, 3: 0.5}), t=-1.1, seed=0)
+def test_walsh_layer_matches_brute_force(spec, t, seed):
+    u = walsh_values(spec)
+    m = boolean_measure(spec.n)
+    spread = float(np.max(np.abs(u), initial=0.0))
+    assert np.max(np.abs(inverse_walsh(spec, m).values - u)) <= 1e-12 * max(1.0, spread)
+    # the parity-class terms sum in absolute value to at most exp(|t| * sum|c|)
+    brute = float(np.mean(np.exp(t * u)))
+    scale = math.exp(abs(t) * sum(abs(c) for c in spec.coeffs.values()))
+    assert abs(boolean_mgf(spec, t) - brute) <= 1e-13 * scale
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(m.size) * rng.uniform(1e-3, 1e3)
+    back = inverse_walsh(walsh_transform(RandomVariable(m, v)), m).values
+    assert np.max(np.abs(back - v)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
