@@ -28,6 +28,7 @@ from .measures import (
     TangentVector,
     covariance,
     expect,
+    require_same_base,
     tangent,
     values_on,
 )
@@ -164,7 +165,13 @@ def integrate_e_chart(
 
 def exponential_field(f: RandomVariable) -> VectorField:
     """The field whose value at q is f - E_q[f]; its integral curves are geodesics."""
-    return VectorField(lambda q: f.values - expect(q, f))
+    wf = f.base.weights * f.values  # E_q[f] = q.values @ wf, without building q.prob
+
+    def evaluator(q: Density) -> np.ndarray:
+        require_same_base(q, f, "exponential_field")
+        return f.values - float(q.values @ wf)
+
+    return VectorField(evaluator)
 
 
 def e_geodesic(p: Density, f, t: float) -> Density:

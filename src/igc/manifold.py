@@ -9,6 +9,7 @@ signed unit-mass functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -64,19 +65,31 @@ def cumulant(p: Density, u) -> float:
     return _log_partition(_centered_values(p, u, "cumulant"), p.prob)
 
 
-_LOG_FLOOR = -700.0  # keeps exp() in the normal range; only bites below ~1e-304
+_FLOOR = math.exp(-700.0)  # in the normal range; only bites below ~1e-304
 
 
 def patch_e(p: Density, u) -> Density:
     """The density exp(u - K_p(u)) * p, renormalized exactly.
 
-    The shifted log density is floored at a level far below any resolvable
-    probability, so strict positivity survives extreme concentration.
+    With s = u + log p, one exponential of s minus a shift gives q up to the
+    factor z = exp(K_p(u) - shift), its mass.  The shift is max(s) plus the log
+    weight at the argmax, so that term of z is 1: z >= 1 cannot underflow, and
+    no entry that survives the floor is subnormal.  Entries of q / z below
+    exp(-700), far below any resolvable probability, are raised to it and the
+    patch renormalized, so strict positivity survives extreme concentration.
     """
     vals = _centered_values(p, u, "patch_e")
-    log_q = vals - _log_partition(vals, p.prob) + p.log_values
-    q = np.exp(np.maximum(log_q, _LOG_FLOOR))
-    return Density(p.base, q / float(q @ p.base.weights))
+    weights = p.base.weights
+    q = vals + p.log_values
+    top = int(np.argmax(q))
+    q -= q[top] + math.log(weights[top])
+    np.exp(q, out=q)
+    q /= float(q @ weights)
+    if float(np.min(q)) < _FLOOR:
+        np.maximum(q, _FLOOR, out=q)
+        q /= float(q @ weights)
+    q.setflags(write=False)
+    return Density(p.base, q)
 
 
 def chart_s(p: Density, q: Density) -> TangentVector:

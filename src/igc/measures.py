@@ -66,6 +66,14 @@ class InvariantError(ValueError):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values; an array that is already read-only and owns its data is kept."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and not values.flags.writeable
+        and values.base is None
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -256,9 +264,10 @@ class Density:
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.shape != self.base.points.shape:
             raise InvariantError("density values must match the support size")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
-            raise InvariantError("density values must be strictly positive and finite")
+        # a NaN, zero or negative entry fails the minimum; with positive weights, +inf fails the mass
         mass = float(self.values @ self.base.weights)
+        if not float(np.min(self.values)) > 0 or not math.isfinite(mass):
+            raise InvariantError("density values must be strictly positive and finite")
         if abs(mass - 1.0) > self.base.mass_tol:
             raise InvariantError(f"density mass {mass!r} is not 1 within {self.base.mass_tol}")
 
@@ -388,7 +397,7 @@ def lp_norm(p: Density, u, alpha: float) -> float:
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
     """Raise unless vals are finite and |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
-    sup = float(np.max(np.abs(vals)))
+    sup = max(float(np.max(vals)), -float(np.min(vals)))
     if not math.isfinite(sup):
         raise InvariantError(f"{what}: values are not finite")
     if abs(float(p.prob @ vals)) > CENTER_TOL * max(1.0, sup):
@@ -426,16 +435,21 @@ class CotangentVector(TangentVector):
     """Random variable centered under its base density (mixture-side coordinate)."""
 
 
+def _centered_rv(p: Density, u) -> RandomVariable:
+    vals = values_on(p.base, u)
+    centered = vals - float(p.prob @ vals)
+    centered.setflags(write=False)  # a fresh array, so the random variable adopts it uncopied
+    return RandomVariable(p.base, centered)
+
+
 def tangent(p: Density, u) -> TangentVector:
     """Center u under p and wrap it as a tangent vector at p."""
-    vals = values_on(p.base, u)
-    return TangentVector(p, RandomVariable(p.base, vals - float(p.prob @ vals)))
+    return TangentVector(p, _centered_rv(p, u))
 
 
 def cotangent(p: Density, v) -> CotangentVector:
     """Center v under p and wrap it as a cotangent vector at p."""
-    vals = values_on(p.base, v)
-    return CotangentVector(p, RandomVariable(p.base, vals - float(p.prob @ vals)))
+    return CotangentVector(p, _centered_rv(p, v))
 
 
 def upper_incomplete_gamma_half(x: float) -> float:

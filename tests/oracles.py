@@ -20,6 +20,19 @@ def cumulant_difference(p, a_vals, b_vals):
     return math.log1p(num / mb)
 
 
+def log_space_patch(p, u_vals):
+    """exp(max(u - K_p(u) + log p, -700)) renormalised: the exponential patch written in log space.
+
+    K_p(u) comes from a max-shifted log-sum-exp; the floor acts on the log density, before any
+    exponential is taken.
+    """
+    u = np.asarray(u_vals, dtype=float)
+    top = float(np.max(u))
+    k = top + math.log(float(p.prob @ np.exp(u - top)))
+    q = np.exp(np.maximum(u - k + np.log(p.values), -700.0))
+    return q / float(q @ p.base.weights)
+
+
 def fd_gradient(p, u_vals, v_vals, h=1e-5):
     """Central difference of the cumulant along v."""
     return cumulant_difference(p, u_vals + h * v_vals, u_vals - h * v_vals) / (2.0 * h)

@@ -29,6 +29,7 @@ from igc.measures import (
     covariance,
     expect,
     finite_measure,
+    periodic_grid_measure,
     tangent,
 )
 
@@ -91,6 +92,36 @@ def test_patch_e_identity(space):
     p = Density.random(m, rng)
     out = patch_e(p, tangent(p, np.zeros(8)))
     assert np.max(np.abs(out.values - p.values)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "base",
+    [finite_measure(np.arange(4.0)), periodic_grid_measure(0.0, 1.0, 8)],
+    ids=["finite", "periodic-grid"],
+)
+def test_patch_e_floors_log_density(base):
+    # every entry but the last sits about 2000 below the peak, far under the -700 floor of
+    # log(q/p) + log p - K, so each is floored to exp(-700) and then renormalised
+    p = Density.uniform(base)
+    raw = np.zeros(base.size)
+    raw[-1] = 2000.0
+    q = patch_e(p, raw - expect(p, raw))
+    h = float(base.weights[0])
+    floor = math.exp(-700.0)
+    mass = 1.0 + (base.size - 1) * h * floor
+    np.testing.assert_allclose(q.values[:-1], floor / mass, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(q.values[-1], 1.0 / (h * mass), rtol=1e-12, atol=0.0)
+    assert abs(q.mass() - 1.0) <= 1e-15
+
+
+def test_patch_e_keeps_precision_on_tiny_weights():
+    # on weights of 1e-30 the density is about 1e30 at the peak, so entries exp(-720.3) below it
+    # stay above the floor; their exponentials must keep full precision, never pass through subnormals
+    base = finite_measure(np.arange(4.0), np.full(4, 1e-30))
+    p = Density.uniform(base)
+    raw = np.array([0.0, 0.0, 0.0, 720.3])
+    q = patch_e(p, raw - expect(p, raw)).values
+    np.testing.assert_allclose(np.log(q[:-1]) - np.log(q[-1]), -720.3, rtol=0.0, atol=1e-12)
 
 
 def test_cumulant_derivatives_match_finite_differences(space):

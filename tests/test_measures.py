@@ -120,6 +120,33 @@ def test_density_validation():
             assert abs(p.mass() - 1.0) <= base.mass_tol
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+def test_density_rejects_non_positive_or_non_finite_values(bad):
+    m = finite_measure(np.arange(4.0))
+    with pytest.raises(InvariantError, match="strictly positive and finite"):
+        Density(m, [bad, 0.25, 0.25, 0.5])
+
+
+def test_density_copies_unless_handed_a_frozen_array_it_can_own():
+    m = finite_measure(np.arange(4.0))
+    src = np.full(4, 0.25)
+    d = Density(m, src)
+    src[0] = 0.5
+    assert d.values is not src and np.all(d.values == 0.25)
+
+    owned = np.full(4, 0.25)
+    owned.setflags(write=False)
+    assert Density(m, owned).values is owned
+
+    base = np.full(8, 0.25)
+    view = base[:4]
+    view.setflags(write=False)
+    d = Density(m, view)
+    assert d.values is not view
+    base[0] = 0.5
+    assert np.all(d.values == 0.25)
+
+
 def test_boolean_machinery():
     m = boolean_measure(3)
     signs = boolean_signs(m)

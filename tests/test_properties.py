@@ -10,9 +10,18 @@ from scipy.special import logsumexp
 from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
 from igc.deformed import make_deformed
 from igc.manifold import _log_partition, chart_s, divergence, patch_e, transport_e, transport_m
-from igc.measures import CENTER_TOL, Density, RandomVariable, boolean_measure, cotangent, finite_measure, tangent
+from igc.measures import (
+    CENTER_TOL,
+    Density,
+    RandomVariable,
+    boolean_measure,
+    cotangent,
+    finite_measure,
+    periodic_grid_measure,
+    tangent,
+)
 from igc.orlicz import WalshSpectrum, boolean_mgf, inverse_walsh, walsh_transform
-from oracles import walsh_values
+from oracles import log_space_patch, walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -102,6 +111,29 @@ def test_chart_inverts_patch(n, spread, scale, seed):
     u = tangent(p, scale * rng.standard_normal(n))
     back = chart_s(p, patch_e(p, u)).values
     assert np.max(np.abs(back - u.values)) <= 1e-12 * max(1.0, float(np.max(np.abs(u.values))))
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 4096),
+    grid=st.booleans(),
+    spread=st.floats(0.1, 5.0),
+    scale=st.floats(0.0, 800.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4096, grid=True, spread=5.0, scale=800.0, seed=0)
+@example(n=1, grid=False, spread=5.0, scale=800.0, seed=0)
+def test_patch_e_matches_log_space_patch(n, grid, spread, scale, seed):
+    # coordinates up to +-800 put many entries under the -700 floor; those must agree too
+    assume(not grid or n >= 3)
+    rng = np.random.default_rng(seed)
+    m = periodic_grid_measure(-1.0, 1.0, n) if grid else finite_measure(np.arange(float(n)))
+    p = Density.random(m, rng, spread)
+    u = tangent(p, rng.uniform(-scale, scale, n)).values
+    ref = log_space_patch(p, u)
+    got = patch_e(p, u).values
+    scale_of_logs = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(p.log_values))))
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14 * scale_of_logs
 
 
 @PROPERTY_SETTINGS
