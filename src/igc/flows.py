@@ -26,6 +26,7 @@ from .measures import (
     InvariantError,
     RandomVariable,
     TangentVector,
+    _dot,
     covariance,
     expect,
     require_same_base,
@@ -143,8 +144,8 @@ def integrate_e_chart(
     anchor = p0
 
     def rhs(u_state: np.ndarray) -> np.ndarray:
-        f = field.raw(patch_e(anchor, u_state - float(anchor.prob @ u_state)))
-        out = f - float(anchor.prob @ f)
+        f = field.raw(patch_e(anchor, u_state - _dot(anchor.prob, u_state)))
+        out = f - _dot(anchor.prob, f)
         if not np.all(np.isfinite(out)):
             raise FlowError("non-finite vector field value; step rejected")
         return out
@@ -154,7 +155,7 @@ def integrate_e_chart(
     for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
         if not np.all(np.isfinite(u)):
             raise FlowError("non-finite chart state; step rejected")
-        pt = patch_e(anchor, u - float(anchor.prob @ u))
+        pt = patch_e(anchor, u - _dot(anchor.prob, u))
         densities.append(pt)
         velocities.append(field(pt).values)
         if reanchor_threshold is not None and float(np.max(np.abs(u))) > reanchor_threshold:
@@ -165,11 +166,11 @@ def integrate_e_chart(
 
 def exponential_field(f: RandomVariable) -> VectorField:
     """The field whose value at q is f - E_q[f]; its integral curves are geodesics."""
-    wf = f.base.weights * f.values  # E_q[f] = q.values @ wf, without building q.prob
+    wf = f.base.weights * f.values  # E_q[f] = sum(q.values * wf), without building q.prob
 
     def evaluator(q: Density) -> np.ndarray:
         require_same_base(q, f, "exponential_field")
-        return f.values - float(q.values @ wf)
+        return f.values - _dot(q.values, wf)
 
     return VectorField(evaluator)
 
@@ -177,7 +178,7 @@ def exponential_field(f: RandomVariable) -> VectorField:
 def e_geodesic(p: Density, f, t: float) -> Density:
     """Closed-form exponential geodesic exp(t f - K_p(t f)) * p for centered f."""
     fv = values_on(p.base, f)
-    fv = fv - float(p.prob @ fv)
+    fv = fv - _dot(p.prob, fv)
     return patch_e(p, tangent(p, t * fv))
 
 
@@ -231,12 +232,12 @@ def natural_gradient_ascent(
     objective_trace = []
     q = p0
     for k in range(iters + 1):
-        objective_trace.append(float(q.prob @ f))
+        objective_trace.append(_dot(q.prob, f))
         # shifting each function by its value at the mode of q leaves every covariance as it is,
         # but keeps the centered values exact once q concentrates there
         mode = int(np.argmax(q.prob))
         fq = f - f[mode]
-        fq -= float(q.prob @ fq)
+        fq -= _dot(q.prob, fq)
         if basis is None:
             direction = fq
         else:
@@ -254,8 +255,8 @@ def natural_gradient_ascent(
         velocities.append(direction)
         if k == iters:
             break
-        u = u + gamma * (direction - float(p0.prob @ direction))
-        q = patch_e(p0, u - float(p0.prob @ u))
+        u = u + gamma * (direction - _dot(p0.prob, direction))
+        q = patch_e(p0, u - _dot(p0.prob, u))
         times.append(float(k + 1))
         densities.append(q)
     record = CurveRecord(p0, np.asarray(times), densities, velocities)
@@ -284,20 +285,20 @@ def one_sided_lipschitz_probe(
     rng = np.random.default_rng(seed)
 
     def chart_field(u_vals: np.ndarray) -> np.ndarray:
-        fv = field.raw(patch_e(p, u_vals - float(p.prob @ u_vals)))
-        return fv - float(p.prob @ fv)
+        fv = field.raw(patch_e(p, u_vals - _dot(p.prob, u_vals)))
+        return fv - _dot(p.prob, fv)
 
     worst = -math.inf
     for _ in range(trials):
         a = rng.standard_normal(p.base.size) * scale
         b = rng.standard_normal(p.base.size) * scale
-        a -= float(p.prob @ a)
-        b -= float(p.prob @ b)
+        a -= _dot(p.prob, a)
+        b -= _dot(p.prob, b)
         diff = a - b
-        denom = float(p.prob @ (diff * diff))
+        denom = _dot(p.prob, diff * diff)
         if denom == 0.0:
             continue
-        num = float(p.prob @ ((chart_field(a) - chart_field(b)) * diff))
+        num = _dot(p.prob, (chart_field(a) - chart_field(b)) * diff)
         worst = max(worst, num / denom)
     return worst
 

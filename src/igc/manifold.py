@@ -21,6 +21,7 @@ from .measures import (
     InvariantError,
     RandomVariable,
     TangentVector,
+    _dot,
     lp_norm,
     require_centered,
     require_same_base,
@@ -57,7 +58,7 @@ def _centered_values(p: Density, u, what: str) -> np.ndarray:
 def _log_partition(vals: np.ndarray, prob: np.ndarray) -> float:
     """log sum(prob * exp(vals)), shifted by max(vals) so no exponential overflows."""
     top = float(np.max(vals))
-    return top + float(np.log(prob @ np.exp(vals - top)))
+    return top + float(np.log(_dot(prob, np.exp(vals - top))))
 
 
 def cumulant(p: Density, u) -> float:
@@ -84,10 +85,10 @@ def patch_e(p: Density, u) -> Density:
     top = int(np.argmax(q))
     q -= q[top] + math.log(weights[top])
     np.exp(q, out=q)
-    q /= float(q @ weights)
+    q /= _dot(q, weights)
     if float(np.min(q)) < _FLOOR:
         np.maximum(q, _FLOOR, out=q)
-        q /= float(q @ weights)
+        q /= _dot(q, weights)
     q.setflags(write=False)
     return Density(p.base, q)
 
@@ -126,7 +127,7 @@ def cumulant_gradient_derivative(p: Density, u, w) -> RandomVariable:
     """Directional derivative of the gradient map: (q/p) * (w - E_q[w])."""
     q = patch_e(p, u)
     wv = values_on(p.base, w)
-    return RandomVariable(p.base, (q.values / p.values) * (wv - float(q.prob @ wv)))
+    return RandomVariable(p.base, (q.values / p.values) * (wv - _dot(q.prob, wv)))
 
 
 def transition_e(p1: Density, p2: Density, u) -> TangentVector:
@@ -156,7 +157,7 @@ def chart_m(p: Density, q) -> CotangentVector:
         require_same_base(p, q, "chart_m")
     else:
         qv = values_on(p.base, q)
-        mass = float(qv @ p.base.weights)
+        mass = _dot(qv, p.base.weights)
         if abs(mass - 1.0) > max(p.base.mass_tol, 1e-10):
             raise InvariantError(f"chart_m: argument has mass {mass!r}, expected 1")
     return CotangentVector(p, RandomVariable(p.base, qv / p.values - 1.0))
@@ -181,12 +182,12 @@ def divergence(q: Density, r: Density, p: Density | None = None) -> DivergenceRe
     agree with the direct sum.
     """
     require_same_base(q, r, "divergence")
-    direct = float(q.prob @ (np.log(q.values) - np.log(r.values)))
+    direct = _dot(q.prob, np.log(q.values) - np.log(r.values))
     if p is None:
         p = q
     u = chart_s(p, q)
     v = chart_s(p, r)
-    grad_dir = float(q.prob @ (v.values - u.values))
+    grad_dir = _dot(q.prob, v.values - u.values)
     bregman = cumulant(p, v) - cumulant(p, u) - grad_dir
     return DivergenceResult(direct, bregman)
 
@@ -206,7 +207,7 @@ def pythagorean_check(p: Density, q: Density, r: Density) -> PythagoreanResult:
     identically, so the reported defect must vanish; a zero pairing is the
     orthogonality case in which the three divergences split additively.
     """
-    pairing = float(p.prob @ (chart_m(p, r).values * chart_s(p, q).values))
+    pairing = _dot(p.prob, chart_m(p, r).values * chart_s(p, q).values)
     d_r_q = divergence(r, q).direct
     d_r_p = divergence(r, p).direct
     d_p_q = divergence(p, q).direct
@@ -227,12 +228,12 @@ def orthogonal_mixture_third(
     stay positive.
     """
     u = chart_s(p, q).values
-    uu = float(p.prob @ (u * u))
+    uu = _dot(p.prob, u * u)
     if uu == 0.0:
         raise InvariantError("q equals p, no direction to be orthogonal to")
     w = rng.standard_normal(p.base.size)
-    w = w - float(p.prob @ w)
-    w = w - (float(p.prob @ (w * u)) / uu) * u
+    w = w - _dot(p.prob, w)
+    w = w - (_dot(p.prob, w * u) / uu) * u
     sup = float(np.max(np.abs(w)))
     if sup == 0.0:
         raise InvariantError("degenerate direction draw")

@@ -57,6 +57,26 @@ __all__ = [
 ]
 
 
+# OpenBLAS splits a dot product over more than 10,000 entries across its thread
+# pool: the rounding then depends on the pool size, and each call wakes a worker
+# thread that spins between calls and competes with the caller.
+_DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) for 1-D float arrays, in one thread and in a fixed order.
+
+    Longer arrays are summed as the leading remainder plus one BLAS dot product
+    per block of _DOT_BLOCK entries, each below the threading cut-off.
+    """
+    n = a.shape[0]
+    if n <= _DOT_BLOCK:
+        return float(a @ b)
+    k, r = divmod(n, _DOT_BLOCK)
+    blocks = np.matmul(a[r:].reshape(k, 1, _DOT_BLOCK), b[r:].reshape(k, _DOT_BLOCK, 1))
+    return (float(a[:r] @ b[:r]) if r else 0.0) + float(blocks.sum())
+
+
 class BaseMismatchError(ValueError):
     """Two objects do not share the same base measure."""
 
@@ -265,7 +285,7 @@ class Density:
         if self.values.shape != self.base.points.shape:
             raise InvariantError("density values must match the support size")
         # a NaN, zero or negative entry fails the minimum; with positive weights, +inf fails the mass
-        mass = float(self.values @ self.base.weights)
+        mass = _dot(self.values, self.base.weights)
         if not float(np.min(self.values)) > 0 or not math.isfinite(mass):
             raise InvariantError("density values must be strictly positive and finite")
         if abs(mass - 1.0) > self.base.mass_tol:
@@ -286,7 +306,7 @@ class Density:
         return arr
 
     def mass(self) -> float:
-        return float(self.values @ self.base.weights)
+        return _dot(self.values, self.base.weights)
 
     @classmethod
     def uniform(cls, base: Measure) -> "Density":
@@ -298,7 +318,7 @@ class Density:
         vals = np.asarray(values, dtype=float)
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
             raise InvariantError("unnormalized density values must be positive and finite")
-        return cls(base, vals / float(vals @ base.weights))
+        return cls(base, vals / _dot(vals, base.weights))
 
     @classmethod
     def random(cls, base: Measure, rng: np.random.Generator, spread: float = 0.5) -> "Density":
@@ -377,14 +397,14 @@ def values_on(base: Measure, u) -> np.ndarray:
 
 def expect(p: Density, u) -> float:
     """E_p[u] = sum of u * p * weights."""
-    return float(p.prob @ values_on(p.base, u))
+    return _dot(p.prob, values_on(p.base, u))
 
 
 def covariance(p: Density, u, v) -> float:
     """Cov_p(u, v) = E_p[uv] - E_p[u] E_p[v]."""
     uv = values_on(p.base, u)
     vv = values_on(p.base, v)
-    return float(p.prob @ (uv * vv)) - float(p.prob @ uv) * float(p.prob @ vv)
+    return _dot(p.prob, uv * vv) - _dot(p.prob, uv) * _dot(p.prob, vv)
 
 
 def lp_norm(p: Density, u, alpha: float) -> float:
@@ -392,7 +412,7 @@ def lp_norm(p: Density, u, alpha: float) -> float:
     if alpha <= 0:
         raise InvariantError("alpha must be positive")
     vals = np.abs(values_on(p.base, u))
-    return float(p.prob @ vals**alpha) ** (1.0 / alpha)
+    return _dot(p.prob, vals**alpha) ** (1.0 / alpha)
 
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
@@ -400,7 +420,7 @@ def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
     sup = max(float(np.max(vals)), -float(np.min(vals)))
     if not math.isfinite(sup):
         raise InvariantError(f"{what}: values are not finite")
-    if abs(float(p.prob @ vals)) > CENTER_TOL * max(1.0, sup):
+    if abs(_dot(p.prob, vals)) > CENTER_TOL * max(1.0, sup):
         raise InvariantError(f"{what}: values are not centered under the base density")
     return vals
 
@@ -437,7 +457,7 @@ class CotangentVector(TangentVector):
 
 def _centered_rv(p: Density, u) -> RandomVariable:
     vals = values_on(p.base, u)
-    centered = vals - float(p.prob @ vals)
+    centered = vals - _dot(p.prob, vals)
     centered.setflags(write=False)  # a fresh array, so the random variable adopts it uncopied
     return RandomVariable(p.base, centered)
 

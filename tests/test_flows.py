@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igc
 from igc.flows import (
     FlowError,
     VectorField,
@@ -337,3 +342,22 @@ def test_natural_gradient_monotone_threshold_probe(space):
     for gamma in (0.02, 0.05, 0.1):
         res = natural_gradient_ascent(f, p, "full", gamma=gamma, iters=100)
         assert np.all(np.diff(res.objective) >= -1e-12), f"not monotone at step {gamma}"
+
+
+def test_chart_flow_bits_do_not_depend_on_blas_threads():
+    # at this size a plain BLAS dot product is split across the thread pool
+    src = str(Path(igc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hashlib; import numpy as np; "
+        "from igc import flows, measures; "
+        "rng = np.random.default_rng(5); m = measures.finite_measure(np.arange(3.0 * 8192 + 5)); "
+        "p0 = measures.Density.random(m, rng); f = measures.RandomVariable(m, rng.standard_normal(m.size)); "
+        "rec = flows.integrate_e_chart(flows.exponential_field(f), p0, 0.04, 0.02); "
+        "print(hashlib.sha256(rec.densities[-1].values.tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

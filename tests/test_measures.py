@@ -35,6 +35,7 @@ from igc.measures import (
     tangent,
     upper_incomplete_gamma_half,
 )
+from igc.measures import _DOT_BLOCK, _dot
 
 
 def test_measure_validation():
@@ -254,3 +255,14 @@ def test_csv_rows():
     p = Density.from_unnormalized(m, [1.0, 1.0])
     rows = density_csv_rows(p)
     assert rows == [(0.0, 1.0, 0.25), (1.0, 3.0, 0.25)]
+
+
+@pytest.mark.parametrize("n", [1, _DOT_BLOCK, _DOT_BLOCK + 1, 3 * _DOT_BLOCK, 3 * _DOT_BLOCK + 5])
+def test_dot_sums_every_block(n):
+    # integer products and partial sums are exact, so a dropped or doubled block shows
+    assert _dot(np.ones(n), np.arange(float(n))) == n * (n - 1) / 2
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    prods = a * b
+    assert abs(_dot(a, b) - math.fsum(prods)) <= 1e-14 * math.fsum(np.abs(prods))
