@@ -287,7 +287,11 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
 def phi_patch(p: Density, u, d: DeformedLogarithm) -> Density:
     """The unit-mass density exp_phi(u - K + log_phi p)."""
     u_vals = values_on(p.base, u)
-    k = phi_cumulant(p, u_vals, d)
+    return _patch_at(p, u_vals, d, phi_cumulant(p, u_vals, d))
+
+
+def _patch_at(p: Density, u_vals: np.ndarray, d: DeformedLogarithm, k: float) -> Density:
+    """exp_phi(u - k + log_phi p) renormalized, for a k that phi_cumulant has already solved."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals = d.exp(u_vals - k + d.log(p.values))
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
@@ -359,10 +363,14 @@ def phi_arc(p0: Density, p1: Density, d: DeformedLogarithm, t: float) -> PhiArcR
         raw = d.exp((1.0 - t) * lp0 + t * d.log(p1.values))
     density = Density.from_unnormalized(p0.base, raw)
     u = phi_chart(p0, p1, d).u
-    psi = phi_cumulant(p0, t * u.values, d) if t != 0.0 else 0.0
+    if t != 0.0:
+        tu = t * u.values
+        psi = phi_cumulant(p0, tu, d)
+        family = _patch_at(p0, tu, d, psi)
+    else:
+        psi, family = 0.0, p0
     phi_p0 = d.phi(p0.values)
     diff = d.log(density.values) - lp0
     pairing_un = float(p0.base.weights @ (phi_p0 * diff))
     pairing_norm = pairing_un / float(p0.base.weights @ phi_p0)
-    family = phi_patch(p0, t * u.values, d) if t != 0.0 else p0
     return PhiArcResult(density, psi, family, pairing_un, pairing_norm)

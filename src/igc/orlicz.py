@@ -6,7 +6,8 @@ cosh(x) - 1.  The Luxemburg norm of u under a density p is the gauge
 
     inf { r > 0 : E_p[Phi(u/r)] <= 1 },
 
-computed by bisection on the monotone map r -> E_p[Phi(u/r)].  Divergent
+computed as the root of the monotone map r -> E_p[Phi(u/r)] by the shared
+guarded Illinois false position of ``_rootfind``.  Divergent
 integrals are reported as values (math.inf), never silently clipped.
 """
 
@@ -177,7 +178,8 @@ def dual_norm(p: Density, v, Phi: YoungFunction, rel_tol: float = 1e-14) -> floa
     """sup { E_p[uv] : E_p[Phi(u)] <= 1 }, solved through the stationarity condition.
 
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
-    and the constraint is active; lam is found by bisection.
+    and the constraint is active; lam is the root of that constraint, found by
+    the shared root-finder.
     """
     if not Phi.strict:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")

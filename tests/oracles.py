@@ -65,3 +65,26 @@ def rk4_scalar(f, y0, t_final, n_steps):
         k4 = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def bisection_root(g, target, guess, rel_tol=1e-14):
+    """Plain bisection for a nonincreasing g from the bracket that doubling or halving ``guess`` finds.
+
+    The same bracket and stop rule as ``_rootfind.decreasing_root``; inf and NaN count as above.
+    """
+    def above(r):
+        return not (g(r) <= target)
+
+    hi = guess
+    while above(hi):
+        hi *= 2.0
+    lo = hi / 2.0
+    while not above(lo):
+        hi, lo = lo, lo / 2.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -301,6 +301,20 @@ def test_phi_arc(space):
     assert np.max(np.abs(mid_t.density.values - mid_t.family_density.values)) > 1e-6
 
 
+@pytest.mark.parametrize("tag,param", ALL_FAMILIES)
+def test_phi_arc_family_member_is_the_patch(space, tag, param):
+    rng, m = space
+    p0 = Density.random(m, rng)
+    p1 = Density.random(m, rng)
+    d = make_deformed(tag, param)
+    u = phi_chart(p0, p1, d).u
+    for t in (0.3, 0.5, 1.0):
+        arc = phi_arc(p0, p1, d, t)
+        # the arc reuses psi for its family member instead of solving it again
+        assert np.array_equal(arc.family_density.values, phi_patch(p0, t * u.values, d).values)
+        assert arc.psi == phi_cumulant(p0, t * u.values, d)
+
+
 def test_normalizer_sign_at_intermediate_t(space):
     # the chart statistic is centered against the unnormalized escort weight,
     # so when the escort mass is not one the arc normalizer can dip below

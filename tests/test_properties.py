@@ -1,14 +1,17 @@
-"""Property-based checks of the centering policy, the deformed log/exp pairs, the exponential chart and the Walsh layer."""
+"""Property-based checks of the centering policy, the deformed log/exp pairs, the exponential chart,
+the Walsh layer, the shared root-finder and the norms built on it."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from igc._rootfind import decreasing_root
 from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
-from igc.deformed import make_deformed
+from igc.deformed import make_deformed, phi_norm
 from igc.manifold import _log_partition, chart_s, divergence, patch_e, transport_e, transport_m
 from igc.measures import (
     CENTER_TOL,
@@ -20,8 +23,8 @@ from igc.measures import (
     periodic_grid_measure,
     tangent,
 )
-from igc.orlicz import WalshSpectrum, boolean_mgf, inverse_walsh, walsh_transform
-from oracles import log_space_patch, walsh_values
+from igc.orlicz import WalshSpectrum, boolean_mgf, dual_norm, inverse_walsh, luxemburg_norm, walsh_transform, young_pair
+from oracles import bisection_root, log_space_patch, walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -173,3 +176,130 @@ def test_walsh_layer_matches_brute_force(spec, t, seed):
     v = rng.standard_normal(m.size) * rng.uniform(1e-3, 1e3)
     back = inverse_walsh(walsh_transform(RandomVariable(m, v)), m).values
     assert np.max(np.abs(back - v)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
+
+
+@dataclass(frozen=True)
+class MonotoneMap:
+    """A nonincreasing map that crosses ``target`` near ``root``.
+
+    "affine" has slope -steep/root; "exp" is target - 1 + exp(steep * (root/r - 1)), whose
+    r g'(r) at the root is -steep; "inf" and "nan" are "exp" with +inf or NaN below edge * root;
+    "jump" falls from target + 1 to target - edge at the root, like the mass map of phi_cumulant
+    at a domain exit, and then slopes down like "affine".
+    """
+
+    kind: str
+    target: float
+    root: float
+    steep: float
+    edge: float = 0.0
+
+    def __call__(self, r):
+        if self.kind == "affine":
+            return self.target + self.steep * (1.0 - r / self.root)
+        if self.kind == "jump":
+            if r < self.root:
+                return self.target + 1.0
+            return self.target - self.edge - self.steep * (r / self.root - 1.0)
+        if r < self.edge * self.root:
+            return math.inf if self.kind == "inf" else math.nan
+        x = self.steep * (self.root / r - 1.0)
+        return self.target - 1.0 + (math.inf if x > 709.0 else math.exp(x))
+
+
+@st.composite
+def monotone_maps(draw):
+    kind = draw(st.sampled_from(("affine", "exp", "inf", "nan", "jump")))
+    edge = 0.0
+    if kind in ("inf", "nan"):
+        edge = draw(st.floats(0.01, 0.999))
+    elif kind == "jump":
+        edge = 10.0 ** draw(st.floats(-12.0, 1.0))
+    target = draw(st.floats(-10.0, 10.0))
+    root = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return MonotoneMap(kind, target, root, 10.0 ** draw(st.floats(-2.0, 2.5)), edge)
+
+
+def counted(g):
+    calls = []
+
+    def wrapped(r):
+        calls.append(r)
+        return g(r)
+
+    return wrapped, calls
+
+
+@PROPERTY_SETTINGS
+@given(g=monotone_maps(), shift=st.floats(-10.0, 10.0))
+@example(g=MonotoneMap("jump", -1.0, 3.7, 1.0, 1e-12), shift=0.3)
+@example(g=MonotoneMap("exp", 1.0, 1e-6, 300.0), shift=-10.0)
+@example(g=MonotoneMap("nan", 0.0, 1e6, 1.0, 0.999), shift=10.0)
+def test_decreasing_root_contract(g, shift):
+    rel_tol = 1e-14
+    guess = g.root * 2.0**shift
+    fn, calls = counted(g)
+    r = decreasing_root(fn, g.target, guess, rel_tol=rel_tol)
+    assert g(r) <= g.target
+    # the final lower end, where g is above the target, is at least r - rel_tol * r (rounded
+    # like the stop rule), and g is nonincreasing, so it is above the target there too
+    assert not (g(r - rel_tol * r) <= g.target)
+    # the progress budget keeps every map, the jump included, within twice plain bisection
+    ref, ref_calls = counted(g)
+    bisection_root(ref, g.target, guess, rel_tol)
+    assert len(calls) <= 2 * len(ref_calls)
+
+
+def test_decreasing_root_is_fast_on_smooth_maps():
+    # the Luxemburg maps of the strict Young pairs have |r g'(r)| = 1.6-3 at the root (where
+    # g = 1); the exponential maps here reach 10, with guesses within a factor 8 of the root
+    rng = np.random.default_rng(6)
+    counts = []
+    for i in range(400):
+        kind = ("affine", "exp")[i % 2]
+        steep = 10.0 ** rng.uniform(-2.0, 2.0) if kind == "affine" else 10.0 ** rng.uniform(0.0, 1.0)
+        g = MonotoneMap(kind, rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-6.0, 6.0), steep)
+        fn, calls = counted(g)
+        decreasing_root(fn, g.target, g.root * 2.0 ** rng.uniform(-3.0, 3.0))
+        counts.append(len(calls))
+    assert np.mean(counts) <= 20.0
+
+
+STRICT_PAIRS = ("a", "b", "two", "cosh_minus_one")
+
+
+@PROPERTY_SETTINGS
+@given(
+    tag=st.sampled_from(STRICT_PAIRS),
+    n=st.integers(1, 128),
+    lam=st.floats(1e-3, 1e3),
+    scale=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orlicz_norms_are_homogeneous_and_subadditive(tag, n, lam, scale, seed):
+    rng = np.random.default_rng(seed)
+    p = Density.random(finite_measure(np.arange(float(n))), rng)
+    u, v = scale * rng.standard_normal(n), scale * rng.standard_normal(n)
+    yf = young_pair(tag)
+    nu, nv = luxemburg_norm(p, u, yf), luxemburg_norm(p, v, yf)
+    assert abs(luxemburg_norm(p, lam * u, yf) - lam * nu) <= 1e-12 * lam * nu
+    assert luxemburg_norm(p, u + v, yf) <= (nu + nv) * (1.0 + 1e-12)
+    du = dual_norm(p, u, yf)
+    assert abs(dual_norm(p, lam * u, yf) - lam * du) <= 1e-12 * lam * du
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=FAMILIES,
+    n=st.integers(1, 64),
+    lam=st.floats(1e-3, 1e3),
+    scale=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phi_norm_is_homogeneous(family, n, lam, scale, seed):
+    rng = np.random.default_rng(seed)
+    p = Density.random(finite_measure(np.arange(float(n))), rng)
+    u = scale * rng.standard_normal(n)
+    d = make_deformed(*family)
+    nu = phi_norm(p, u, d)
+    assert abs(phi_norm(p, lam * u, d) - lam * nu) <= 1e-10 * lam * nu
