@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,6 +27,7 @@ from .measures import (
     InvariantError,
     Measure,
     RandomVariable,
+    _frozen_array,
     c_integral,
     values_on,
 )
@@ -200,49 +202,68 @@ def dual_norm(p: Density, v, Phi: YoungFunction, rel_tol: float = 1e-14) -> floa
     return float(p.prob @ (u_opt * vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WalshSpectrum:
-    """Sparse character expansion of a function on an n-site boolean space.
+    """Character expansion of a function on an n-site boolean space, in two read-only arrays.
 
-    ``coeffs`` maps an integer mask (bit k set means site k participates in
-    the monomial) to the real coefficient of that monomial.
+    ``masks`` (int64, increasing; bit k set: site k is in the monomial) and ``values`` (float64,
+    zeros kept) hold the monomials and coefficients; ``coeffs``, the read-only mapping built on
+    first access, is also what the constructor takes: integer masks in [0, 2**n), finite values.
     """
 
     n: int
-    coeffs: Mapping[int, float]
+    masks: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
-        for mask in (min(self.coeffs, default=0), max(self.coeffs, default=0)):
-            if not 0 <= mask < (1 << self.n):
-                raise InvariantError(f"mask {mask} out of range for n={self.n}")
+    def __init__(self, n: int, coeffs: Mapping[int, float]):
+        for mask, c in coeffs.items():
+            if not isinstance(mask, (int, np.integer)) or not math.isfinite(c):
+                raise InvariantError(f"mask {mask!r} with coefficient {c!r}: masks must be integers, coefficients finite")
+            if not 0 <= mask < (1 << n):
+                raise InvariantError(f"mask {mask} out of range for n={n}")
+        masks = sorted(coeffs)
+        vars(self).update(n=n, masks=_frozen_array(masks, np.int64), values=_frozen_array([coeffs[k] for k in masks]))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(m for m, c in self.coeffs.items() if c != 0.0))
+    @classmethod
+    def _from_arrays(cls, n: int, masks: np.ndarray, values: np.ndarray) -> WalshSpectrum:
+        """Adopt fresh arrays of sorted, distinct, in-range masks and finite values, unchecked."""
+        spec = cls.__new__(cls)
+        masks.flags.writeable = values.flags.writeable = False
+        vars(spec).update(n=n, masks=masks, values=values)
+        return spec
+
+    @cached_property
+    def coeffs(self) -> Mapping[int, float]:
+        return MappingProxyType(dict(zip(self.masks.tolist(), self.values.tolist())))
+
+    def __eq__(self, other):
+        return isinstance(other, WalshSpectrum) and self.n == other.n and self.coeffs == other.coeffs
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly with kernel (-1)**popcount(i & j)."""
-    a = np.array(values, dtype=float)
-    h = 1
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard butterfly with kernel (-1)**popcount(i & j), in place on float ``a``.
+
+    Stages work on reshape(-1, 2, h) views through one half-size scratch buffer, adding in the textbook order.
+    """
+    scratch, h = np.empty(a.size // 2), 1
     while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        top = a[:, :h] + a[:, h:]
-        bot = a[:, :h] - a[:, h:]
-        a = np.concatenate([top, bot], axis=1).reshape(-1)
+        top, bot = a.reshape(-1, 2, h).transpose(1, 0, 2)
+        diff = np.subtract(top, bot, out=scratch.reshape(-1, h))
+        top += bot
+        bot[...] = diff
         h *= 2
     return a
 
 
 def walsh_transform(u: RandomVariable) -> WalshSpectrum:
-    """Exact character coefficients of u on a boolean measure."""
+    """Exact character coefficients of u on a boolean measure, zero coefficients dropped."""
     n = u.base.n_sites
     if n is None:
         raise InvariantError("walsh_transform needs a boolean base measure")
-    coeffs = _fwht(u.values) / float(u.base.size)
+    coeffs = _fwht(np.array(u.values, dtype=float))
+    coeffs /= float(u.base.size)
     nz = np.flatnonzero(coeffs)
-    return WalshSpectrum(n, dict(zip(nz.tolist(), coeffs[nz].tolist())))
+    return WalshSpectrum._from_arrays(n, nz, coeffs[nz])
 
 
 def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
@@ -250,11 +271,9 @@ def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
     if measure.n_sites != spec.n or measure.size != (1 << spec.n):
         raise InvariantError("measure does not match the spectrum size")
     dense = np.zeros(measure.size)
-    count = len(spec.coeffs)
-    dense[np.fromiter(spec.coeffs.keys(), dtype=np.int64, count=count)] = np.fromiter(
-        spec.coeffs.values(), dtype=float, count=count
-    )
-    return RandomVariable(measure, _fwht(dense))
+    dense[spec.masks] = spec.values
+    _fwht(dense).setflags(write=False)
+    return RandomVariable(measure, dense)
 
 
 def _gf2_kernel_basis(masks: Sequence[int]) -> list[int]:
@@ -302,7 +321,7 @@ def _factor_table(ch: np.ndarray, sh: np.ndarray) -> np.ndarray:
     return table
 
 
-def _parity_class_sums(spec: WalshSpectrum, t: float) -> tuple[float, float]:
+def _parity_class_sums(coefs: np.ndarray, kernel: Sequence[int], t: float) -> tuple[float, float]:
     """Sums of the parity-class terms of E[exp(t*u)] over kernel subsets of even and of odd size.
 
     Expanding exp(t*u) factorwise over the spectrum support leaves exactly the
@@ -313,14 +332,9 @@ def _parity_class_sums(spec: WalshSpectrum, t: float) -> tuple[float, float]:
     subsets of a k-dimensional kernel are enumerated in blocks of
     2**_BLOCK_BITS, summed in a fixed order, so memory does not grow with k.
     """
-    items = sorted((mask, c) for mask, c in spec.coeffs.items() if c != 0.0)
-    m = len(items)
-    if m > _MAX_SUPPORT:
-        raise InvariantError(f"spectrum support {m} exceeds the enumeration guard {_MAX_SUPPORT}")
-    kernel = _gf2_kernel_basis([mask for mask, _ in items])
-    tc = t * np.array([c for _, c in items])
+    tc = t * coefs
     ch, sh = np.cosh(tc), np.sinh(tc)
-    half = m // 2
+    half = coefs.size // 2
     low_bits = (1 << half) - 1
     low_table = _factor_table(ch[:half], sh[:half])
     high_table = _factor_table(ch[half:], sh[half:])
@@ -339,20 +353,36 @@ def _parity_class_sums(spec: WalshSpectrum, t: float) -> tuple[float, float]:
     return even, odd
 
 
+def _uniform_mean(spec: WalshSpectrum, t: float, even: bool) -> float:
+    """E[exp(t*u)], or E[cosh(t*u)] when ``even``, under the uniform density.
+
+    If the m support masks have GF(2) rank r < m - r, average over the 2**r equally likely classes
+    of u: a kernel element's top bit is a dependent mask, its character the product of its other bits'.
+    """
+    keep = spec.values != 0.0
+    coefs = spec.values[keep]
+    if coefs.size > _MAX_SUPPORT:
+        raise InvariantError(f"spectrum support {coefs.size} exceeds the enumeration guard {_MAX_SUPPORT}")
+    kernel = _gf2_kernel_basis(spec.masks[keep].tolist())
+    if 2 * len(kernel) <= coefs.size:
+        even_sum, odd_sum = _parity_class_sums(coefs, kernel, t)
+        return even_sum if even else even_sum + odd_sum
+    combos = {e.bit_length() - 1: e for e in kernel}
+    free = [j for j in range(coefs.size) if j not in combos]
+    where = [sum(1 << b for b, i in enumerate(free) if combos.get(j, 1 << j) >> i & 1) for j in range(coefs.size)]
+    classes = np.zeros(1 << len(free))
+    classes[where] = coefs
+    return float(np.mean((np.cosh if even else np.exp)(t * _fwht(classes))))
+
+
 def boolean_mgf(spec: WalshSpectrum, t: float) -> float:
     """Moment generating function E[exp(t*u)] under the uniform density, by parity classes."""
-    even, odd = _parity_class_sums(spec, t)
-    return even + odd
+    return _uniform_mean(spec, t, even=False)
 
 
 def boolean_phi_moment(spec: WalshSpectrum, t: float) -> float:
-    """E_p[cosh(t*u) - 1] under the uniform density.
-
-    This is the symmetrized MGF; sinh is odd, so it keeps the kernel subsets
-    of even size.
-    """
-    even, _ = _parity_class_sums(spec, t)
-    return even - 1.0
+    """E_p[cosh(t*u) - 1] under the uniform density: the symmetrized MGF, sinh being odd."""
+    return _uniform_mean(spec, t, even=True) - 1.0
 
 
 @dataclass(frozen=True)

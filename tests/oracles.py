@@ -54,6 +54,22 @@ def walsh_values(spec):
     ])
 
 
+def concatenating_fwht(values):
+    """Unnormalized Walsh-Hadamard butterfly that concatenates the sum and difference halves at each stage.
+
+    The reference for the in-place butterfly: same stages, same additions, fresh arrays throughout.
+    """
+    a = np.array(values, dtype=float)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2 * h)
+        top = a[:, :h] + a[:, h:]
+        bot = a[:, :h] - a[:, h:]
+        a = np.concatenate([top, bot], axis=1).reshape(-1)
+        h *= 2
+    return a
+
+
 def rk4_scalar(f, y0, t_final, n_steps):
     """Classical RK4 for a scalar autonomous equation y' = f(y)."""
     h = t_final / n_steps

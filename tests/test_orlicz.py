@@ -32,7 +32,7 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
-from oracles import walsh_values
+from oracles import concatenating_fwht, walsh_values
 
 
 def _two_point():
@@ -231,6 +231,85 @@ def test_boolean_mgf_spans_several_blocks_near_the_guard():
 def test_walsh_spectrum_rejects_out_of_range_mask(mask):
     with pytest.raises(InvariantError, match=f"mask {mask} out of range"):
         WalshSpectrum(4, {0: 1.0, 3: 0.5, mask: 0.25})
+
+
+@pytest.mark.parametrize(
+    "coeffs, culprit",
+    [
+        ({1.5: 1.0, 2: 0.5}, "mask 1.5"),
+        ({"1": 1.0}, "mask '1'"),
+        ({1: math.nan, 2: 0.5}, "coefficient nan"),
+        ({0: 0.5, 3: -math.inf}, "coefficient -inf"),
+    ],
+)
+def test_walsh_spectrum_rejects_non_integer_masks_and_non_finite_coefficients(coeffs, culprit):
+    with pytest.raises(InvariantError, match=culprit):
+        WalshSpectrum(3, coeffs)
+
+
+def test_walsh_spectrum_contract():
+    mapping = {5: -0.25, np.int64(0): 1.0, 3: 0.0, np.uint8(6): 2}
+    spec = WalshSpectrum(3, mapping)
+    assert spec.masks.tolist() == [0, 3, 5, 6] and spec.masks.dtype == np.int64
+    assert spec.values.tolist() == [1.0, 0.0, -0.25, 2.0] and spec.values.dtype == np.float64
+    for arr in (spec.masks, spec.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert spec.coeffs == mapping  # the zero coefficient is kept
+    assert spec.coeffs is spec.coeffs
+    with pytest.raises(TypeError):
+        spec.coeffs[1] = 1.0
+    assert spec == WalshSpectrum(3, dict(reversed(list(mapping.items()))))
+    assert spec != WalshSpectrum(4, mapping)
+    assert spec != WalshSpectrum(3, {**mapping, 3: 1e-300})
+    assert spec != WalshSpectrum(3, {k: v for k, v in mapping.items() if k != 3})
+    assert WalshSpectrum(2, {}).masks.shape == (0,)
+    m = boolean_measure(3)
+    assert walsh_transform(inverse_walsh(spec, m)) == WalshSpectrum(3, {k: v for k, v in mapping.items() if v})
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_walsh_matches_concatenating_butterfly_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    m = boolean_measure(n)
+    values = rng.standard_normal(m.size) * 10.0 ** rng.uniform(-3, 3, m.size)
+    values[rng.integers(0, m.size, m.size // 3)] = 0.0
+    for u in (values, np.round(values)):  # rounded values give exact zero coefficients
+        spec = walsh_transform(RandomVariable(m, u))
+        ref = concatenating_fwht(u) / float(m.size)
+        nz = np.flatnonzero(ref)
+        assert spec.masks.tolist() == nz.tolist()
+        assert spec.values.tobytes() == ref[nz].tobytes()
+        dense = np.zeros(m.size)
+        dense[nz] = ref[nz]
+        assert inverse_walsh(spec, m).values.tobytes() == concatenating_fwht(dense).tobytes()
+
+
+def test_walsh_round_trip_reads_the_arrays_only():
+    m = boolean_measure(8)
+    u = inverse_walsh(WalshSpectrum(8, {0: 0.1, 1: 0.5, 6: -0.3, 0b10100011: 0.2}), m)
+    spec = walsh_transform(u)
+    back = inverse_walsh(spec, m)
+    boolean_mgf(spec, 0.3)
+    boolean_phi_moment(spec, 0.3)
+    assert "coeffs" not in vars(spec)
+    assert not back.values.flags.writeable and back.values.base is None
+
+
+def test_walsh_round_trip_peak_memory():
+    # at 16 sites one float array is 0.5 MiB: the input copy, the half-size scratch, the two
+    # spectrum arrays and the output fit under 3 MiB; a dict per coefficient does not
+    m = boolean_measure(16)
+    u = RandomVariable(m, np.random.default_rng(16).standard_normal(m.size))
+    tracemalloc.start()
+    try:
+        back = inverse_walsh(walsh_transform(u), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(back.values - u.values)) <= 1e-12 * max(1.0, float(np.max(np.abs(u.values))))
+    assert peak < 3 * 2**20
 
 
 def test_boolean_mgf_support_guard():

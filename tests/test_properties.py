@@ -1,5 +1,6 @@
 """Property-based checks of the centering policy, the deformed log/exp pairs, the exponential chart,
-the Walsh layer, the shared root-finder and the norms built on it."""
+the Hilbert transport, the Pythagorean pairing, the Walsh layer, the shared root-finder and the
+norms built on it."""
 
 import math
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from scipy.special import logsumexp
 from igc._rootfind import decreasing_root
 from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
 from igc.deformed import make_deformed, phi_norm
-from igc.manifold import _log_partition, chart_s, divergence, patch_e, transport_e, transport_m
+from igc.manifold import _log_partition, chart_s, divergence, patch_e, pythagorean_check, transport_e, transport_m
 from igc.measures import (
     CENTER_TOL,
     Density,
@@ -23,7 +24,17 @@ from igc.measures import (
     periodic_grid_measure,
     tangent,
 )
-from igc.orlicz import WalshSpectrum, boolean_mgf, dual_norm, inverse_walsh, luxemburg_norm, walsh_transform, young_pair
+from igc.orlicz import (
+    WalshSpectrum,
+    _gf2_kernel_basis,
+    boolean_mgf,
+    boolean_phi_moment,
+    dual_norm,
+    inverse_walsh,
+    luxemburg_norm,
+    walsh_transform,
+    young_pair,
+)
 from oracles import bisection_root, log_space_patch, walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -148,6 +159,36 @@ def test_bregman_divergence_equals_kl(n, spread, seed):
     for center in (None, p):
         direct, bregman = divergence(q, r, center)
         assert abs(bregman - direct) <= 1e-12 * max(1.0, direct)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 256),
+    spread=st.floats(0.1, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hilbert_transport_is_an_isometry_with_inverse(n, spread, scale, seed):
+    rng = np.random.default_rng(seed)
+    m = finite_measure(np.arange(float(n)))
+    p, q = Density.random(m, rng, spread), Density.random(m, rng, spread)
+    u = hilbert_vector(p, scale * rng.uniform(-1.0, 1.0, n))
+    moved = hilbert_transport(p, q, u)
+    norm2 = float(p.prob @ u.values**2)
+    assert abs(float(q.prob @ moved.values**2) - norm2) <= 1e-12 * max(1.0, norm2)
+    back = hilbert_transport(q, p, moved).values
+    assert np.max(np.abs(back - u.values)) <= 1e-12 * max(1.0, float(np.max(np.abs(u.values))))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 256), spread=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_pythagorean_pairing_identity_for_any_third_density(n, spread, seed):
+    # E_p[(r/p - 1) s_p(q)] = D(r||p) + D(p||q) - D(r||q) for every r, orthogonal or not
+    rng = np.random.default_rng(seed)
+    m = finite_measure(np.arange(float(n)))
+    p, q, r = (Density.random(m, rng, spread) for _ in range(3))
+    res = pythagorean_check(p, q, r)
+    assert abs(res.defect) <= 1e-10 * max(1.0, abs(res.pairing), res.d_r_q, res.d_r_p, res.d_p_q)
 
 
 @st.composite
@@ -303,3 +344,42 @@ def test_phi_norm_is_homogeneous(family, n, lam, scale, seed):
     d = make_deformed(*family)
     nu = phi_norm(p, u, d)
     assert abs(phi_norm(p, lam * u, d) - lam * nu) <= 1e-10 * lam * nu
+
+
+@st.composite
+def low_rank_walsh_spectra(draw):
+    """Masks drawn from the span of 3-5 masks with distinct top bits on 3-8 sites: rank r, at least 2r + 1 masks."""
+    n = draw(st.integers(3, 8))
+    tops = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=min(n, 5), unique=True))
+    span = [0]
+    for top in tops:
+        basis = (1 << top) | draw(st.integers(0, (1 << top) - 1))
+        span += [mask ^ basis for mask in span]
+    masks = draw(st.lists(st.sampled_from(span), min_size=2 * len(tops) + 1, max_size=min(24, len(span)), unique=True))
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(masks), max_size=len(masks)))
+    return WalshSpectrum(n, dict(zip(masks, coeffs)))
+
+
+@PROPERTY_SETTINGS
+@given(spec=low_rank_walsh_spectra(), t=st.floats(-2.0, 2.0))
+@example(
+    spec=WalshSpectrum(
+        4,
+        {0: -0.68, 1: 0.9, 3: -0.41, 4: -0.89, 5: 0.8, 6: 0.66, 7: 0.19, 8: 0.81, 9: 0.02, 11: -0.21, 12: 0.9, 14: 0.84,
+         15: -0.76},
+    ),
+    t=1.94,
+)
+def test_boolean_mgf_positive_terms_when_rank_is_below_kernel_dimension(spec, t):
+    # u takes 2**rank equally likely values; below the kernel dimension their positive terms are
+    # averaged, so the error is relative to the result, not to the signed parity-class terms
+    nonzero = [int(mask) for mask, c in zip(spec.masks, spec.values) if c != 0.0]
+    assume(2 * len(_gf2_kernel_basis(nonzero)) > len(nonzero))
+    u = [
+        math.fsum(c * (1.0 - 2.0 * (bin(x & mask).count("1") & 1)) for mask, c in spec.coeffs.items())
+        for x in range(1 << spec.n)
+    ]
+    mgf = math.fsum(math.exp(t * v) for v in u) / len(u)
+    sym = math.fsum(math.cosh(t * v) for v in u) / len(u)
+    assert abs(boolean_mgf(spec, t) - mgf) <= 1e-14 * mgf
+    assert abs(boolean_phi_moment(spec, t) + 1.0 - sym) <= 1e-14 * sym
