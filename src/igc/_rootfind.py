@@ -22,8 +22,6 @@ def decreasing_root(
     target: float,
     guess: float,
     rel_tol: float = 1e-14,
-    max_iter: int = 200,
-    max_expansions: int = 600,
 ) -> float:
     """Solve g(r) = target for a nonincreasing map g on r > 0.
 
@@ -41,9 +39,9 @@ def decreasing_root(
 
     Returns the upper end of the final bracket: g(result) <= target, and g
     is above the target (or NaN) at some r >= result * (1 - rel_tol).
-    Returns 0.0 when g stays at or below the target all the way down to
-    zero.  Raises :class:`BracketError` when geometric expansion fails to
-    bracket the target.
+    Returns 0.0 when g stays at or below the target over 600 halvings.
+    Raises :class:`BracketError` when 600 doublings fail to bracket the
+    target.  The false-position loop stops after 200 steps.
     """
     if not (guess > 0) or not math.isfinite(guess):
         raise ValueError("guess must be a positive finite number")
@@ -57,7 +55,7 @@ def decreasing_root(
         lo, f_lo = hi, f_hi
         hi *= 2.0
         n += 1
-        if n > max_expansions or not math.isfinite(hi):
+        if n > 600 or not math.isfinite(hi):
             raise BracketError("no finite upper bracket: the integral diverges for every radius")
         f_hi = g(hi) - target
     if lo is None:
@@ -68,14 +66,14 @@ def decreasing_root(
             hi, f_hi = lo, f_lo
             lo /= 2.0
             n += 1
-            if n > max_expansions:
+            if n > 600:
                 # g stays at or below target arbitrarily close to zero
                 return 0.0
             f_lo = g(lo) - target
 
     kept = 0  # +1 after lo moved, -1 after hi moved
     width = hi - lo
-    for k in range(max_iter):
+    for k in range(200):
         tol = rel_tol * hi
         if hi - lo <= tol:
             break

@@ -22,6 +22,8 @@ from .measures import (
     Measure,
     RandomVariable,
     TangentVector,
+    _dot,
+    _frozen_array,
     require_same_base,
     values_on,
 )
@@ -64,39 +66,34 @@ class SphereVector:
     at: "SphereVector | None" = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
+        vals = _frozen_array(self.values)
         object.__setattr__(self, "values", vals)
         if vals.shape != self.base.points.shape:
             raise InvariantError("sphere vector values must match the support size")
         if self.at is None:
-            nrm = float(self.base.weights @ (vals * vals))
+            nrm = _dot(self.base.weights, vals * vals)
             if abs(nrm - 1.0) > _SPHERE_TOL:
                 raise InvariantError(f"sphere point has squared norm {nrm!r}, expected 1")
         else:
             require_same_base(self.base, self.at.base, "SphereVector")
             if self.at.at is not None:
                 raise InvariantError("tangent base must be a sphere point")
-            inner = float(self.base.weights @ (vals * self.at.values))
+            inner = _dot(self.base.weights, vals * self.at.values)
             scale = max(1.0, float(np.max(np.abs(vals))))
             if abs(inner) > _SPHERE_TOL * scale:
                 raise InvariantError("tangent vector is not orthogonal to its base point")
-
-    @property
-    def role(self) -> str:
-        return "point" if self.at is None else "tangent"
 
 
 def sphere_dot(x: SphereVector, y: SphereVector) -> float:
     """The L2(mu) inner product of two sphere objects on the same base."""
     require_same_base(x.base, y.base, "sphere_dot")
-    return float(x.base.weights @ (x.values * y.values))
+    return _dot(x.base.weights, x.values * y.values)
 
 
 def sphere_point(base: Measure, values) -> SphereVector:
     """Normalize values to a unit sphere point."""
     vals = np.asarray(values, dtype=float)
-    nrm = math.sqrt(float(base.weights @ (vals * vals)))
+    nrm = math.sqrt(_dot(base.weights, vals * vals))
     if nrm == 0.0:
         raise InvariantError("cannot normalize the zero vector")
     return SphereVector(base, vals / nrm)
@@ -105,7 +102,7 @@ def sphere_point(base: Measure, values) -> SphereVector:
 def sphere_tangent(x: SphereVector, values) -> SphereVector:
     """Project values onto the tangent space at x."""
     vals = np.asarray(values, dtype=float)
-    inner = float(x.base.weights @ (vals * x.values))
+    inner = _dot(x.base.weights, vals * x.values)
     return SphereVector(x.base, vals - inner * x.values, at=x)
 
 
@@ -145,10 +142,10 @@ def transport_values(
 ) -> np.ndarray:
     """Raw chord transport u - <u, y> (x + y) / (1 + <x, y>) on value arrays."""
     w = base.weights
-    c = float(w @ (x_values * y_values))
+    c = _dot(w, x_values * y_values)
     if c <= -1.0 + 1e-12:
         raise InvariantError("transport is undefined between antipodal points")
-    uy = float(w @ (u_values * y_values))
+    uy = _dot(w, u_values * y_values)
     return u_values - (uy / (1.0 + c)) * (x_values + y_values)
 
 
@@ -188,7 +185,7 @@ class HilbertVector(TangentVector):
 def hilbert_vector(p: Density, values) -> HilbertVector:
     """Center values under p and wrap them as a fiber vector."""
     vals = values_on(p.base, values)
-    return HilbertVector(p, vals - float(p.prob @ vals))
+    return HilbertVector(p, vals - _dot(p.prob, vals))
 
 
 def hilbert_transport(p: Density, q: Density, u: HilbertVector) -> HilbertVector:
@@ -202,8 +199,8 @@ def hilbert_transport(p: Density, q: Density, u: HilbertVector) -> HilbertVector
     """
     require_same_base(p, q, "hilbert_transport")
     ratio = np.sqrt(p.values / q.values)
-    denom = 1.0 + float(q.prob @ ratio)
-    num = float(q.prob @ (ratio * u.values))
+    denom = 1.0 + _dot(q.prob, ratio)
+    num = _dot(q.prob, ratio * u.values)
     return HilbertVector(q, ratio * u.values - (num / denom) * (1.0 + ratio))
 
 
@@ -211,14 +208,14 @@ def covariant_derivative_sphere(
     field: Callable[[SphereVector], SphereVector],
     w: SphereVector,
     x: SphereVector,
-    step: float = 1e-5,
 ) -> SphereVector:
     """Metric covariant derivative of a sphere vector field along w at x.
 
     The field is evaluated on the radial normalization of x + t*w, the
-    directional derivative is a central difference with the given step, and
+    directional derivative is a central difference with step t = 1e-5, and
     the result is projected back onto the tangent space at x.
     """
+    step = 1e-5
     if w.at is None:
         raise InvariantError("w must be a tangent vector")
     plus = field(sphere_point(x.base, x.values + step * w.values))
@@ -237,7 +234,7 @@ def metric_derivative(p: Density, f0: HilbertVector, f0_dot, w: TangentVector) -
     """
     dot = values_on(p.base, f0_dot)
     raw = dot + 0.5 * f0.values * w.values
-    return HilbertVector(p, raw - float(p.prob @ raw))
+    return HilbertVector(p, raw - _dot(p.prob, raw))
 
 
 def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
@@ -254,7 +251,6 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HermiteTransportReport:
     gram: np.ndarray
-    expected_diag: np.ndarray
     max_offdiag: float
     max_diag_defect: float
 
@@ -274,7 +270,7 @@ def hermite_transport_demo(y: RandomVariable, n_max: int) -> HermiteTransportRep
         raise InvariantError("n_max must be at least 1")
     if base.size < 2 * n_max:
         raise InvariantError(f"quadrature underresolved: need at least {2 * n_max} nodes")
-    ynorm = float(base.weights @ (y.values * y.values))
+    ynorm = _dot(base.weights, y.values * y.values)
     if abs(ynorm - 1.0) > 1e-8:
         raise InvariantError(f"E[y^2] = {ynorm!r}, expected 1")
     x = SphereVector(base, np.ones(base.size))
@@ -282,7 +278,7 @@ def hermite_transport_demo(y: RandomVariable, n_max: int) -> HermiteTransportRep
     transported = []
     for n in range(1, n_max + 1):
         hn = hermite_values(n, base.points)
-        hn = hn - float(base.weights @ hn)  # exact mean is zero; remove quadrature residue
+        hn = hn - _dot(base.weights, hn)  # exact mean is zero; remove quadrature residue
         tn = sphere_transport(x, ypt, SphereVector(base, hn, at=x))
         transported.append(tn.values)
     mat = np.stack(transported)
@@ -291,7 +287,6 @@ def hermite_transport_demo(y: RandomVariable, n_max: int) -> HermiteTransportRep
     off = gram - np.diag(np.diag(gram))
     return HermiteTransportReport(
         gram=gram,
-        expected_diag=expected,
         max_offdiag=float(np.max(np.abs(off))) if n_max > 1 else 0.0,
         max_diag_defect=float(np.max(np.abs(np.diag(gram) - expected) / expected)),
     )

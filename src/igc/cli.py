@@ -42,6 +42,7 @@ from .measures import (
     Density,
     InvariantError,
     RandomVariable,
+    _dot,
     boolean_measure,
     boolean_signs,
     expect,
@@ -180,7 +181,7 @@ def cmd_transport(config: RunConfig, args) -> int:
         q = Density.random(m, rng)
         u = hilbert_vector(p, rng.standard_normal(n))
         moved = hilbert_transport(p, q, u)
-        iso = abs(float(q.prob @ (moved.values**2)) - float(p.prob @ (u.values**2)))
+        iso = abs(_dot(q.prob, moved.values**2) - _dot(p.prob, u.values**2))
         back = hilbert_transport(q, p, moved)
         rt = float(np.max(np.abs(back.values - u.values)))
         worst = max(worst, iso, rt)
@@ -272,7 +273,7 @@ def cmd_deformed(config: RunConfig, args) -> int:
     elif args.kind == "norm":
         u = RandomVariable(m, rng.standard_normal(args.n))
         nrm = phi_norm(p, u, d)
-        escort_l1 = float(m.weights @ (d.phi(p.values) * np.abs(u.values)))
+        escort_l1 = _dot(m.weights, d.phi(p.values) * np.abs(u.values))
         homog = abs(phi_norm(p, u * 2.0, d) - 2.0 * nrm)
         ok = escort_l1 <= nrm + tol and homog <= max(tol, 1e-10 * nrm)
         values = {"norm": nrm, "escort_l1": escort_l1, "homogeneity_defect": homog}

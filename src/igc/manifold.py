@@ -215,17 +215,12 @@ def pythagorean_check(p: Density, q: Density, r: Density) -> PythagoreanResult:
     return PythagoreanResult(pairing, defect, d_r_q, d_r_p, d_p_q)
 
 
-def orthogonal_mixture_third(
-    p: Density,
-    q: Density,
-    rng: np.random.Generator,
-    damping: float = 0.5,
-) -> Density:
+def orthogonal_mixture_third(p: Density, q: Density, rng: np.random.Generator) -> Density:
     """A density r with E_p[(r/p - 1) s_p(q)] = 0, built on a mixture line.
 
-    Draw a direction, center it under p, remove its component along s_p(q) in
-    the p inner product, and move from p along the mixture line far enough to
-    stay positive.
+    Draw a direction w, center it under p, remove its component along s_p(q)
+    in the p inner product, and move from p along the mixture line to
+    r = p * (1 + w / (2 max|w|)), which stays positive.
     """
     u = chart_s(p, q).values
     uu = _dot(p.prob, u * u)
@@ -237,7 +232,7 @@ def orthogonal_mixture_third(
     sup = float(np.max(np.abs(w)))
     if sup == 0.0:
         raise InvariantError("degenerate direction draw")
-    t = damping / sup
+    t = 0.5 / sup
     return Density(p.base, p.values * (1.0 + t * w))
 
 

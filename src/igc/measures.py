@@ -23,8 +23,6 @@ FINITE_MASS_TOL = 1e-12
 GRID_MASS_TOL = 1e-8
 CENTER_TOL = 1e-12
 
-DENSITY_CSV_HEADER = ("point", "weight", "value")
-
 __all__ = [
     "BaseMismatchError",
     "InvariantError",
@@ -163,11 +161,11 @@ def require_same_base(a, b, what: str = "operation"):
         raise BaseMismatchError(f"{what}: operands live on different base measures")
 
 
-def finite_measure(points, weights=None, mass_tol: float = FINITE_MASS_TOL) -> Measure:
+def finite_measure(points, weights=None) -> Measure:
     """Finite weighted support; unit counting weights by default."""
     pts = np.asarray(points, dtype=float)
     w = np.ones_like(pts) if weights is None else np.asarray(weights, dtype=float)
-    return Measure("finite", pts, w, mass_tol=mass_tol)
+    return Measure("finite", pts, w)
 
 
 def boolean_measure(n_sites: int) -> Measure:
@@ -196,19 +194,13 @@ def boolean_site(measure: Measure, k: int) -> "RandomVariable":
     return RandomVariable(measure, boolean_signs(measure)[:, k])
 
 
-def gauss_legendre_measure(
-    a: float,
-    b: float,
-    n_panels: int,
-    order: int = 16,
-    mass_tol: float = GRID_MASS_TOL,
-) -> Measure:
-    """Composite Gauss-Legendre quadrature grid on [a, b]."""
+def gauss_legendre_measure(a: float, b: float, n_panels: int) -> Measure:
+    """Composite 16-point Gauss-Legendre quadrature grid on [a, b]."""
     if not (b > a):
         raise InvariantError("need b > a")
-    if n_panels < 1 or order < 2:
-        raise InvariantError("need n_panels >= 1 and order >= 2")
-    x01, w01 = np.polynomial.legendre.leggauss(order)
+    if n_panels < 1:
+        raise InvariantError("need n_panels >= 1")
+    x01, w01 = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(a, b, n_panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -221,26 +213,22 @@ def gauss_legendre_measure(
         np.concatenate(weights),
         domain=(float(a), float(b)),
         rule="gauss_legendre",
-        mass_tol=mass_tol,
+        mass_tol=GRID_MASS_TOL,
     )
 
 
-def halfline_measure(
-    rate: float,
-    tail_tol: float = 1e-12,
-    panel_width: float = 2.0,
-    order: int = 16,
-) -> Measure:
+def halfline_measure(rate: float, tail_tol: float = 1e-12) -> Measure:
     """Truncated Gauss-Legendre grid for integrands bounded by exp(-rate*x) on [0, inf).
 
     The truncation point T satisfies the analytic tail bound
-    ``int_T^inf exp(-rate*x) dx = exp(-rate*T)/rate <= tail_tol``.
+    ``int_T^inf exp(-rate*x) dx = exp(-rate*T)/rate <= tail_tol``; [0, T] is
+    cut into panels no wider than 2, and at least 8 of them.
     """
     if rate <= 0:
         raise InvariantError("rate must be positive for a truncated half-line grid")
     upper = math.log(1.0 / (rate * tail_tol)) / rate
-    n_panels = max(8, int(math.ceil(upper / panel_width)))
-    return gauss_legendre_measure(0.0, upper, n_panels, order=order)
+    n_panels = max(8, int(math.ceil(upper / 2.0)))
+    return gauss_legendre_measure(0.0, upper, n_panels)
 
 
 def periodic_grid_measure(a: float, b: float, n: int) -> Measure:

@@ -27,6 +27,7 @@ from .measures import (
     InvariantError,
     Measure,
     RandomVariable,
+    _dot,
     _frozen_array,
     c_integral,
     values_on,
@@ -126,21 +127,14 @@ def young_pair(tag: str) -> YoungFunction:
         raise InvariantError(f"unknown Young pair tag {tag!r}; choose one of {YOUNG_TAGS}") from None
 
 
-def validate_young_pair(
-    yf: YoungFunction,
-    xs: np.ndarray | None = None,
-    ys: np.ndarray | None = None,
-    tol: float = 1e-12,
-) -> None:
-    """Spot-check the Young-function contract on a grid.
+def validate_young_pair(yf: YoungFunction) -> None:
+    """Spot-check the Young-function contract on 49 points of [-6, 6] and on -30 and 30.
 
     Verifies Phi(0) = 0, evenness, midpoint convexity of both conjugates and
-    the Young inequality |xy| <= Phi(x) + Phi_conj(y); raises on violation.
+    the Young inequality |xy| <= Phi(x) + Phi_conj(y), to 1e-12; raises on violation.
     """
-    if xs is None:
-        xs = np.concatenate([np.linspace(-6.0, 6.0, 49), [-30.0, 30.0]])
-    if ys is None:
-        ys = xs
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 49), [-30.0, 30.0]])
+    tol = 1e-12
     if abs(float(yf.Phi(np.zeros(1))[0])) > tol or abs(float(yf.Phi_conj(np.zeros(1))[0])) > tol:
         raise InvariantError(f"pair {yf.tag!r}: Phi(0) must vanish")
     for fn in (yf.Phi, yf.Phi_conj):
@@ -150,7 +144,7 @@ def validate_young_pair(
         mid = fn((xs[:-1] + xs[1:]) / 2.0)
         if np.any(mid > (vals[:-1] + vals[1:]) / 2.0 + 1e-10):
             raise InvariantError(f"pair {yf.tag!r}: midpoint convexity fails")
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(xs, xs)
     lhs = np.abs(gx * gy)
     rhs = yf.Phi(gx) + yf.Phi_conj(gy)
     if np.any(lhs > rhs * (1.0 + 1e-12) + 1e-10):
@@ -160,23 +154,23 @@ def validate_young_pair(
 def _phi_expect(p: Density, vals: np.ndarray, Phi: YoungFunction, r: float) -> float:
     with np.errstate(over="ignore"):
         out = Phi.Phi(vals / r)
-    total = float(p.prob @ out)
+    total = _dot(p.prob, out)
     return total if math.isfinite(total) else math.inf
 
 
-def luxemburg_norm(p: Density, u, Phi: YoungFunction, rel_tol: float = 1e-14) -> float:
+def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
     """Gauge of the unit ball {E_p[Phi(u)] <= 1}; zero for u identically zero."""
     vals = values_on(p.base, u)
     sup = float(np.max(np.abs(vals)))
     if sup == 0.0:
         return 0.0
     try:
-        return decreasing_root(lambda r: _phi_expect(p, vals, Phi, r), 1.0, sup, rel_tol=rel_tol)
+        return decreasing_root(lambda r: _phi_expect(p, vals, Phi, r), 1.0, sup)
     except BracketError as exc:
         raise InvariantError(f"Luxemburg norm diverges for tag {Phi.tag!r}: {exc}") from exc
 
 
-def dual_norm(p: Density, v, Phi: YoungFunction, rel_tol: float = 1e-14) -> float:
+def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
     """sup { E_p[uv] : E_p[Phi(u)] <= 1 }, solved through the stationarity condition.
 
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
@@ -194,12 +188,12 @@ def dual_norm(p: Density, v, Phi: YoungFunction, rel_tol: float = 1e-14) -> floa
         with np.errstate(over="ignore"):
             u = Phi.phi_inv(np.abs(vals) / lam)
             out = Phi.Phi(u)
-        total = float(p.prob @ out)
+        total = _dot(p.prob, out)
         return total if math.isfinite(total) else math.inf
 
-    lam = decreasing_root(constraint, 1.0, sup, rel_tol=rel_tol)
+    lam = decreasing_root(constraint, 1.0, sup)
     u_opt = np.sign(vals) * Phi.phi_inv(np.abs(vals) / lam)
-    return float(p.prob @ (u_opt * vals))
+    return _dot(p.prob, u_opt * vals)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -300,7 +294,6 @@ def _gf2_kernel_basis(masks: Sequence[int]) -> list[int]:
 
 
 _MAX_SUPPORT = 24
-_BLOCK_BITS = 14  # kernel subsets are enumerated in blocks of 2**14
 
 
 def _xor_span(basis: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -321,43 +314,34 @@ def _factor_table(ch: np.ndarray, sh: np.ndarray) -> np.ndarray:
     return table
 
 
-def _parity_class_sums(coefs: np.ndarray, kernel: Sequence[int], t: float) -> tuple[float, float]:
-    """Sums of the parity-class terms of E[exp(t*u)] over kernel subsets of even and of odd size.
+def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> tuple[np.ndarray, int]:
+    """The parity-class terms of E[exp(t*u)], one per kernel subset, and how many subsets are even.
 
     Expanding exp(t*u) factorwise over the spectrum support leaves exactly the
     subsets whose monomial product is constant, which are the solutions of an
     XOR system over the support masks.  Each such subset contributes the
     product of sinh(t*c) over its members and cosh(t*c) over the rest; that
     product is read from two tables, one per half of the support.  The 2**k
-    subsets of a k-dimensional kernel are enumerated in blocks of
-    2**_BLOCK_BITS, summed in a fixed order, so memory does not grow with k.
+    subsets of the k-dimensional kernel (k <= 12 on this path) come even-sized
+    first, the empty subset, whose term is the product of every cosh(t*c), at 0.
     """
     tc = t * coefs
     ch, sh = np.cosh(tc), np.sinh(tc)
     half = coefs.size // 2
-    low_bits = (1 << half) - 1
     low_table = _factor_table(ch[:half], sh[:half])
     high_table = _factor_table(ch[half:], sh[half:])
-    block, block_odd = _xor_span(kernel[:_BLOCK_BITS])
-    block = block[np.argsort(block_odd, kind="stable")]  # even subsets first
-    n_even = int(np.count_nonzero(~block_odd))
-    heads, heads_odd = _xor_span(kernel[_BLOCK_BITS:])
-    even = odd = 0.0
-    for head, head_odd in zip(heads.tolist(), heads_odd.tolist()):
-        subsets = block ^ head
-        terms = low_table[subsets & low_bits] * high_table[subsets >> half]
-        first, rest = float(terms[:n_even].sum()), float(terms[n_even:].sum())
-        # XOR with an odd head flips the parity of every subset in the block
-        even += rest if head_odd else first
-        odd += first if head_odd else rest
-    return even, odd
+    subsets, odd = _xor_span(kernel)
+    subsets = subsets[np.argsort(odd, kind="stable")]
+    terms = low_table[subsets & ((1 << half) - 1)] * high_table[subsets >> half]
+    return terms, int(np.count_nonzero(~odd))
 
 
-def _uniform_mean(spec: WalshSpectrum, t: float, even: bool) -> float:
-    """E[exp(t*u)], or E[cosh(t*u)] when ``even``, under the uniform density.
+def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
+    """E[exp(t*u)], or E[cosh(t*u) - 1] when ``phi``, under the uniform density.
 
     If the m support masks have GF(2) rank r < m - r, average over the 2**r equally likely classes
     of u: a kernel element's top bit is a dependent mask, its character the product of its other bits'.
+    cosh(x) - 1 is taken as 2*sinh(x/2)**2, which keeps its relative accuracy as x goes to 0.
     """
     keep = spec.values != 0.0
     coefs = spec.values[keep]
@@ -365,24 +349,29 @@ def _uniform_mean(spec: WalshSpectrum, t: float, even: bool) -> float:
         raise InvariantError(f"spectrum support {coefs.size} exceeds the enumeration guard {_MAX_SUPPORT}")
     kernel = _gf2_kernel_basis(spec.masks[keep].tolist())
     if 2 * len(kernel) <= coefs.size:
-        even_sum, odd_sum = _parity_class_sums(coefs, kernel, t)
-        return even_sum if even else even_sum + odd_sum
+        terms, n_even = _parity_class_terms(coefs, kernel, t)
+        if not phi:
+            return float(terms[:n_even].sum()) + float(terms[n_even:].sum())
+        # the empty subset's term less 1: prod(1 + 2*sinh(t*c/2)**2) - 1
+        head = math.expm1(float(np.sum(np.log1p(2.0 * np.sinh(0.5 * t * coefs) ** 2))))
+        return head + float(terms[1:n_even].sum())
     combos = {e.bit_length() - 1: e for e in kernel}
     free = [j for j in range(coefs.size) if j not in combos]
     where = [sum(1 << b for b, i in enumerate(free) if combos.get(j, 1 << j) >> i & 1) for j in range(coefs.size)]
     classes = np.zeros(1 << len(free))
     classes[where] = coefs
-    return float(np.mean((np.cosh if even else np.exp)(t * _fwht(classes))))
+    tu = t * _fwht(classes)
+    return float(np.mean(2.0 * np.sinh(0.5 * tu) ** 2 if phi else np.exp(tu)))
 
 
 def boolean_mgf(spec: WalshSpectrum, t: float) -> float:
     """Moment generating function E[exp(t*u)] under the uniform density, by parity classes."""
-    return _uniform_mean(spec, t, even=False)
+    return _uniform_mean(spec, t, phi=False)
 
 
 def boolean_phi_moment(spec: WalshSpectrum, t: float) -> float:
     """E_p[cosh(t*u) - 1] under the uniform density: the symmetrized MGF, sinh being odd."""
-    return _uniform_mean(spec, t, even=True) - 1.0
+    return _uniform_mean(spec, t, phi=True)
 
 
 @dataclass(frozen=True)
@@ -412,7 +401,7 @@ def steepness_profile(
     for alpha in alphas:
         with np.errstate(over="ignore"):
             ev = Phi.Phi(alpha * vals)
-        total = float(p.prob @ ev)
+        total = _dot(p.prob, ev)
         out.append(ProfilePoint(float(alpha), total if math.isfinite(total) else math.inf))
     return out
 

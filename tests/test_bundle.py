@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import igc
 from igc.bundle import (
     HilbertVector,
     SphereVector,
@@ -70,6 +76,16 @@ def test_sphere_vector_invariants(space):
     x = sphere_point(m, rng.standard_normal(12))
     with pytest.raises(InvariantError):
         SphereVector(m, x.values + 1.0, at=x)  # not orthogonal to x
+
+
+def test_sphere_vector_leaves_the_caller_array_writeable(space):
+    rng, m = space
+    raw = rng.standard_normal(12)
+    raw /= np.sqrt(np.sum(raw * raw))
+    x = SphereVector(m, raw)
+    assert raw.flags.writeable and not x.values.flags.writeable
+    raw[0] += 1.0  # the sphere point keeps its own copy
+    assert sphere_dot(x, x) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sphere_chart_patch_roundtrip(space):
@@ -350,3 +366,27 @@ def test_sphere_domain_guards(space):
         sphere_chart(x, antipode)  # inner product is -1, outside the hemisphere
     with pytest.raises(InvariantError):
         sphere_transport(x, antipode, x)  # points are not tangent vectors
+
+
+def test_support_sums_do_not_depend_on_blas_threads():
+    # at this size a plain BLAS dot product is split across the thread pool
+    src = str(Path(igc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hashlib; import numpy as np; "
+        "from igc import bundle, deformed, measures, orlicz; "
+        "rng = np.random.default_rng(5); m = measures.finite_measure(np.arange(3.0 * 8192 + 5)); "
+        "p = measures.Density.random(m, rng); q = measures.Density.random(m, rng); "
+        "v = rng.standard_normal(m.size); fixed = bundle.HilbertVector(p, measures.tangent(p, v).values); "
+        "outs = {'hilbert_vector': bundle.hilbert_vector(p, v).values, "
+        "'hilbert_transport': bundle.hilbert_transport(p, q, fixed).values, "
+        "'dual_norm': orlicz.dual_norm(p, v, orlicz.young_pair('a')), "
+        "'phi_norm': deformed.phi_norm(p, v, deformed.make_deformed('classical'))}; "
+        "[print(k, hashlib.sha256(np.asarray(x, dtype=float).tobytes()).hexdigest()) for k, x in outs.items()]"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        runs.append(out.stdout.splitlines())
+    assert len(runs[0]) == 4
+    assert runs[0] == runs[1]

@@ -227,6 +227,29 @@ def test_boolean_mgf_spans_several_blocks_near_the_guard():
     assert peak < 2 * 2**20
 
 
+def _phi_moment_reference(spec):
+    u = walsh_values(spec)
+    return lambda t: math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
+
+
+@pytest.mark.parametrize(
+    "n, coeffs, t",
+    [
+        (1, {1: 1.0}, 1e-7),  # parity classes, no kernel
+        (3, {1: 0.5, 2: -0.7, 4: 0.3, 7: 0.9}, 1e-6),  # parity classes, one even kernel subset
+        (3, {mask: 0.1 * mask - 0.35 for mask in range(1, 8)}, 1e-6),  # rank 3 below kernel dimension 4
+    ],
+)
+def test_boolean_phi_moment_keeps_relative_accuracy_at_small_t(n, coeffs, t):
+    spec = WalshSpectrum(n, coeffs)
+    reference = _phi_moment_reference(spec)
+    for s in (t, -t, 10 * t):
+        assert abs(boolean_phi_moment(spec, s) - reference(s)) <= 1e-12 * reference(s)
+    if n == 1:
+        assert abs(boolean_phi_moment(spec, t) - 2.0 * math.sinh(t / 2) ** 2) <= 1e-12 * 2.0 * math.sinh(t / 2) ** 2
+
+
+
 @pytest.mark.parametrize("mask", [-1, 16, 17])
 def test_walsh_spectrum_rejects_out_of_range_mask(mask):
     with pytest.raises(InvariantError, match=f"mask {mask} out of range"):
