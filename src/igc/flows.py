@@ -80,7 +80,7 @@ class VectorField:
         if self._domain is not None and not self._domain(p):
             raise FlowError("vector field evaluated outside its domain")
         vals = values_on(p.base, self._evaluator(p))
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise FlowError("vector field produced non-finite values")
         return vals
 
@@ -109,17 +109,38 @@ def _steps(t_final: float, dt: float) -> tuple[int, float]:
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, dt: float):
     """Yield the classical RK4 states of dy/dt = rhs(y) at the steps of :func:`_steps`.
 
-    A caller may overwrite a yielded state in place to restart from there.  The
-    stage slopes outlive each step: freeing them every step made the allocator
-    return memory to the OS and fault it back in (a fifth of the time at large n).
+    The state lives in one buffer, a copy of ``y`` advanced in place, and every
+    yield hands out that same buffer: copy a state to keep it past the next step.
+    A caller may overwrite the yielded state in place to restart from there.  The
+    stage states and the slope sum reuse two more buffers, with the operations in
+    the order of y + 0.5*h*k1, ..., y + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so the
+    states are bitwise those of the allocating scheme.  ``rhs`` must return a
+    fresh array and keep no reference to its argument.  The stage slopes outlive
+    each step: freeing them every step made the allocator return memory to the
+    OS and fault it back in (a fifth of the time at large n).
     """
     n_steps, h = _steps(t_final, dt)
+    y = np.array(y, dtype=float)
+    stage = np.empty_like(y)
+    acc = np.empty_like(y)
     for _ in range(n_steps):
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(k1, 0.5 * h, out=stage)
+        stage += y
+        k2 = rhs(stage)
+        np.multiply(k2, 0.5 * h, out=stage)
+        stage += y
+        k3 = rhs(stage)
+        np.multiply(k3, h, out=stage)
+        stage += y
+        k4 = rhs(stage)
+        np.multiply(k2, 2.0, out=acc)
+        acc += k1
+        np.multiply(k3, 2.0, out=stage)
+        acc += stage
+        acc += k4
+        acc *= h / 6.0
+        y += acc
         yield y
 
 
@@ -137,24 +158,30 @@ def integrate_e_chart(
     whenever the sup norm of the running coordinate exceeds
     ``reanchor_threshold``, keeping the exponentials well conditioned on long
     runs.
+
+    Centering policy: each field value is centered once, under the anchor, and
+    the chart state is re-centered in place once per step.  A stage state
+    y + a*k is then a sum of anchor-centered vectors and goes to ``patch_e``
+    as it is; ``patch_e`` still checks that it is centered.
     """
     if dt <= 0 or t_final < 0:
         raise InvariantError("need dt > 0 and t_final >= 0")
     anchor = p0
 
     def rhs(u_state: np.ndarray) -> np.ndarray:
-        f = field.raw(patch_e(anchor, u_state - _dot(anchor.prob, u_state)))
+        f = field.raw(patch_e(anchor, u_state))
         out = f - _dot(anchor.prob, f)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FlowError("non-finite vector field value; step rejected")
         return out
 
     densities = [p0]
     velocities = [field(p0).values]
     for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise FlowError("non-finite chart state; step rejected")
-        pt = patch_e(anchor, u - _dot(anchor.prob, u))
+        u -= _dot(anchor.prob, u)  # the next step starts from the centered state
+        pt = patch_e(anchor, u)
         densities.append(pt)
         velocities.append(field(pt).values)
         if reanchor_threshold is not None and float(np.max(np.abs(u))) > reanchor_threshold:
@@ -164,21 +191,23 @@ def integrate_e_chart(
 
 
 def exponential_field(f: RandomVariable) -> VectorField:
-    """The field whose value at q is f - E_q[f]; its integral curves are geodesics."""
-    wf = f.base.weights * f.values  # E_q[f] = sum(q.values * wf), without building q.prob
+    """The field whose value at q is f - E_q[f]; its integral curves are geodesics.
+
+    The evaluator returns f's values uncentered: ``raw(q)`` is f itself, and the
+    one centering happens in the caller (under q in ``field(q)``, under the
+    anchor in the chart flows).
+    """
 
     def evaluator(q: Density) -> np.ndarray:
         require_same_base(q, f, "exponential_field")
-        return f.values - _dot(q.values, wf)
+        return f.values
 
     return VectorField(evaluator)
 
 
 def e_geodesic(p: Density, f, t: float) -> Density:
     """Closed-form exponential geodesic exp(t f - K_p(t f)) * p for centered f."""
-    fv = values_on(p.base, f)
-    fv = fv - _dot(p.prob, fv)
-    return patch_e(p, tangent(p, t * fv))
+    return patch_e(p, tangent(p, t * values_on(p.base, f)))
 
 
 class MixtureGeodesic(NamedTuple):
@@ -242,8 +271,9 @@ def natural_gradient_ascent(
         else:
             centered = basis - basis[:, mode, None]
             centered -= (centered @ q.prob)[:, None]
-            gram = (centered * q.prob) @ centered.T
-            rhs = (centered * q.prob) @ fq
+            weighted = centered * q.prob
+            gram = weighted @ centered.T
+            rhs = weighted @ fq
             try:
                 chol = np.linalg.cholesky(gram)
                 coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
@@ -254,8 +284,9 @@ def natural_gradient_ascent(
         velocities.append(direction)
         if k == iters:
             break
-        u = u + gamma * (direction - _dot(p0.prob, direction))
-        q = patch_e(p0, u - _dot(p0.prob, u))
+        u += gamma * (direction - _dot(p0.prob, direction))
+        u -= _dot(p0.prob, u)
+        q = patch_e(p0, u)
         times.append(float(k + 1))
         densities.append(q)
     record = CurveRecord(np.asarray(times), densities, velocities)
@@ -283,7 +314,7 @@ def one_sided_lipschitz_probe(
     rng = np.random.default_rng(0)
 
     def chart_field(u_vals: np.ndarray) -> np.ndarray:
-        fv = field.raw(patch_e(p, u_vals - _dot(p.prob, u_vals)))
+        fv = field.raw(patch_e(p, u_vals))
         return fv - _dot(p.prob, fv)
 
     worst = -math.inf

@@ -86,7 +86,7 @@ def patch_e(p: Density, u) -> Density:
     q -= q[top] + math.log(weights[top])
     np.exp(q, out=q)
     q /= _dot(q, weights)
-    if float(np.min(q)) < _FLOOR:
+    if q.min() < _FLOOR:
         np.maximum(q, _FLOOR, out=q)
         q /= _dot(q, weights)
     q.setflags(write=False)

@@ -274,7 +274,7 @@ class Density:
             raise InvariantError("density values must match the support size")
         # a NaN, zero or negative entry fails the minimum; with positive weights, +inf fails the mass
         mass = _dot(self.values, self.base.weights)
-        if not float(np.min(self.values)) > 0 or not math.isfinite(mass):
+        if not self.values.min() > 0 or not math.isfinite(mass):
             raise InvariantError("density values must be strictly positive and finite")
         if abs(mass - 1.0) > self.base.mass_tol:
             raise InvariantError(f"density mass {mass!r} is not 1 within {self.base.mass_tol}")
@@ -405,7 +405,7 @@ def lp_norm(p: Density, u, alpha: float) -> float:
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
     """Raise unless vals are finite and |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
-    sup = max(float(np.max(vals)), -float(np.min(vals)))
+    sup = max(float(vals.max()), -float(vals.min()))
     if not math.isfinite(sup):
         raise InvariantError(f"{what}: values are not finite")
     if abs(_dot(p.prob, vals)) > CENTER_TOL * max(1.0, sup):

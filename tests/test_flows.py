@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import igc
+import igc.flows as flows_module
 from igc.flows import (
     FlowError,
     VectorField,
@@ -270,6 +271,24 @@ def test_one_sided_lipschitz(space):
     assert math.isfinite(lam_heat)
 
 
+def test_exponential_field_leaves_f_uncentered_and_centers_once():
+    rng = np.random.default_rng(91)
+    m = finite_measure(np.arange(16.0))
+    p = Density.random(m, rng)
+    f = RandomVariable(m, 3.0 * rng.standard_normal(16) + 5.0)
+    q = Density.random(m, rng)
+    field = exponential_field(f)
+    assert np.array_equal(field.raw(q), f.values)
+    want = f.values - math.fsum((q.prob * f.values).tolist())
+    assert np.max(np.abs(field(q).values - want)) <= 1e-15 * np.max(np.abs(f.values))
+    # values of the probe when both the field and the chart state were centered twice
+    assert abs(one_sided_lipschitz_probe(field, p) - 2.230490151877035e-17) <= 1e-12
+    grid = periodic_grid_measure(0.0, 1.0, 16)
+    p0 = Density.from_unnormalized(grid, 1.0 + 0.2 * np.cos(2 * math.pi * grid.points))
+    lam_heat = one_sided_lipschitz_probe(heat_field(p0), p0, trials=20, scale=0.2)
+    assert lam_heat == pytest.approx(-348.3060749950116, rel=1e-12)
+
+
 def test_heat_flow(space):
     grid = periodic_grid_measure(0.0, 1.0, 64)
     x = grid.points
@@ -311,6 +330,31 @@ def test_heat_reference_schemes_agree():
     assert np.max(np.abs(rk - eu)) < 1e-4
     with pytest.raises(InvariantError):
         reference_heat_solution(p0, h, 0.02, dt, scheme="leapfrog")
+
+
+def _textbook_rk4_heat(p0, h, t_final, dt):
+    n = math.ceil(t_final / dt * (1.0 - 1e-12))
+    tau = t_final / n
+    y = np.array(p0, dtype=float)
+    for _ in range(n):
+        k1 = second_difference(y, h)
+        k2 = second_difference(y + 0.5 * tau * k1, h)
+        k3 = second_difference(y + 0.5 * tau * k2, h)
+        k4 = second_difference(y + tau * k3, h)
+        y = y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def test_in_place_rk4_matches_the_allocating_scheme_bitwise():
+    grid = periodic_grid_measure(0.0, 1.0, 48)
+    x = grid.points
+    p0 = 1.0 + 0.3 * np.cos(2 * math.pi * x) + 0.1 * np.sin(6 * math.pi * x)
+    before = p0.copy()
+    h = grid.spacing
+    for t_final, dt in ((0.01, h * h / 4.0), (0.0037, h * h / 3.0)):
+        got = reference_heat_solution(p0, h, t_final, dt, scheme="rk4")
+        assert np.array_equal(got, _textbook_rk4_heat(p0, h, t_final, dt))
+    assert np.array_equal(p0, before)  # the stepper advances a copy
 
 
 def test_second_difference_annihilates_constants():
@@ -361,3 +405,42 @@ def test_chart_flow_bits_do_not_depend_on_blas_threads():
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         digests.add(out.stdout.strip())
     assert len(digests) == 1
+
+
+def test_long_flows_keep_every_stage_state_centered(monkeypatch):
+    # the chart state is centered once per step and stage states go to patch_e as they are
+    rng = np.random.default_rng(12)
+    m = finite_measure(np.arange(4096.0))
+    p = Density.random(m, rng)
+    f = RandomVariable(m, rng.standard_normal(4096))
+    closed = e_geodesic(p, f, 1.0)
+    grid = periodic_grid_measure(0.0, 1.0, 64)  # the defaults of `igc flow heat`
+    x = grid.points
+    p0 = Density.from_unnormalized(
+        grid, 1.0 + 0.3 * np.cos(2 * math.pi * x) + 0.1 * np.sin(4 * math.pi * x)
+    )
+    ratios = []  # |E_anchor[u]| / max(1, sup|u|) of every state handed to patch_e
+
+    def spy(anchor, u):
+        vals = np.asarray(u)
+        ratios.append(abs(float(anchor.prob @ vals)) / max(1.0, float(np.max(np.abs(vals)))))
+        return patch_e(anchor, u)
+
+    monkeypatch.setattr(flows_module, "patch_e", spy)
+
+    record = integrate_e_chart(exponential_field(f), p, 1.0, 2e-4)
+    assert len(record.times) == 5001
+    assert len(ratios) == 5 * 5000
+    assert max(ratios) <= 1e-15
+    assert record.mass_drift() <= 1e-12
+    final = record.densities[-1].values
+    assert np.max(np.abs(final - closed.values) / closed.values) <= 1e-10
+
+    ratios.clear()
+    res = heat_flow(p0, 0.1, grid.spacing**2 / 4.0)
+    steps = len(res.record.times) - 1
+    assert steps == 1639
+    assert len(ratios) == 5 * steps
+    assert max(ratios) <= 1e-15
+    assert res.mass_drift <= 1e-12
+    assert res.max_gap <= 1e-4

@@ -20,6 +20,7 @@ from igc.measures import (
 from igc.orlicz import (
     WalshSpectrum,
     YOUNG_TAGS,
+    _gf2_kernel_basis,
     boolean_mgf,
     boolean_phi_moment,
     dual_norm,
@@ -205,19 +206,20 @@ def test_boolean_mgf_matches_enumeration():
             assert boolean_phi_moment(spec, t) == pytest.approx(sym, abs=1e-12)
 
 
-def test_boolean_mgf_spans_several_blocks_near_the_guard():
+def test_boolean_mgf_takes_the_positive_path_for_24_masks_of_rank_5():
     # 24 distinct nonzero masks on 5 sites: rank 5, so the kernel has dimension 19
-    # and 2**19 parity classes, more than one enumeration block holds
+    # and u is averaged over 2**5 classes instead of summing 2**19 parity-class terms
     rng = np.random.default_rng(6)
     masks = rng.choice(np.arange(1, 32), size=24, replace=False)
     spec = WalshSpectrum(5, {int(mk): float(c) for mk, c in zip(masks, rng.normal(0.0, 0.3, 24))})
+    assert len(_gf2_kernel_basis(spec.masks.tolist())) == 19
     u = walsh_values(spec)
     for t in (0.5, -1.3):
         brute = float(np.mean(np.exp(t * u)))
         assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
         sym = float(np.mean(np.cosh(t * u))) - 1.0
         assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * (1.0 + sym)
-    # the 2**19 terms alone would take 4 MiB; the blocked enumeration stays under 2 MiB
+    # the 2**19 parity-class terms alone would take 4 MiB; the 32 classes stay under 2 MiB
     tracemalloc.start()
     try:
         boolean_mgf(spec, 0.5)
@@ -225,6 +227,23 @@ def test_boolean_mgf_spans_several_blocks_near_the_guard():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_boolean_mgf_parity_path_at_its_largest_size():
+    # 12 site masks and 12 dependent ones: m = 24 masks of rank 12, kernel dimension
+    # k = 12, so 2k <= m and the 4,096 parity-class terms are summed
+    rng = np.random.default_rng(24)
+    units = [1 << j for j in range(12)]
+    others = rng.choice(np.setdiff1d(np.arange(1, 1 << 12), units), size=12, replace=False)
+    masks = units + [int(mk) for mk in others]
+    spec = WalshSpectrum(12, {mk: float(c) for mk, c in zip(masks, rng.normal(0.0, 0.3, 24))})
+    assert len(_gf2_kernel_basis(spec.masks.tolist())) == 12
+    u = walsh_values(spec)
+    for t in (0.5, -1.3):
+        brute = math.fsum(np.exp(t * u).tolist()) / u.size
+        assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
+        sym = math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
+        assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * sym
 
 
 def _phi_moment_reference(spec):
