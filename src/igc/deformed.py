@@ -27,9 +27,11 @@ from .measures import (
     InvariantError,
     RandomVariable,
     _dot,
+    _finite_sum,
     require_same_base,
     values_on,
 )
+from .orlicz import _gauge
 
 __all__ = [
     "DeformedLogarithm",
@@ -167,26 +169,15 @@ def affine_bound_defect(d: DeformedLogarithm) -> float:
     return float(np.max(d.phi(grid) - (grid + 1.0)))
 
 
-def _phi_norm_integral(p: Density, abs_vals: np.ndarray, d: DeformedLogarithm, r: float) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = d.exp(abs_vals / r + d.log(p.values))
-    total = _dot(p.base.weights, out)
-    return total if math.isfinite(total) else math.inf
-
-
 def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
-    """inf { r > 0 : integral of exp_phi(|u|/r + log_phi p) dmu <= 2 }."""
+    """inf { r > 0 : integral of exp_phi(|u|/r + log_phi p) dmu <= 2 }, the gauge of ``orlicz``."""
     abs_vals = np.abs(values_on(p.base, u))
-    if float(np.max(abs_vals)) == 0.0:
+    sup = float(np.max(abs_vals))
+    if sup == 0.0:
         return 0.0
-    try:
-        return decreasing_root(
-            lambda r: _phi_norm_integral(p, abs_vals, d, r),
-            2.0,
-            max(float(np.max(abs_vals)), 1e-6),
-        )
-    except BracketError as exc:
-        raise InvariantError(f"deformed norm diverges for tag {d.tag!r}: {exc}") from exc
+    log_p = d.log(p.values)
+    what = f"deformed norm diverges for tag {d.tag!r}"
+    return _gauge(p.base.weights, lambda x: d.exp(x + log_p), abs_vals, 2.0, max(sup, 1e-6), what)
 
 
 def escort_mass(p: Density, d: DeformedLogarithm) -> float:
@@ -226,21 +217,29 @@ def phi_connected(
     lq = d.log(q.values)
     out = []
     for t in t_grid:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = d.exp((1.0 - float(t)) * lp + float(t) * lq)
-        total = _dot(p.base.weights, vals)
-        finite = bool(np.all(np.isfinite(vals))) and math.isfinite(total)
-        out.append(PhiArcMassPoint(float(t), total if finite else math.inf, finite))
+        mass = _arc_at(p, lp, lq, d, float(t))[1]
+        out.append(PhiArcMassPoint(float(t), mass, math.isfinite(mass)))
     return out
 
 
-def _patch_mass(p: Density, u_vals: np.ndarray, d: DeformedLogarithm, k: float) -> float:
+def _arc_at(p: Density, lp: np.ndarray, lq: np.ndarray, d: DeformedLogarithm, t: float) -> tuple[np.ndarray, float]:
+    """exp_phi((1 - t) lp + t lq) and its mass: finite exactly when every value is (exp_phi >= 0 or NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = d.exp(u_vals - k + d.log(p.values))
+        vals = d.exp((1.0 - t) * lp + t * lq)
+    return vals, _finite_sum(p.base.weights, vals)
+
+
+def _patch_values(u_vals: np.ndarray, k: float, log_p: np.ndarray, d: DeformedLogarithm) -> np.ndarray:
+    """exp_phi(u - k + log_phi p), NaN past the domain edge."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d.exp(u_vals - k + log_p)
+
+
+def _patch_mass(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, k: float) -> float:
+    vals = _patch_values(u_vals, k, log_p, d)
     if not np.all(vals > 0.0):
         return 0.0  # domain exit (NaN) or a zero value: treat as past the unit-mass target
-    total = _dot(p.base.weights, vals)
-    return total if math.isfinite(total) else math.inf
+    return _finite_sum(p.base.weights, vals)
 
 
 def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
@@ -257,8 +256,8 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
     u_vals = values_on(p.base, u)
     if float(np.max(np.abs(u_vals))) == 0.0:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        at_zero = d.exp(u_vals + d.log(p.values))
+    log_p = d.log(p.values)
+    at_zero = _patch_values(u_vals, 0.0, log_p, d)
     if np.any(np.isnan(at_zero)):
         raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
     mass0 = _dot(p.base.weights, at_zero)
@@ -268,7 +267,7 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
     # the root-finder's answer keeps mass(k) >= 1, the side inside the domain
     to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
     try:
-        r = decreasing_root(lambda r: -_patch_mass(p, u_vals, d, to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
+        r = decreasing_root(lambda r: -_patch_mass(p, u_vals, log_p, d, to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
     except BracketError as exc:
         raise InvariantError(f"no finite normalizing constant: {exc}") from exc
     k = to_k(r)
@@ -279,16 +278,8 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
 def phi_patch(p: Density, u, d: DeformedLogarithm) -> Density:
     """The unit-mass density exp_phi(u - K + log_phi p)."""
     u_vals = values_on(p.base, u)
-    return _patch_at(p, u_vals, d, phi_cumulant(p, u_vals, d))
-
-
-def _patch_at(p: Density, u_vals: np.ndarray, d: DeformedLogarithm, k: float) -> Density:
-    """exp_phi(u - k + log_phi p) renormalized, for a k that phi_cumulant has already solved."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = d.exp(u_vals - k + d.log(p.values))
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-        raise InvariantError("patched values leave the positive cone")
-    return Density.from_unnormalized(p.base, vals)
+    k = phi_cumulant(p, u_vals, d)
+    return Density.from_unnormalized(p.base, _patch_values(u_vals, k, d.log(p.values), d))
 
 
 @dataclass(frozen=True)
@@ -307,12 +298,12 @@ def phi_chart(p: Density, q: Density, d: DeformedLogarithm) -> PhiChartResult:
     1e-9 * max(1, max q) raises.
     """
     require_same_base(p, q, "phi_chart")
-    delta = d.log(q.values) - d.log(p.values)
+    log_p = d.log(p.values)
+    delta = d.log(q.values) - log_p
     pairing = _dot(p.base.weights, d.phi(p.values) * delta)
     u = RandomVariable(p.base, delta - pairing)
     k = -pairing
-    with np.errstate(over="ignore", invalid="ignore"):
-        recon = d.exp(u.values - k + d.log(p.values))
+    recon = _patch_values(u.values, k, log_p, d)
     defect = float(np.max(np.abs(recon - q.values)))
     if not math.isfinite(defect) or defect > 1e-9 * max(1.0, float(np.max(q.values))):
         raise InvariantError(f"chart reconstruction defect {defect!r} exceeds 1e-9")
@@ -345,18 +336,16 @@ def phi_arc(p0: Density, p1: Density, d: DeformedLogarithm, t: float) -> PhiArcR
     and the normalized escort weight of p0) are reported for comparison.
     """
     require_same_base(p0, p1, "phi_arc")
-    points = phi_connected(p0, p1, d, [t])
-    if not points[0].finite:
-        raise InvariantError(f"arc mass diverges at t = {t}")
     lp0 = d.log(p0.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = d.exp((1.0 - t) * lp0 + t * d.log(p1.values))
+    raw, mass = _arc_at(p0, lp0, d.log(p1.values), d, t)
+    if not math.isfinite(mass):
+        raise InvariantError(f"arc mass diverges at t = {t}")
     density = Density.from_unnormalized(p0.base, raw)
     u = phi_chart(p0, p1, d).u
     if t != 0.0:
         tu = t * u.values
         psi = phi_cumulant(p0, tu, d)
-        family = _patch_at(p0, tu, d, psi)
+        family = Density.from_unnormalized(p0.base, _patch_values(tu, psi, lp0, d))
     else:
         psi, family = 0.0, p0
     phi_p0 = d.phi(p0.values)

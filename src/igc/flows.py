@@ -100,20 +100,15 @@ class CurveRecord:
         return max(abs(d.mass() - 1.0) for d in self.densities)
 
 
-def _steps(t_final: float, dt: float) -> tuple[int, float]:
-    """The fewest equal steps covering [0, t_final] with none longer than dt."""
-    n = math.ceil(t_final / dt * (1.0 - 1e-12))
-    return n, (t_final / n if n else dt)
-
-
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, dt: float):
-    """Yield the classical RK4 states of dy/dt = rhs(y) at the steps of :func:`_steps`.
+    """Yield the classical RK4 states of dy/dt = rhs(y) over [0, t_final], in the fewest equal steps <= dt.
 
     A caller may overwrite a yielded state in place to restart from there.  The
     stage slopes outlive each step: freeing them every step made the allocator
     return memory to the OS and fault it back in (a fifth of the time at large n).
     """
-    n_steps, h = _steps(t_final, dt)
+    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))
+    h = t_final / n_steps if n_steps else dt
     for _ in range(n_steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
@@ -121,6 +116,15 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float,
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yield y
+
+
+def _chart_field(field: VectorField, anchor: Density, u: np.ndarray) -> np.ndarray:
+    """The field at patch_e(anchor, u), centered under the anchor: the chart representation of the field."""
+    f = field.raw(patch_e(anchor, u))
+    out = f - _dot(anchor.prob, f)
+    if not np.isfinite(out).all():
+        raise FlowError("non-finite vector field value; step rejected")
+    return out
 
 
 def integrate_e_chart(
@@ -146,17 +150,10 @@ def integrate_e_chart(
     if dt <= 0 or t_final < 0:
         raise InvariantError("need dt > 0 and t_final >= 0")
     anchor = p0
-
-    def rhs(u_state: np.ndarray) -> np.ndarray:
-        f = field.raw(patch_e(anchor, u_state))
-        out = f - _dot(anchor.prob, f)
-        if not np.isfinite(out).all():
-            raise FlowError("non-finite vector field value; step rejected")
-        return out
-
     densities = [p0]
     velocities = [field(p0).values]
-    for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
+    # the lambda reads ``anchor`` when called, so a re-anchor takes effect at the next step
+    for u in _rk4(lambda u_state: _chart_field(field, anchor, u_state), np.zeros(p0.base.size), t_final, dt):
         if not np.isfinite(u).all():
             raise FlowError("non-finite chart state; step rejected")
         u -= _dot(anchor.prob, u)  # the next step starts from the centered state
@@ -295,15 +292,10 @@ def one_sided_lipschitz_probe(
     """Sampled supremum of <F(u) - F(v), u - v>_p / <u - v, u - v>_p.
 
     F(u) denotes the chart representation of the field at patch_e(p, u),
-    centered under p.  The returned ratio bounds the one-sided growth rate of
+    centered under p; a non-finite value raises FlowError.  The returned ratio bounds the one-sided growth rate of
     the chart dynamics near p.  The samples come from a generator seeded with 0.
     """
     rng = np.random.default_rng(0)
-
-    def chart_field(u_vals: np.ndarray) -> np.ndarray:
-        fv = field.raw(patch_e(p, u_vals))
-        return fv - _dot(p.prob, fv)
-
     worst = -math.inf
     for _ in range(trials):
         a = rng.standard_normal(p.base.size) * scale
@@ -314,7 +306,7 @@ def one_sided_lipschitz_probe(
         denom = _dot(p.prob, diff * diff)
         if denom == 0.0:
             continue
-        num = _dot(p.prob, (chart_field(a) - chart_field(b)) * diff)
+        num = _dot(p.prob, (_chart_field(field, p, a) - _chart_field(field, p, b)) * diff)
         worst = max(worst, num / denom)
     return worst
 
@@ -345,21 +337,13 @@ def reference_heat_solution(
     h: float,
     t_final: float,
     dt: float,
-    scheme: str = "rk4",
 ) -> np.ndarray:
-    """Explicit finite-difference reference for dp/dt = D2(p), in plain value space.
+    """Explicit RK4 finite-difference reference for dp/dt = D2(p), in plain value space.
 
     Takes the same time steps as :func:`integrate_e_chart` for equal ``t_final`` and ``dt``."""
     p = np.array(p0_values, dtype=float)
-    if scheme == "euler":
-        n_steps, tau = _steps(t_final, dt)
-        for _ in range(n_steps):
-            p = p + tau * second_difference(p, h)
-    elif scheme == "rk4":
-        for p in _rk4(lambda y: second_difference(y, h), p, t_final, dt):
-            pass
-    else:
-        raise InvariantError(f"unknown reference scheme {scheme!r}")
+    for p in _rk4(lambda y: second_difference(y, h), p, t_final, dt):
+        pass
     return p
 
 

@@ -169,6 +169,11 @@ def patch_m(p: Density, v) -> RandomVariable:
     return RandomVariable(p.base, (vals + 1.0) * p.values)
 
 
+def _kl(q: Density, r: Density) -> float:
+    """E_q[log(q/r)] for densities on one base."""
+    return _dot(q.prob, np.log(q.values) - np.log(r.values))
+
+
 class DivergenceResult(NamedTuple):
     direct: float
     bregman: float
@@ -182,7 +187,7 @@ def divergence(q: Density, r: Density, p: Density | None = None) -> DivergenceRe
     agree with the direct sum.
     """
     require_same_base(q, r, "divergence")
-    direct = _dot(q.prob, np.log(q.values) - np.log(r.values))
+    direct = _kl(q, r)
     if p is None:
         p = q
     u = chart_s(p, q)
@@ -208,9 +213,9 @@ def pythagorean_check(p: Density, q: Density, r: Density) -> PythagoreanResult:
     orthogonality case in which the three divergences split additively.
     """
     pairing = _dot(p.prob, chart_m(p, r).values * chart_s(p, q).values)
-    d_r_q = divergence(r, q).direct
-    d_r_p = divergence(r, p).direct
-    d_p_q = divergence(p, q).direct
+    d_r_q = _kl(r, q)  # chart_m and chart_s have checked that p, q and r share one base
+    d_r_p = _kl(r, p)
+    d_p_q = _kl(p, q)
     defect = d_r_q - d_r_p - d_p_q + pairing
     return PythagoreanResult(pairing, defect, d_r_q, d_r_p, d_p_q)
 

@@ -75,6 +75,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return (float(a[:r] @ b[:r]) if r else 0.0) + float(blocks.sum())
 
 
+def _finite_sum(weights: np.ndarray, vals: np.ndarray) -> float:
+    """_dot(weights, vals), with a non-finite sum (overflow or NaN) reported as a divergent +inf."""
+    total = _dot(weights, vals)
+    return total if math.isfinite(total) else math.inf
+
+
 class BaseMismatchError(ValueError):
     """Two objects do not share the same base measure."""
 

@@ -6,9 +6,9 @@ cosh(x) - 1.  The Luxemburg norm of u under a density p is the gauge
 
     inf { r > 0 : E_p[Phi(u/r)] <= 1 },
 
-computed as the root of the monotone map r -> E_p[Phi(u/r)] by the shared
-guarded Illinois false position of ``_rootfind``.  Divergent
-integrals are reported as values (math.inf), never silently clipped.
+computed by ``_gauge``, the one gauge that also serves the dual and deformed
+norms, as the root of the map r -> E_p[Phi(u/r)] by the shared root-finder.
+Divergent integrals are reported as values (math.inf), never silently clipped.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .measures import (
     Measure,
     RandomVariable,
     _dot,
+    _finite_sum,
     _frozen_array,
     c_integral,
     values_on,
@@ -151,11 +152,20 @@ def validate_young_pair(yf: YoungFunction) -> None:
         raise InvariantError(f"pair {yf.tag!r}: Young inequality fails on the grid")
 
 
-def _phi_expect(p: Density, vals: np.ndarray, Phi: YoungFunction, r: float) -> float:
-    with np.errstate(over="ignore"):
-        out = Phi.Phi(vals / r)
-    total = _dot(p.prob, out)
-    return total if math.isfinite(total) else math.inf
+def _gauge(weights: np.ndarray, F: Callable, vals: np.ndarray, target: float, guess: float, what: str) -> float:
+    """inf { r > 0 : sum(weights * F(vals / r)) <= target }, a non-finite sum counting as +inf.
+
+    Raises ``InvariantError(f"{what}: ...")`` when no radius brings the sum down to the target.
+    """
+
+    def modular(r: float) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_sum(weights, F(vals / r))
+
+    try:
+        return decreasing_root(modular, target, guess)
+    except BracketError as exc:
+        raise InvariantError(f"{what}: {exc}") from exc
 
 
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
@@ -164,35 +174,26 @@ def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
     sup = float(np.max(np.abs(vals)))
     if sup == 0.0:
         return 0.0
-    try:
-        return decreasing_root(lambda r: _phi_expect(p, vals, Phi, r), 1.0, sup)
-    except BracketError as exc:
-        raise InvariantError(f"Luxemburg norm diverges for tag {Phi.tag!r}: {exc}") from exc
+    return _gauge(p.prob, Phi.Phi, vals, 1.0, sup, f"Luxemburg norm diverges for tag {Phi.tag!r}")
 
 
 def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
     """sup { E_p[uv] : E_p[Phi(u)] <= 1 }, solved through the stationarity condition.
 
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
-    and the constraint is active; lam is the root of that constraint, found by
-    the shared root-finder.
+    and the constraint E_p[Phi(phi_inv(|v|/lam))] = 1 is active; lam is its
+    gauge, found by the shared root-finder.
     """
     if not Phi.strict:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
     vals = values_on(p.base, v)
-    sup = float(np.max(np.abs(vals)))
+    abs_vals = np.abs(vals)
+    sup = float(np.max(abs_vals))
     if sup == 0.0:
         return 0.0
-
-    def constraint(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            u = Phi.phi_inv(np.abs(vals) / lam)
-            out = Phi.Phi(u)
-        total = _dot(p.prob, out)
-        return total if math.isfinite(total) else math.inf
-
-    lam = decreasing_root(constraint, 1.0, sup)
-    u_opt = np.sign(vals) * Phi.phi_inv(np.abs(vals) / lam)
+    what = f"dual norm diverges for tag {Phi.tag!r}"
+    lam = _gauge(p.prob, lambda x: Phi.Phi(Phi.phi_inv(x)), abs_vals, 1.0, sup, what)
+    u_opt = np.sign(vals) * Phi.phi_inv(abs_vals / lam)
     return _dot(p.prob, u_opt * vals)
 
 
@@ -401,8 +402,7 @@ def steepness_profile(
     for alpha in alphas:
         with np.errstate(over="ignore"):
             ev = Phi.Phi(alpha * vals)
-        total = _dot(p.prob, ev)
-        out.append(ProfilePoint(float(alpha), total if math.isfinite(total) else math.inf))
+        out.append(ProfilePoint(float(alpha), _finite_sum(p.prob, ev)))
     return out
 
 

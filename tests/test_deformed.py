@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -149,6 +150,22 @@ def test_phi_norm(space):
     nrm = phi_norm(p, u, d)
     val = expect(p, RandomVariable(m, np.exp(np.abs(u.values) / nrm)))
     assert val == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("tag,param", ALL_FAMILIES)
+def test_norm_and_cumulant_take_log_phi_p_once(space, tag, param):
+    rng, m = space
+    p = Density.random(m, rng)
+    d = make_deformed(tag, param)
+    raw = 0.7 * rng.standard_normal(8)
+    u = RandomVariable(m, raw - escort_expect(p, raw, d))
+    calls = []
+    counted = dataclasses.replace(d, log=lambda v: calls.append(v) or d.log(v))
+    for fn in (phi_norm, phi_cumulant):
+        calls.clear()
+        value = fn(p, u, counted)
+        assert len(calls) == 1
+        assert value == fn(p, u, d)
 
 
 def test_escort(space):

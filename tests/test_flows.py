@@ -339,17 +339,20 @@ def test_heat_flow_rejects_unstable_step():
         heat_flow(p0, 0.01, grid.spacing**2)
 
 
-def test_heat_reference_schemes_agree():
+def test_heat_reference_is_the_discrete_rk4_decay():
+    # D2 annihilates constants and scales cos(2 pi x) by -(4/h**2) sin(pi h)**2, so each RK4 step of
+    # length tau multiplies the mode by R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24, z = -(4/h**2) sin(pi h)**2 tau
     grid = periodic_grid_measure(0.0, 1.0, 32)
     x = grid.points
-    p0 = 1.0 + 0.05 * np.cos(2 * math.pi * x)
     h = grid.spacing
     dt = h * h / 4.0
-    rk = reference_heat_solution(p0, h, 0.02, dt, scheme="rk4")
-    eu = reference_heat_solution(p0, h, 0.02, dt, scheme="euler")
-    assert np.max(np.abs(rk - eu)) < 1e-4
-    with pytest.raises(InvariantError):
-        reference_heat_solution(p0, h, 0.02, dt, scheme="leapfrog")
+    n_steps = 82  # the fewest equal steps over [0, 0.02] no longer than dt = 1/4096
+    tau = 0.02 / n_steps
+    assert tau <= dt < 0.02 / (n_steps - 1)
+    z = -(4.0 / h**2) * math.sin(math.pi * h) ** 2 * tau
+    decay = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** n_steps
+    got = reference_heat_solution(1.0 + 0.05 * np.cos(2 * math.pi * x), h, 0.02, dt)
+    assert np.max(np.abs(got - (1.0 + 0.05 * decay * np.cos(2 * math.pi * x)))) < 1e-14
 
 
 def test_second_difference_annihilates_constants():

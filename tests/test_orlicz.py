@@ -20,6 +20,7 @@ from igc.measures import (
 from igc.orlicz import (
     WalshSpectrum,
     YOUNG_TAGS,
+    YoungFunction,
     _gf2_kernel_basis,
     boolean_mgf,
     boolean_phi_moment,
@@ -120,6 +121,19 @@ def test_dual_norm_flat_phi_rejected():
     m, p = _two_point()
     with pytest.raises(InvariantError):
         dual_norm(p, coordinate(m), young_pair("c"))
+
+
+def test_divergent_gauges_raise_invariant_error():
+    # Phi = +inf everywhere: no radius brings either modular down to 1
+    m, p = _two_point()
+
+    def infinite(x):
+        return np.full(np.shape(x), np.inf)
+
+    yf = YoungFunction("inf", infinite, infinite, np.log1p, np.expm1)
+    for norm, name in ((luxemburg_norm, "Luxemburg"), (dual_norm, "dual")):
+        with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'inf'"):
+            norm(p, coordinate(m), yf)
 
 
 def test_duality_bound():
