@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,109 +57,80 @@ PROFILE_CSV_HEADER = ("alpha", "value", "divergent")
 ARC_CSV_HEADER = ("t", "mass", "psi")
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.1)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    tol: float | None
-    out: str | None
-    fmt: str
+# Each cmd_* handler takes the parsed arguments and a generator seeded with --seed and
+# returns (inputs, values, ok); main writes the one record, with inputs only as their hash.
 
 
-def _inputs_hash(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _tol(args, default: float) -> float:
+    """The pass tolerance: ``--tol`` when given, else the command's own default."""
+    return args.tol if args.tol is not None else default
 
 
-def _emit_record(config: RunConfig, inputs, values: dict, ok: bool) -> int:
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "inputs_hash": _inputs_hash(inputs),
-        "values": values,
-        "pass": ok,
-    }
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-    return 0 if ok else 1
-
-
-def _write_csv(config: RunConfig, header, rows) -> None:
+def _write_csv(args, header, rows) -> None:
     def dump(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             dump(fh)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         dump(sys.stdout)
 
 
-def _profile(config: RunConfig, args) -> tuple[list, list[dict]]:
-    """The half-line profile rows, written as the CSV table and returned with their JSON form."""
+def _density_pair(n: int, rng) -> tuple[Density, Density]:
+    """Two random densities on the n-point support {0, ..., n-1}."""
+    m = finite_measure(np.arange(float(n)))
+    return Density.random(m, rng), Density.random(m, rng)
+
+
+def _profile(args) -> tuple[list, dict, list[dict]]:
+    """The half-line profile rows, written as the CSV table, with the inputs and the rows' JSON form."""
     rows = nonsteep_profile(args.a, args.alphas)
-    _write_csv(config, PROFILE_CSV_HEADER, [(r.alpha, r.value, r.divergent) for r in rows])
-    return rows, [{"alpha": r.alpha, "value": None if r.divergent else r.value, "divergent": r.divergent} for r in rows]
+    _write_csv(args, PROFILE_CSV_HEADER, [(r.alpha, r.value, r.divergent) for r in rows])
+    json_rows = [{"alpha": r.alpha, "value": None if r.divergent else r.value, "divergent": r.divergent} for r in rows]
+    return rows, {"a": args.a, "alphas": args.alphas}, json_rows
 
 
-def cmd_orlicz(config: RunConfig, args) -> int:
-    _, json_rows = _profile(config, args)
-    return _emit_record(config, {"a": args.a, "alphas": args.alphas}, {"rows": json_rows}, True)
+def cmd_orlicz(args, rng):
+    _, inputs, json_rows = _profile(args)
+    return inputs, {"rows": json_rows}, True
 
 
-def cmd_steepness(config: RunConfig, args) -> int:
-    rows, json_rows = _profile(config, args)
-    tol = config.tol if config.tol is not None else 1e-5
+def cmd_steepness(args, rng):
+    rows, inputs, json_rows = _profile(args)
     ok = True
     edge = next((r for r in rows if r.alpha == 1.0), None)
     if args.a == 0.5 and edge is not None:
-        ok &= abs(edge.value - NONSTEEP_REFERENCE) <= tol
+        ok &= abs(edge.value - NONSTEEP_REFERENCE) <= _tol(args, 1e-5)
     ok &= all(r.divergent for r in rows if abs(r.alpha) > 1.0)
-    values = {"rows": json_rows, "edge_value": None if edge is None else edge.value}
-    return _emit_record(config, {"a": args.a, "alphas": args.alphas}, values, bool(ok))
+    return inputs, {"rows": json_rows, "edge_value": None if edge is None else edge.value}, ok
 
 
-def cmd_chart(config: RunConfig, args) -> int:
-    rng = np.random.default_rng(config.seed)
-    m = finite_measure(np.arange(float(args.n)))
-    p = Density.random(m, rng)
-    q = Density.random(m, rng)
+def cmd_chart(args, rng):
+    p, q = _density_pair(args.n, rng)
     u = chart_s(p, q)
     defect = float(np.max(np.abs(patch_e(p, u).values - q.values)))
-    tol = config.tol if config.tol is not None else 1e-12
     values = {"cumulant": cumulant(p, u), "roundtrip_defect": defect}
-    inputs = {"p": p.values.tolist(), "q": q.values.tolist()}
-    return _emit_record(config, inputs, values, defect <= tol)
+    return {"p": p.values.tolist(), "q": q.values.tolist()}, values, defect <= _tol(args, 1e-12)
 
 
-def cmd_div(config: RunConfig, args) -> int:
-    rng = np.random.default_rng(config.seed)
-    m = finite_measure(np.arange(float(args.n)))
-    q = Density.random(m, rng)
-    r = Density.random(m, rng)
-    res = divergence(q, r, Density.uniform(m))
+def cmd_div(args, rng):
+    q, r = _density_pair(args.n, rng)
+    res = divergence(q, r, Density.uniform(q.base))
     defect = abs(res.direct - res.bregman)
-    tol = config.tol if config.tol is not None else 1e-10
     values = {"direct": res.direct, "bregman": res.bregman, "defect": defect}
-    inputs = {"q": q.values.tolist(), "r": r.values.tolist()}
-    return _emit_record(config, inputs, values, defect <= tol)
+    return {"q": q.values.tolist(), "r": r.values.tolist()}, values, defect <= _tol(args, 1e-10)
 
 
-def cmd_pyth(config: RunConfig, args) -> int:
-    rng = np.random.default_rng(config.seed)
-    m = finite_measure(np.arange(float(args.n)))
-    p = Density.random(m, rng)
-    q = Density.random(m, rng)
+def cmd_pyth(args, rng):
+    p, q = _density_pair(args.n, rng)
     r = orthogonal_mixture_third(p, q, rng)
     res = pythagorean_check(p, q, r)
     split = res.d_r_q - res.d_r_p - res.d_p_q
-    tol = config.tol if config.tol is not None else 1e-10
-    ok = abs(res.defect) <= tol and abs(split) <= tol
+    tol = _tol(args, 1e-10)
     values = {
         "pairing": res.pairing,
         "defect": res.defect,
@@ -168,26 +138,24 @@ def cmd_pyth(config: RunConfig, args) -> int:
         "divergences": {"r_q": res.d_r_q, "r_p": res.d_r_p, "p_q": res.d_p_q},
     }
     inputs = {"p": p.values.tolist(), "q": q.values.tolist(), "r": r.values.tolist()}
-    return _emit_record(config, inputs, values, ok)
+    return inputs, values, abs(res.defect) <= tol and abs(split) <= tol
 
 
-def cmd_transport(config: RunConfig, args) -> int:
-    rng = np.random.default_rng(config.seed)
+def cmd_transport(args, rng):
+    if args.max_size < 2:
+        raise InvariantError(f"--max-size {args.max_size} is below the smallest support size 2")
     worst = 0.0
     for _ in range(args.trials):
         n = int(rng.integers(2, args.max_size + 1))
-        m = finite_measure(np.arange(float(n)))
-        p = Density.random(m, rng)
-        q = Density.random(m, rng)
+        p, q = _density_pair(n, rng)
         u = hilbert_vector(p, rng.standard_normal(n))
         moved = hilbert_transport(p, q, u)
         iso = abs(_dot(q.prob, moved.values**2) - _dot(p.prob, u.values**2))
         back = hilbert_transport(q, p, moved)
         rt = float(np.max(np.abs(back.values - u.values)))
         worst = max(worst, iso, rt)
-    tol = config.tol if config.tol is not None else 1e-12
     values = {"n_trials": args.trials, "max_defect": worst}
-    return _emit_record(config, {"trials": args.trials, "max_size": args.max_size}, values, worst <= tol)
+    return {"trials": args.trials, "max_size": args.max_size}, values, worst <= _tol(args, 1e-12)
 
 
 def _trajectory_rows(record) -> tuple[tuple, list]:
@@ -200,19 +168,18 @@ def _trajectory_rows(record) -> tuple[tuple, list]:
     return header, rows
 
 
-def cmd_flow(config: RunConfig, args) -> int:
-    rng = np.random.default_rng(config.seed)
+def cmd_flow(args, rng):
+    t_final = args.T if args.T is not None else (0.1 if args.kind == "heat" else 1.0)
     if args.kind == "geodesic":
         m = finite_measure(np.arange(float(args.n)))
         p0 = Density.random(m, rng)
         f = RandomVariable(m, rng.standard_normal(args.n))
-        record = integrate_e_chart(exponential_field(f), p0, args.T, args.dt)
+        record = integrate_e_chart(exponential_field(f), p0, t_final, args.dt if args.dt is not None else 1e-3)
         closed = e_geodesic(p0, f, record.times[-1])
         gap = float(np.max(np.abs(record.densities[-1].values - closed.values)))
         drift = record.mass_drift()
         final_objective = expect(record.densities[-1], f)
-        tol = config.tol if config.tol is not None else 1e-6
-        ok = gap <= tol and drift <= 1e-12
+        ok = gap <= _tol(args, 1e-6) and drift <= 1e-12
     elif args.kind == "heat":
         grid = periodic_grid_measure(0.0, 1.0, args.nodes)
         x = grid.points
@@ -220,13 +187,11 @@ def cmd_flow(config: RunConfig, args) -> int:
             grid, 1.0 + 0.3 * np.cos(2 * math.pi * x) + 0.1 * np.sin(4 * math.pi * x)
         )
         h = grid.spacing
-        dt = args.dt if args.dt is not None else h * h / 4.0
-        res = heat_flow(p0, args.T, dt)
+        res = heat_flow(p0, t_final, args.dt if args.dt is not None else h * h / 4.0)
         record = res.record
         gap, drift = res.max_gap, res.mass_drift
         final_objective = None
-        tol = config.tol if config.tol is not None else 1e-4
-        ok = gap <= tol and drift <= 1e-12
+        ok = gap <= _tol(args, 1e-4) and drift <= 1e-12
     else:  # opt
         m = boolean_measure(args.n_sites)
         signs = boolean_signs(m)
@@ -244,20 +209,17 @@ def cmd_flow(config: RunConfig, args) -> int:
         drift = record.mass_drift()
         final_objective = float(res.objective[-1])
         ok = argmax_mass >= 0.99 and drift <= 1e-12
-    header, rows = _trajectory_rows(record)
-    _write_csv(config, header, rows)
+    _write_csv(args, *_trajectory_rows(record))
     values = {"final_objective": final_objective, "mass_drift": drift, "max_gap": gap}
-    inputs = {"kind": args.kind, "seed": config.seed}
-    return _emit_record(config, inputs, values, bool(ok))
+    return {"kind": args.kind, "seed": args.seed}, values, ok
 
 
-def cmd_deformed(config: RunConfig, args) -> int:
-    rng = np.random.default_rng(config.seed)
-    d = make_deformed(args.family, args.param)
-    m = finite_measure(np.arange(float(args.n)))
-    p = Density.random(m, rng)
-    q = Density.random(m, rng)
-    tol = config.tol if config.tol is not None else 1e-10
+def cmd_deformed(args, rng):
+    param = None if args.family in ("classical", "newton") else args.param
+    d = make_deformed(args.family, param)
+    p, q = _density_pair(args.n, rng)
+    m = p.base
+    tol = _tol(args, 1e-10)
     if args.kind == "arc":
         ts = [float(t) for t in np.linspace(0.0, 1.0, args.steps)]
         masses = phi_connected(p, q, d, ts)
@@ -267,7 +229,7 @@ def cmd_deformed(config: RunConfig, args) -> int:
             res = phi_arc(p, q, d, t)
             rows.append((t, point.mass, res.psi))
             worst = max(worst, abs(res.family_density.mass() - 1.0))
-        _write_csv(config, ARC_CSV_HEADER, rows)
+        _write_csv(args, ARC_CSV_HEADER, rows)
         ok = worst <= tol and all(mass <= 1.0 + 1e-12 for _, mass, _ in rows)
         values = {"rows": [{"t": t, "mass": mass, "psi": psi} for t, mass, psi in rows], "family_mass_defect": worst}
     elif args.kind == "norm":
@@ -295,8 +257,7 @@ def cmd_deformed(config: RunConfig, args) -> int:
             classical_gap = abs(k - cumulant(p, tangent(p, u.values)))
             values["classical_gap"] = classical_gap
             ok = ok and classical_gap <= tol
-    inputs = {"family": args.family, "param": args.param, "p": p.values.tolist()}
-    return _emit_record(config, inputs, values, bool(ok))
+    return {"family": args.family, "param": param, "p": p.values.tolist()}, values, ok
 
 
 def _alpha_list(text: str) -> list[float]:
@@ -317,28 +278,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="igc", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, run, **kwargs):
+        sp = sub.add_parser(name, parents=[common], **kwargs)
+        sp.set_defaults(run=run)
+        return sp
 
-    p_orlicz = add_parser("orlicz", help="Orlicz tables")
+    p_orlicz = add_parser("orlicz", cmd_orlicz, help="Orlicz tables")
     p_orlicz.add_argument("action", choices=("profile",))
     p_orlicz.add_argument("--a", type=float, default=0.5)
     p_orlicz.add_argument("--alphas", type=_alpha_list, default=DEFAULT_ALPHAS)
 
-    p_steep = add_parser("steepness", help="half-line steepness profile with edge check")
+    p_steep = add_parser("steepness", cmd_steepness, help="half-line steepness profile with edge check")
     p_steep.add_argument("--a", type=float, default=0.5)
     p_steep.add_argument("--alphas", type=_alpha_list, default=DEFAULT_ALPHAS)
 
-    for name, helptext in (("chart", "chart/patch round trip"), ("div", "divergence cross-check"),
-                           ("pyth", "orthogonal-triple divergence split")):
-        sp = add_parser(name, help=helptext)
+    for name, run, helptext in (("chart", cmd_chart, "chart/patch round trip"),
+                                ("div", cmd_div, "divergence cross-check"),
+                                ("pyth", cmd_pyth, "orthogonal-triple divergence split")):
+        sp = add_parser(name, run, help=helptext)
         sp.add_argument("--n", type=int, default=8)
 
-    p_tr = add_parser("transport", help="fiber transport checks")
+    p_tr = add_parser("transport", cmd_transport, help="fiber transport checks")
     p_tr.add_argument("--trials", type=int, default=50)
     p_tr.add_argument("--max-size", type=int, default=64)
 
-    p_flow = add_parser("flow", help="chart-based flows")
+    p_flow = add_parser("flow", cmd_flow, help="chart-based flows")
     p_flow.add_argument("kind", choices=("geodesic", "heat", "opt"))
     p_flow.add_argument("--T", type=float, default=None)
     p_flow.add_argument("--dt", type=float, default=None)
@@ -348,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--gamma", type=float, default=0.1)
     p_flow.add_argument("--iters", type=int, default=500)
 
-    p_def = add_parser("deformed", help="deformed-exponential demos")
+    p_def = add_parser("deformed", cmd_deformed, help="deformed-exponential demos")
     p_def.add_argument("kind", choices=("arc", "norm", "cumulant"))
     p_def.add_argument("--family", type=str, default="tsallis")
     p_def.add_argument("--param", type=float, default=0.5)
@@ -358,41 +322,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "orlicz": cmd_orlicz,
-    "steepness": cmd_steepness,
-    "chart": cmd_chart,
-    "div": cmd_div,
-    "pyth": cmd_pyth,
-    "transport": cmd_transport,
-    "flow": cmd_flow,
-    "deformed": cmd_deformed,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "flow":
-        if args.T is None:
-            args.T = 0.1 if args.kind == "heat" else 1.0
-        if args.dt is None and args.kind == "geodesic":
-            args.dt = 1e-3
-    config = RunConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", None),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "json"),
-    )
-    if args.command == "deformed" and args.family in ("classical", "newton"):
-        args.param = None
+    # the global flags' values when neither side of the subcommand sets them
+    args = build_parser().parse_args(argv, argparse.Namespace(seed=0, tol=None, out=None, fmt="json"))
     try:
-        return _HANDLERS[args.command](config, args)
+        inputs, values, ok = args.run(args, np.random.default_rng(args.seed))
     except InvariantError as exc:
         record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "pass": False}
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        return 2
+        code = 2
+    else:
+        blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "version": __version__,
+            "command": args.command,
+            "seed": args.seed,
+            "inputs_hash": hashlib.sha256(blob.encode()).hexdigest(),
+            "values": values,
+            "pass": bool(ok),
+        }
+        code = 0 if ok else 1
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -253,10 +253,13 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
     the mass drops past 1 only at a domain exit, k is the largest constant
     that keeps the patch inside the domain (its mass then exceeds 1).
     """
-    u_vals = values_on(p.base, u)
+    return _cumulant(p, values_on(p.base, u), d.log(p.values), d, rel_tol)
+
+
+def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
+    """:func:`phi_cumulant` of the coordinate values u_vals, given log_phi p."""
     if float(np.max(np.abs(u_vals))) == 0.0:
         return 0.0
-    log_p = d.log(p.values)
     at_zero = _patch_values(u_vals, 0.0, log_p, d)
     if np.any(np.isnan(at_zero)):
         raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
@@ -278,8 +281,9 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
 def phi_patch(p: Density, u, d: DeformedLogarithm) -> Density:
     """The unit-mass density exp_phi(u - K + log_phi p)."""
     u_vals = values_on(p.base, u)
-    k = phi_cumulant(p, u_vals, d)
-    return Density.from_unnormalized(p.base, _patch_values(u_vals, k, d.log(p.values), d))
+    log_p = d.log(p.values)
+    k = _cumulant(p, u_vals, log_p, d)
+    return Density.from_unnormalized(p.base, _patch_values(u_vals, k, log_p, d))
 
 
 @dataclass(frozen=True)
@@ -298,9 +302,15 @@ def phi_chart(p: Density, q: Density, d: DeformedLogarithm) -> PhiChartResult:
     1e-9 * max(1, max q) raises.
     """
     require_same_base(p, q, "phi_chart")
-    log_p = d.log(p.values)
-    delta = d.log(q.values) - log_p
-    pairing = _dot(p.base.weights, d.phi(p.values) * delta)
+    return _chart(p, q, d, d.log(p.values), d.log(q.values), d.phi(p.values))
+
+
+def _chart(
+    p: Density, q: Density, d: DeformedLogarithm, log_p: np.ndarray, log_q: np.ndarray, phi_p: np.ndarray
+) -> PhiChartResult:
+    """:func:`phi_chart` given log_phi p, log_phi q and phi(p), its reconstruction check included."""
+    delta = log_q - log_p
+    pairing = _dot(p.base.weights, phi_p * delta)
     u = RandomVariable(p.base, delta - pairing)
     k = -pairing
     recon = _patch_values(u.values, k, log_p, d)
@@ -337,18 +347,19 @@ def phi_arc(p0: Density, p1: Density, d: DeformedLogarithm, t: float) -> PhiArcR
     """
     require_same_base(p0, p1, "phi_arc")
     lp0 = d.log(p0.values)
-    raw, mass = _arc_at(p0, lp0, d.log(p1.values), d, t)
+    lp1 = d.log(p1.values)
+    raw, mass = _arc_at(p0, lp0, lp1, d, t)
     if not math.isfinite(mass):
         raise InvariantError(f"arc mass diverges at t = {t}")
     density = Density.from_unnormalized(p0.base, raw)
-    u = phi_chart(p0, p1, d).u
+    phi_p0 = d.phi(p0.values)
+    u = _chart(p0, p1, d, lp0, lp1, phi_p0).u
     if t != 0.0:
         tu = t * u.values
-        psi = phi_cumulant(p0, tu, d)
+        psi = _cumulant(p0, tu, lp0, d)
         family = Density.from_unnormalized(p0.base, _patch_values(tu, psi, lp0, d))
     else:
         psi, family = 0.0, p0
-    phi_p0 = d.phi(p0.values)
     diff = d.log(density.values) - lp0
     pairing_un = _dot(p0.base.weights, phi_p0 * diff)
     pairing_norm = pairing_un / _dot(p0.base.weights, phi_p0)

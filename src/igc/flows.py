@@ -100,6 +100,12 @@ class CurveRecord:
         return max(abs(d.mass() - 1.0) for d in self.densities)
 
 
+def _require_steps(t_final: float, dt: float) -> None:
+    """Finite dt > 0 and finite t_final >= 0; NaN fails every comparison, so it is rejected too."""
+    if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf):
+        raise InvariantError("need dt > 0 and t_final >= 0")
+
+
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, dt: float):
     """Yield the classical RK4 states of dy/dt = rhs(y) over [0, t_final], in the fewest equal steps <= dt.
 
@@ -147,8 +153,7 @@ def integrate_e_chart(
     y + a*k is then a sum of anchor-centered vectors and goes to ``patch_e``
     as it is; ``patch_e`` still checks that it is centered.
     """
-    if dt <= 0 or t_final < 0:
-        raise InvariantError("need dt > 0 and t_final >= 0")
+    _require_steps(t_final, dt)
     anchor = p0
     densities = [p0]
     velocities = [field(p0).values]
@@ -232,6 +237,8 @@ def natural_gradient_ascent(
     Cholesky factorization gets 1e-10 added to its diagonal, and the result
     reports ``regularized``.
     """
+    if iters < 0:
+        raise InvariantError(f"need iters >= 0, got {iters}")
     f = values_on(p0.base, objective)
     basis = None
     if not (isinstance(directions, str) and directions == "full"):
@@ -341,6 +348,7 @@ def reference_heat_solution(
     """Explicit RK4 finite-difference reference for dp/dt = D2(p), in plain value space.
 
     Takes the same time steps as :func:`integrate_e_chart` for equal ``t_final`` and ``dt``."""
+    _require_steps(t_final, dt)
     p = np.array(p0_values, dtype=float)
     for p in _rk4(lambda y: second_difference(y, h), p, t_final, dt):
         pass

@@ -294,7 +294,27 @@ def _gf2_kernel_basis(masks: Sequence[int]) -> list[int]:
     return kernel
 
 
+def _gf2_rank_above(masks: Iterable[int], limit: int) -> bool:
+    """Whether the masks span more than ``limit`` dimensions over GF(2).
+
+    Only the pivots are kept, and the scan stops at pivot ``limit + 1``, so it
+    reads at most 2**limit + 1 distinct masks whatever the spectrum's size.
+    """
+    pivots: dict[int, int] = {}
+    for mask in masks:
+        vec = int(mask)
+        while vec and vec.bit_length() - 1 in pivots:
+            vec ^= pivots[vec.bit_length() - 1]
+        if vec:
+            pivots[vec.bit_length() - 1] = vec
+            if len(pivots) > limit:
+                return True
+    return False
+
+
+# enumeration guards: the parity path's two tables hold 2**(m/2) entries, the class path 2**r
 _MAX_SUPPORT = 24
+_MAX_CLASS_RANK = 12
 
 
 def _xor_span(basis: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +365,15 @@ def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
     cosh(x) - 1 is taken as 2*sinh(x/2)**2, which keeps its relative accuracy as x goes to 0.
     """
     keep = spec.values != 0.0
-    coefs = spec.values[keep]
-    if coefs.size > _MAX_SUPPORT:
-        raise InvariantError(f"spectrum support {coefs.size} exceeds the enumeration guard {_MAX_SUPPORT}")
-    kernel = _gf2_kernel_basis(spec.masks[keep].tolist())
+    coefs, masks = spec.values[keep], spec.masks[keep]
+    # m <= 24 bounds the parity path; past it r <= 12 < m - r, so the class path is taken.
+    # Checked on the pivots alone, before the kernel's m-bit combinations are built.
+    if coefs.size > _MAX_SUPPORT and _gf2_rank_above(masks, _MAX_CLASS_RANK):
+        raise InvariantError(
+            f"spectrum support {coefs.size} exceeds the enumeration guard {_MAX_SUPPORT}"
+            f" and its rank the class enumeration guard {_MAX_CLASS_RANK}"
+        )
+    kernel = _gf2_kernel_basis(masks.tolist())
     if 2 * len(kernel) <= coefs.size:
         terms, n_even = _parity_class_terms(coefs, kernel, t)
         if not phi:

@@ -113,7 +113,15 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["flow", "heat", "--dt", "1"], ["deformed", "cumulant", "--family", "tsallis", "--param", "2"]],
+    [
+        ["flow", "heat", "--dt", "1"],
+        ["deformed", "cumulant", "--family", "tsallis", "--param", "2"],
+        ["transport", "--max-size", "1"],
+        ["flow", "opt", "--iters", "-1"],
+        ["flow", "geodesic", "--dt", "inf"],
+        ["flow", "geodesic", "--dt", "nan"],
+        ["flow", "heat", "--dt", "nan"],
+    ],
 )
 def test_invalid_input_exit_code(capsys, argv):
     code, out = run_cli(capsys, argv)
@@ -132,13 +140,43 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_byte_identical_reruns(capsys):
-    argv = ["--seed", "11", "div", "--n", "10"]
-    _, first = run_cli(capsys, argv)
-    _, second = run_cli(capsys, argv)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["div", "--n", "10"],
+        ["orlicz", "profile", "--format", "csv"],
+        ["steepness"],
+        ["chart", "--n", "10"],
+        ["pyth", "--n", "10"],
+        ["transport", "--trials", "5", "--max-size", "16"],
+        ["flow", "geodesic", "--n", "6", "--T", "0.05", "--dt", "0.01", "--format", "csv"],
+        ["flow", "heat", "--nodes", "16", "--T", "0.005"],
+        ["flow", "opt", "--n-sites", "4", "--iters", "10"],
+        ["deformed", "arc", "--steps", "3", "--format", "csv"],
+        ["deformed", "norm"],
+        ["deformed", "cumulant", "--family", "kaniadakis", "--param", "0.3"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")),
+)
+def test_byte_identical_reruns(capsys, argv):
+    _, first = run_cli(capsys, ["--seed", "11"] + argv)
+    _, second = run_cli(capsys, ["--seed", "11"] + argv)
     assert first == second
-    _, third = run_cli(capsys, ["--seed", "12", "div", "--n", "10"])
-    assert third != first
+    _, third = run_cli(capsys, ["--seed", "12"] + argv)
+    assert third != first  # the seed is in every record
+
+
+def test_global_flags_before_or_after_the_subcommand(capsys, tmp_path):
+    out_path = tmp_path / "traj.csv"
+    flags = ["--seed", "5", "--tol", "1e-3", "--out", str(out_path), "--format", "csv"]
+    argv = ["flow", "geodesic", "--n", "4", "--T", "0.05"]
+    _, before = run_cli(capsys, flags + argv)
+    table = out_path.read_text()
+    _, after = run_cli(capsys, argv + flags)
+    assert after == before and out_path.read_text() == table
+    assert json.loads(before)["seed"] == 5
+    _, defaults = run_cli(capsys, ["chart"])
+    assert json.loads(defaults)["seed"] == 0
 
 
 def test_help_exits_zero(capsys):

@@ -332,6 +332,43 @@ def test_phi_arc_family_member_is_the_patch(space, tag, param):
         assert arc.psi == phi_cumulant(p0, t * u.values, d)
 
 
+@pytest.mark.parametrize("tag,param", ALL_FAMILIES)
+def test_arc_and_patch_take_log_phi_once_per_input(space, tag, param):
+    # phi_arc needs log_phi of p0, p1 and the arc density, and phi(p0), once each;
+    # phi_patch needs log_phi p once
+    rng, m = space
+    p0 = Density.random(m, rng)
+    p1 = Density.random(m, rng)
+    d = make_deformed(tag, param)
+    logs, phis = [], []
+    counted = dataclasses.replace(
+        d, log=lambda v: logs.append(v) or d.log(v), phi=lambda x: phis.append(x) or d.phi(x)
+    )
+    for t in (0.0, 0.5, 1.0):
+        logs.clear()
+        phis.clear()
+        arc = phi_arc(p0, p1, counted, t)
+        assert (len(logs), len(phis)) == (3, 1)
+        plain = phi_arc(p0, p1, d, t)
+        assert arc.psi == plain.psi and arc.pairing_unnormalized == plain.pairing_unnormalized
+        assert np.array_equal(arc.family_density.values, plain.family_density.values)
+    u = 0.5 * phi_chart(p0, p1, d).u.values
+    logs.clear()
+    patched = phi_patch(p0, u, counted)
+    assert len(logs) == 1
+    assert np.array_equal(patched.values, phi_patch(p0, u, d).values)
+
+
+def test_phi_arc_still_checks_the_chart_reconstruction(space):
+    rng, m = space
+    p0 = Density.random(m, rng)
+    p1 = Density.random(m, rng)
+    d = make_deformed("tsallis", 0.6)
+    skewed = dataclasses.replace(d, log=lambda v: d.log(v) * (1.0 + 1e-6))
+    with pytest.raises(InvariantError, match="reconstruction defect"):
+        phi_arc(p0, p1, skewed, 0.5)
+
+
 def test_normalizer_sign_at_intermediate_t(space):
     # the chart statistic is centered against the unnormalized escort weight,
     # so when the escort mass is not one the arc normalizer can dip below

@@ -376,6 +376,43 @@ def test_integrator_rejects_nonfinite(space):
         integrate_e_chart(field, p, 0.1, 0.01)
 
 
+STEP_MESSAGE = "need dt > 0 and t_final >= 0"
+
+
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [(0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -0.01), (math.nan, 0.01), (math.inf, 0.01), (-0.1, 0.01)],
+)
+def test_integrator_requires_finite_positive_steps(space, t_final, dt):
+    # NaN fails every comparison and inf makes math.ceil fail or a zero-step run end at t = 0
+    rng, m = space
+    p = Density.random(m, rng)
+    f = RandomVariable(m, rng.standard_normal(8))
+    with pytest.raises(InvariantError, match=STEP_MESSAGE):
+        integrate_e_chart(exponential_field(f), p, t_final, dt)
+
+
+@pytest.mark.parametrize("t_final, dt", [(0.02, math.nan), (0.02, math.inf), (math.nan, 1e-4), (math.inf, 1e-4)])
+def test_heat_reference_requires_finite_positive_steps(t_final, dt):
+    grid = periodic_grid_measure(0.0, 1.0, 16)
+    with pytest.raises(InvariantError, match=STEP_MESSAGE):
+        reference_heat_solution(np.ones(16), grid.spacing, t_final, dt)
+
+
+@pytest.mark.parametrize("t_final, dt", [(0.01, math.nan), (math.nan, 1e-4), (math.inf, 1e-4)])
+def test_heat_flow_requires_finite_positive_steps(t_final, dt):
+    grid = periodic_grid_measure(0.0, 1.0, 16)
+    with pytest.raises(InvariantError, match=STEP_MESSAGE):
+        heat_flow(Density.uniform(grid), t_final, dt)
+
+
+def test_natural_gradient_rejects_negative_iters(space):
+    rng, m = space
+    p = Density.random(m, rng)
+    with pytest.raises(InvariantError, match="iters >= 0"):
+        natural_gradient_ascent(RandomVariable(m, rng.standard_normal(8)), p, "full", iters=-1)
+
+
 def test_natural_gradient_monotone_threshold_probe(space):
     # the objective trace stays nondecreasing for step sizes below a probed level
     rng, m = space

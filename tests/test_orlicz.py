@@ -369,9 +369,39 @@ def test_walsh_round_trip_peak_memory():
 
 
 def test_boolean_mgf_support_guard():
+    # 39 masks of rank 6: the class path averages 2**6 terms, so the spectrum is allowed
     spec = WalshSpectrum(6, {mask: 0.1 for mask in range(1, 40)})
-    with pytest.raises(InvariantError):
-        boolean_mgf(spec, 0.5)
+    brute = float(np.mean(np.exp(0.5 * walsh_values(spec))))
+    assert abs(boolean_mgf(spec, 0.5) - brute) <= 1e-12 * brute
+    units = [1 << j for j in range(13)]
+    # 13 site masks and 12 dependent ones: kernel dimension 12, so 2k <= m = 25 takes the
+    # parity path, whose tables would hold 2**13 entries each
+    parity = WalshSpectrum(13, {mk: 0.1 for mk in units + list(range(3, 27, 2))})
+    assert len(_gf2_kernel_basis(parity.masks.tolist())) == 12
+    # 13 site masks and 14 dependent ones: rank 13 below kernel dimension 14 takes the
+    # class path, which would enumerate 2**13 classes
+    classes = WalshSpectrum(13, {mk: 0.1 for mk in units + list(range(3, 31, 2))})
+    assert len(_gf2_kernel_basis(classes.masks.tolist())) == 14
+    for spec, match in ((parity, "support 25"), (classes, "support 27")):
+        for fn in (boolean_mgf, boolean_phi_moment):
+            with pytest.raises(InvariantError, match=match):
+                fn(spec, 0.5)
+
+
+def test_boolean_mgf_guard_before_kernel():
+    # a generic u on 14 sites has all 16384 masks; the kernel's combinations would take
+    # about m**2/16 bytes (16 MiB), the pivots a few hundred bytes
+    m = boolean_measure(14)
+    spec = walsh_transform(RandomVariable(m, np.random.default_rng(14).standard_normal(m.size)))
+    assert spec.masks.size == m.size
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantError, match="enumeration guard"):
+            boolean_mgf(spec, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_nonsteep_profile_values():
