@@ -144,6 +144,8 @@ def cmd_pyth(args, rng):
 def cmd_transport(args, rng):
     if args.max_size < 2:
         raise InvariantError(f"--max-size {args.max_size} is below the smallest support size 2")
+    if args.trials < 1:
+        raise InvariantError(f"--trials {args.trials} checks nothing; give at least 1")
     worst = 0.0
     for _ in range(args.trials):
         n = int(rng.integers(2, args.max_size + 1))
@@ -221,6 +223,8 @@ def cmd_deformed(args, rng):
     m = p.base
     tol = _tol(args, 1e-10)
     if args.kind == "arc":
+        if args.steps < 2:
+            raise InvariantError(f"--steps {args.steps} is below the two arc endpoints")
         ts = [float(t) for t in np.linspace(0.0, 1.0, args.steps)]
         masses = phi_connected(p, q, d, ts)
         rows = []
@@ -342,7 +346,7 @@ def main(argv=None) -> int:
             "pass": bool(ok),
         }
         code = 0 if ok else 1
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     return code
 
 

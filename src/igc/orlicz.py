@@ -437,12 +437,20 @@ def nonsteep_profile(a: float, alphas: Iterable[float]) -> list[ProfilePoint]:
     For u(x) = x and Phi = cosh - 1 the value at alpha is
     (C(1-alpha, a) + C(1+alpha, a)) / (2 C(1, a)) - 1 with C the half-line
     Laplace-type integral; it is finite exactly on [-1, 1] and infinite
-    outside, so the effective domain edge carries a finite value.
+    outside, so the effective domain edge carries a finite value.  a lies in
+    (0, 1e300] and every alpha must be finite.
     """
-    denom = 2.0 * c_integral(1.0, a)
+    if not 0 < a <= 1e300:
+        raise InvariantError(f"a must lie in (0, 1e300], got {a}")
+    # C(theta, a) = C(theta*a, 1)/sqrt(a) and the 1/sqrt(a) cancels in the ratio; taken at
+    # a = 1, where they are about 1/(theta*a), the C values stay normal numbers up to a = 1e300
+    # (C(1, a) itself turns subnormal from a ~ 1e205)
+    denom = 2.0 * c_integral(a, 1.0)
     out = []
     for alpha in alphas:
-        num = c_integral(1.0 - abs(alpha), a) + c_integral(1.0 + abs(alpha), a)
+        if not math.isfinite(alpha):
+            raise InvariantError(f"alpha must be finite, got {alpha}")
+        num = c_integral((1.0 - abs(alpha)) * a, 1.0) + c_integral((1.0 + abs(alpha)) * a, 1.0)
         value = num / denom - 1.0 if math.isfinite(num) else math.inf
         out.append(ProfilePoint(float(alpha), value))
     return out

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.special import erfcx
 
 
 def cumulant_difference(p, a_vals, b_vals):
@@ -104,3 +105,26 @@ def bisection_root(g, target, guess, rel_tol=1e-14):
         else:
             hi = mid
     return hi
+
+
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(30)
+
+
+def c_integral_reference(theta, a):
+    """int_0^inf (a+x)**(-3/2) exp(-theta*x) dx for theta > 0, from the oracle suited to z = theta*a.
+
+    - z <= 16: the scaled-erfc closed form 2/sqrt(a) - 2*sqrt(pi*theta)*erfcx(sqrt(z)); its
+      subtraction loses at most a factor of about 35 there.
+    - 16 < z < 1e4: 30-point Gauss-Laguerre on int_0^inf (1 + s/z)**(-3/2) e**(-s) ds / (z*sqrt(a)),
+      the integral after x = s/theta.  Its integrand is smooth once the branch point s = -z is far
+      from the nodes; against a 40-digit reference it is within 3.1e-15 over this band.
+    - z >= 1e4: the asymptotic series (1 - 3/(2z) + 15/(4z**2) - 105/(8z**3) + 945/(16z**4)) / (theta*a**1.5),
+      whose first omitted term is below 4e-18 relative.
+    """
+    z = theta * a
+    if z <= 16.0:
+        return 2.0 / math.sqrt(a) - 2.0 * math.sqrt(math.pi * theta) * float(erfcx(math.sqrt(z)))
+    if z < 1e4:
+        return float(_LAGUERRE_WEIGHTS @ (1.0 + _LAGUERRE_NODES / z) ** -1.5) / (z * math.sqrt(a))
+    series = 1.0 - 3.0 / (2.0 * z) + 15.0 / (4.0 * z**2) - 105.0 / (8.0 * z**3) + 945.0 / (16.0 * z**4)
+    return series / (theta * a**1.5)

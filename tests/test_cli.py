@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import igc
+from igc import cli
 from igc.cli import main
 
 
@@ -121,6 +123,12 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
         ["flow", "geodesic", "--dt", "inf"],
         ["flow", "geodesic", "--dt", "nan"],
         ["flow", "heat", "--dt", "nan"],
+        ["orlicz", "profile", "--alphas", "nan"],
+        ["steepness", "--alphas", "1,nan"],
+        ["orlicz", "profile", "--a", "nan"],
+        ["steepness", "--a", "inf"],
+        ["transport", "--trials", "0"],
+        ["deformed", "arc", "--steps", "1"],
     ],
 )
 def test_invalid_input_exit_code(capsys, argv):
@@ -132,6 +140,23 @@ def test_invalid_input_exit_code(capsys, argv):
     assert set(record) == {"schema_version", "command", "error", "pass"}
     assert record["schema_version"] == 1 and record["command"] == argv[0]
     assert record["error"] and record["pass"] is False
+
+
+@pytest.mark.parametrize("command", [["orlicz", "profile"], ["steepness"]])
+def test_profile_at_large_a(capsys, command):
+    # at theta*a = 1e16 the scaled-erfc difference for C(theta, a) cancels to 0.0
+    code, out = run_cli(capsys, command + ["--a", "1e16"])
+    assert code == 0
+    rows = json.loads(out)["values"]["rows"]
+    assert all(math.isfinite(row["value"]) for row in rows if not row["divergent"])
+    assert [row["alpha"] for row in rows if row["divergent"]] == [1.1]
+
+
+def test_record_never_holds_a_bare_nan(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_chart", lambda args, rng: ({}, {"value": math.nan}, True))
+    with pytest.raises(ValueError):
+        main(["chart"])
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_error_exit_code():
@@ -185,11 +210,28 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
-def test_import_cli_leaves_scipy_unloaded():
+PROFILE_RUNS = (
+    "import contextlib, io, json\n"
+    "from igc.cli import main\n"
+    "runs = []\n"
+    "for argv in (['orlicz', 'profile', '--a', '0.5'], ['steepness', '--a', '0.5']):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        runs.append([main(argv), json.loads(out.getvalue())['pass']])\n"
+)
+
+
+def run_fresh_interpreter(code):
     src = str(Path(igc.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import igc.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    argv = [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code]
+    return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    # nor does running the two profile commands: their half-line integral is pure math
+    loaded = "print(json.dumps([runs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    assert run_fresh_interpreter(PROFILE_RUNS + loaded) == [[[0, True], [0, True]], []]
+
+
+def test_profile_commands_pass_with_scipy_unimportable():
+    block = "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+    assert run_fresh_interpreter(block + PROFILE_RUNS + "print(json.dumps(runs))") == [[0, True], [0, True]]

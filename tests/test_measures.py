@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from igc.measures import (
     BaseMismatchError,
@@ -200,8 +201,26 @@ def test_c_integral_cases():
     assert c_integral(-0.1, 1.0) == math.inf
     oracle, _ = quad(lambda x: (0.5 + x) ** -1.5 * math.exp(-x), 0, np.inf)
     assert c_integral(1.0, 0.5) == pytest.approx(oracle, rel=1e-9)
-    with pytest.raises(InvariantError):
-        c_integral(1.0, 0.0)
+    for theta, a in ((1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(InvariantError):
+            c_integral(theta, a)
+
+
+def test_c_integral_meets_the_closed_form_where_the_fraction_converges_slowest():
+    # the continued fraction takes over at y = sqrt(theta*a) = 2 and needs the most terms there;
+    # the scaled-erfc closed form loses only about a factor 10 to cancellation at that point
+    for theta in (math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0), 4.5):
+        oracle = 2.0 - 2.0 * math.sqrt(math.pi * theta) * float(erfcx(math.sqrt(theta)))
+        assert c_integral(theta, 1.0) == pytest.approx(oracle, rel=4e-15)
+
+
+def test_c_integral_keeps_its_relative_accuracy_for_large_theta_a():
+    # here the scaled-erfc difference 2/sqrt(a) - 2*sqrt(pi*theta)*erfcx(y) cancels to nothing;
+    # the integral is about 1/(theta*a**1.5)
+    for theta, a in ((1.0, 1e16), (1e3, 1e20), (1e-6, 1e200)):
+        series = 1.0 - 3.0 / (2.0 * theta * a)  # the next term is below 4e-32
+        assert c_integral(theta, a) == pytest.approx(series / (theta * a**1.5), rel=1e-15)
+    assert c_integral(math.inf, 1.0) == 0.0
 
 
 def test_c_integral_quadrature_grid():

@@ -412,6 +412,34 @@ def test_nonsteep_profile_values():
     assert table[1.1].divergent and table[-1.2].divergent
 
 
+def test_nonsteep_profile_matches_a_high_precision_reference():
+    # 60-digit values of (C(1-alpha, a) + C(1+alpha, a)) / (2 C(1, a)) - 1 at a = 1/2
+    reference = {
+        0.25: 0.016073326209924572209,
+        0.5: 0.070617074476621478018,
+        0.75: 0.19442970433869172662,
+        1.0: 0.80373808251831118034,
+    }
+    for row in nonsteep_profile(0.5, list(reference)):
+        assert row.value == pytest.approx(reference[row.alpha], rel=1e-13)
+
+
+def test_nonsteep_profile_large_a():
+    # C(theta, a) alone underflows from a ~ 1e205; the profile tends to alpha**2 / (1 - alpha**2)
+    for a in (1e16, 1e250, 1e300):
+        rows = nonsteep_profile(a, [0.5, 1.0, 1.5])
+        assert rows[0].value == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert rows[1].value == pytest.approx(a, rel=1e-12)
+        assert rows[2].divergent
+
+
+@pytest.mark.parametrize("a, alphas", [(0.5, [math.nan]), (0.5, [1.0, math.inf]), (0.5, [-math.inf]),
+                                       (math.nan, [0.5]), (math.inf, [0.5]), (0.0, [0.5]), (1e301, [0.5])])
+def test_nonsteep_profile_rejects_inputs_outside_its_domain(a, alphas):
+    with pytest.raises(InvariantError):
+        nonsteep_profile(a, alphas)
+
+
 def test_steepness_quadrature_matches_closed_form():
     base = halfline_measure(rate=0.1, tail_tol=1e-13)
     a = 0.5

@@ -1,6 +1,6 @@
 """Property-based checks of the centering policy, the deformed log/exp pairs, the exponential chart,
-the Hilbert transport, the Pythagorean pairing, the Walsh layer, the shared root-finder and the
-norms built on it."""
+the Hilbert transport, the Pythagorean pairing, the Walsh layer, the shared root-finder, the
+norms built on it and the half-line integral c_integral."""
 
 import math
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from igc.measures import (
     Density,
     RandomVariable,
     boolean_measure,
+    c_integral,
     cotangent,
     finite_measure,
     periodic_grid_measure,
@@ -35,7 +36,7 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
-from oracles import bisection_root, log_space_patch, walsh_values
+from oracles import bisection_root, c_integral_reference, log_space_patch, walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -383,3 +384,14 @@ def test_boolean_mgf_positive_terms_when_rank_is_below_kernel_dimension(spec, t)
     sym = math.fsum(math.cosh(t * v) for v in u) / len(u)
     assert abs(boolean_mgf(spec, t) - mgf) <= 1e-14 * mgf
     assert abs(boolean_phi_moment(spec, t) + 1.0 - sym) <= 1e-14 * sym
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_theta=st.floats(-6.0, 3.0), log_a=st.floats(-6.0, 20.0))
+@example(log_theta=math.log10(4.0), log_a=0.0)  # y = sqrt(theta*a) = 2, the switch to the fraction
+@example(log_theta=math.log10(16.0), log_a=0.0)  # the edges of the oracle bands
+@example(log_theta=3.0, log_a=1.0)
+def test_c_integral_matches_the_oracles_over_its_domain(log_theta, log_a):
+    theta, a = 10.0**log_theta, 10.0**log_a
+    want = c_integral_reference(theta, a)
+    assert abs(c_integral(theta, a) - want) <= 1e-13 * want
