@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     # the global flags' values when neither side of the subcommand sets them
     args = build_parser().parse_args(argv, argparse.Namespace(seed=0, tol=None, out=None, fmt="json"))
     try:
+        # checked before any work, also for the subcommands that read no tolerance
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise InvariantError(f"--tol must be finite and non-negative, got {args.tol!r}")
         inputs, values, ok = args.run(args, np.random.default_rng(args.seed))
     except InvariantError as exc:
         record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "pass": False}

@@ -14,6 +14,7 @@ Divergent integrals are reported as values (math.inf), never silently clipped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -236,18 +237,19 @@ class WalshSpectrum:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly with kernel (-1)**popcount(i & j), in place on float ``a``.
+    """Unnormalized Walsh-Hadamard butterfly with kernel (-1)**popcount(i & j); overwrites float ``a``.
 
-    Stages work on reshape(-1, 2, h) views through one half-size scratch buffer, adding in the textbook order.
+    Constant-geometry stages: each streams the sums, then the differences, of the even and odd entries
+    into the two halves of the other array.  The stages ping-pong between ``a`` and one buffer, and the
+    array the last stage wrote is returned.  Bit 0 is combined first, as even + odd and even - odd, so
+    every output is bitwise the textbook butterfly's.
     """
-    scratch, h = np.empty(a.size // 2), 1
-    while h < a.size:
-        top, bot = a.reshape(-1, 2, h).transpose(1, 0, 2)
-        diff = np.subtract(top, bot, out=scratch.reshape(-1, h))
-        top += bot
-        bot[...] = diff
-        h *= 2
-    return a
+    src, dst, half = a, np.empty_like(a), a.size // 2
+    for _ in range(a.size.bit_length() - 1):
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src, dst = dst, src
+    return src
 
 
 def walsh_transform(u: RandomVariable) -> WalshSpectrum:
@@ -255,9 +257,16 @@ def walsh_transform(u: RandomVariable) -> WalshSpectrum:
     n = u.base.n_sites
     if n is None:
         raise InvariantError("walsh_transform needs a boolean base measure")
-    coeffs = _fwht(np.array(u.values, dtype=float))
-    coeffs /= float(u.base.size)
-    nz = np.flatnonzero(coeffs)
+    size, vals = float(u.base.size), u.values
+    # every coefficient is an average, so |c| <= max|u|, but the butterfly's sums reach size * max|u|:
+    # past DBL_MAX / size scale first (exact, size being a power of two); below it divide last,
+    # which rounds a subnormal coefficient once
+    if max(vals.max(), -vals.min()) > sys.float_info.max / size:
+        coeffs = _fwht(vals / size)
+    else:
+        coeffs = _fwht(vals.copy())
+        coeffs /= size
+    nz = np.flatnonzero(coeffs != 0.0)
     return WalshSpectrum._from_arrays(n, nz, coeffs[nz])
 
 
@@ -267,7 +276,8 @@ def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
         raise InvariantError("measure does not match the spectrum size")
     dense = np.zeros(measure.size)
     dense[spec.masks] = spec.values
-    _fwht(dense).setflags(write=False)
+    dense = _fwht(dense)
+    dense.setflags(write=False)
     return RandomVariable(measure, dense)
 
 

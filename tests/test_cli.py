@@ -129,6 +129,10 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
         ["steepness", "--a", "inf"],
         ["transport", "--trials", "0"],
         ["deformed", "arc", "--steps", "1"],
+        ["chart", "--tol", "nan"],
+        ["div", "--tol", "inf"],
+        ["pyth", "--tol", "-1"],
+        ["orlicz", "profile", "--tol", "nan"],
     ],
 )
 def test_invalid_input_exit_code(capsys, argv):
@@ -140,6 +144,12 @@ def test_invalid_input_exit_code(capsys, argv):
     assert set(record) == {"schema_version", "command", "error", "pass"}
     assert record["schema_version"] == 1 and record["command"] == argv[0]
     assert record["error"] and record["pass"] is False
+
+
+def test_invalid_tol_writes_no_table(capsys, tmp_path):
+    out = tmp_path / "profile.csv"
+    code, _ = run_cli(capsys, ["steepness", "--tol", "-1", "--out", str(out)])
+    assert code == 2 and not out.exists()
 
 
 @pytest.mark.parametrize("command", [["orlicz", "profile"], ["steepness"]])

@@ -21,6 +21,7 @@ from igc.orlicz import (
     WalshSpectrum,
     YOUNG_TAGS,
     YoungFunction,
+    _fwht,
     _gf2_kernel_basis,
     boolean_mgf,
     boolean_phi_moment,
@@ -340,6 +341,45 @@ def test_walsh_matches_concatenating_butterfly_bitwise(n):
         dense = np.zeros(m.size)
         dense[nz] = ref[nz]
         assert inverse_walsh(spec, m).values.tobytes() == concatenating_fwht(dense).tobytes()
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_fwht_matches_concatenating_butterfly_bitwise(n):
+    # an even stage count leaves the result in the input array, an odd one in the buffer
+    rng = np.random.default_rng(200 + n)
+    values = rng.standard_normal(1 << n) * 10.0 ** rng.uniform(-3, 3, 1 << n)
+    for u in (values, np.round(values)):
+        a = u.copy()
+        out = _fwht(a)
+        assert (out is a) == (n % 2 == 0)
+        assert out.tobytes() == concatenating_fwht(u).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308])
+def test_walsh_transform_leaves_its_input_untouched(scale):
+    m = boolean_measure(7)
+    u = RandomVariable(m, np.random.default_rng(7).uniform(-1.0, 1.0, m.size) * scale)
+    before = u.values.tobytes()
+    walsh_transform(u)
+    assert u.values.tobytes() == before
+
+
+def test_walsh_transform_scales_first_only_near_the_largest_double():
+    # |c| <= max|u| for every coefficient, but the unscaled butterfly's partial sums overflow
+    m = boolean_measure(2)
+    spec = walsh_transform(RandomVariable.constant(m, 1e308))
+    assert spec.coeffs == {0: 1e308}
+    assert boolean_mgf(spec, 0.0) == 1.0
+    m = boolean_measure(6)
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, m.size)
+    # near DBL_MAX the input is scaled first; near DBL_MIN dividing last rounds each subnormal coefficient once
+    for big in (True, False):
+        v = u * (1.7e308 if big else 1e-306)
+        spec = walsh_transform(RandomVariable(m, v))
+        ref = concatenating_fwht(v / m.size) if big else concatenating_fwht(v) / m.size
+        nz = np.flatnonzero(ref)
+        assert spec.masks.tolist() == nz.tolist()
+        assert spec.values.tobytes() == ref[nz].tobytes()
 
 
 def test_walsh_round_trip_reads_the_arrays_only():
