@@ -95,3 +95,57 @@ def decreasing_root(
                 f_hi *= 0.5
             kept = 1
     return hi
+
+
+_NEWTON_STEPS = 40
+
+
+def _convex_newton_root(
+    f: Callable[[float], tuple[float, float] | None],
+    target: float,
+    x: float,
+    fx: tuple[float, float] | None,
+    rel_tol: float,
+) -> float | None:
+    """Largest x with computed f(x) >= target, for a convex nonincreasing f, by Newton from x.
+
+    ``f`` returns (value, slope), or None past the edge of its domain; ``fx`` is f at the
+    start.  From either side the first step lands where f >= target, and convexity keeps
+    every later step there, so Newton converges monotonically from below.  Rounding can
+    still cross the root: the largest point seen with f >= target and the smallest with
+    f < target bracket it, a step too short to move x moves it by one ulp, and a step
+    that leaves the bracket is bisected.  From a point with f >= target the loop stops,
+    returning that point, once the step is at most ``rel_tol * |x|`` or no shorter than
+    the last step from that side (the rounding floor), or once the bracket ends are
+    adjacent floats.
+
+    Returns None, so that the caller falls back to :func:`decreasing_root`, on a domain
+    exit, a non-finite value or slope, or after 40 steps.
+    """
+    lo, hi = -math.inf, math.inf  # f(lo) >= target > f(hi)
+    prev = math.inf  # length of the last step taken from the f >= target side
+    for _ in range(_NEWTON_STEPS):
+        if fx is None:
+            return None
+        value, slope = fx
+        if not (math.isfinite(value) and -math.inf < slope < 0.0):
+            return None
+        step = (target - value) / slope
+        if value >= target:
+            lo = x
+            if abs(step) <= rel_tol * abs(x) or abs(step) >= prev:
+                return x
+            prev = abs(step)
+        else:
+            hi = x
+        x_next = x + step
+        if x_next == x:
+            x_next = math.nextafter(x, math.copysign(math.inf, step))
+        if not lo < x_next < hi:
+            x_next = 0.5 * (lo + hi)
+            if not lo < x_next < hi:
+                # lo and hi are adjacent floats, or one end is still unbounded
+                return lo if math.isfinite(lo) and math.isfinite(hi) else None
+        x = x_next
+        fx = f(x)
+    return None

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._rootfind import BracketError, decreasing_root
+from ._rootfind import BracketError, _convex_newton_root, decreasing_root
 from .measures import (
     Density,
     InvariantError,
@@ -236,7 +236,7 @@ def _patch_values(u_vals: np.ndarray, k: float, log_p: np.ndarray, d: DeformedLo
 
 
 def _patch_mass(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, k: float) -> float:
-    vals = _patch_values(u_vals, k, log_p, d)
+    vals = d.exp(u_vals - k + log_p)  # the caller holds the errstate
     if not np.all(vals > 0.0):
         return 0.0  # domain exit (NaN) or a zero value: treat as past the unit-mass target
     return _finite_sum(p.base.weights, vals)
@@ -249,31 +249,54 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
     constant is nonnegative by convexity and zero exactly when u vanishes.
     Coordinates carrying a nonzero escort pairing are normalized all the
     same; their constant may take either sign.  Raises when u + log_phi p
-    leaves the domain of the deformed exponential or the mass diverges.  If
-    the mass drops past 1 only at a domain exit, k is the largest constant
-    that keeps the patch inside the domain (its mass then exceeds 1).
+    leaves the domain of the deformed exponential or the mass diverges, and
+    when ``rel_tol`` does not lie in (0, 1).  If the mass drops past 1 only
+    at a domain exit, k is the largest constant that keeps the patch inside
+    the domain (its mass then exceeds 1).
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise InvariantError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     return _cumulant(p, values_on(p.base, u), d.log(p.values), d, rel_tol)
 
 
 def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
-    """:func:`phi_cumulant` of the coordinate values u_vals, given log_phi p."""
+    """:func:`phi_cumulant` of the coordinate values u_vals, given log_phi p.
+
+    The mass k -> sum(w * exp_phi(u - k + log_phi p)) is convex and decreasing,
+    with slope -sum(w * phi(exp_phi(.))), so Newton from k = 0 solves it; the
+    bracketing root-finder takes over when Newton leaves the domain, meets a
+    non-finite mass or slope, or runs out of steps.
+    """
     if float(np.max(np.abs(u_vals))) == 0.0:
         return 0.0
-    at_zero = _patch_values(u_vals, 0.0, log_p, d)
-    if np.any(np.isnan(at_zero)):
-        raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
-    mass0 = _dot(p.base.weights, at_zero)
-    if not math.isfinite(mass0):
-        raise InvariantError("mass integral diverges at k = 0")
-    # -mass(k(r)) is nonincreasing in r > 0 for k = 1/r (root k > 0) and k = -r (root k < 0);
-    # the root-finder's answer keeps mass(k) >= 1, the side inside the domain
-    to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
-    try:
-        r = decreasing_root(lambda r: -_patch_mass(p, u_vals, log_p, d, to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
-    except BracketError as exc:
-        raise InvariantError(f"no finite normalizing constant: {exc}") from exc
-    k = to_k(r)
+    w = p.base.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_zero = d.exp(u_vals + log_p)
+        if np.any(np.isnan(at_zero)):
+            raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
+        mass0 = _dot(w, at_zero)
+        if not math.isfinite(mass0):
+            raise InvariantError("mass integral diverges at k = 0")
+
+        def mass_and_slope(vals: np.ndarray) -> tuple[float, float] | None:
+            if not np.all(vals > 0.0):
+                return None  # a domain exit, or a value at the edge
+            return _dot(w, vals), -_dot(w, d.phi(vals))
+
+        k = _convex_newton_root(
+            lambda k: mass_and_slope(d.exp(u_vals - k + log_p)), 1.0, 0.0, mass_and_slope(at_zero), rel_tol
+        )
+        if k is None:
+            # -mass(k(r)) is nonincreasing in r > 0 for k = 1/r (root k > 0) and k = -r (root k < 0);
+            # the root-finder's answer keeps mass(k) >= 1, the side inside the domain
+            to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
+            try:
+                r = decreasing_root(
+                    lambda r: -_patch_mass(p, u_vals, log_p, d, to_k(r)), -1.0, 1.0, rel_tol=rel_tol
+                )
+            except BracketError as exc:
+                raise InvariantError(f"no finite normalizing constant: {exc}") from exc
+            k = to_k(r)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
 

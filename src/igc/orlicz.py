@@ -160,11 +160,11 @@ def _gauge(weights: np.ndarray, F: Callable, vals: np.ndarray, target: float, gu
     """
 
     def modular(r: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_sum(weights, F(vals / r))
+        return _finite_sum(weights, F(vals / r))
 
     try:
-        return decreasing_root(modular, target, guess)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return decreasing_root(modular, target, guess)
     except BracketError as exc:
         raise InvariantError(f"{what}: {exc}") from exc
 

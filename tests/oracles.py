@@ -128,3 +128,39 @@ def c_integral_reference(theta, a):
         return float(_LAGUERRE_WEIGHTS @ (1.0 + _LAGUERRE_NODES / z) ** -1.5) / (z * math.sqrt(a))
     series = 1.0 - 3.0 / (2.0 * z) + 15.0 / (4.0 * z**2) - 105.0 / (8.0 * z**3) + 945.0 / (16.0 * z**4)
     return series / (theta * a**1.5)
+
+
+def illinois_cumulant(p, u_vals, d, rel_tol=1e-14):
+    """The deformed cumulant by the bracketing root-finder alone: k with mass(k) = 1, mass(k) >= 1 kept.
+
+    The normalizing constant of exp_phi(u - k + log_phi p), solved for r = 1/k (when the mass at
+    k = 0 is at least 1) or r = -k by ``_rootfind.decreasing_root``, with roundoff-level negatives
+    snapped to 0; raises ``InvariantError`` as ``phi_cumulant`` does.
+    """
+    from igc._rootfind import BracketError, decreasing_root
+    from igc.measures import InvariantError, _dot, _finite_sum
+
+    u_vals = np.asarray(u_vals, dtype=float)
+    if float(np.max(np.abs(u_vals))) == 0.0:
+        return 0.0
+    log_p = d.log(p.values)
+    w = p.base.weights
+
+    def mass(k):
+        vals = d.exp(u_vals - k + log_p)
+        return _finite_sum(w, vals) if np.all(vals > 0.0) else 0.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_zero = d.exp(u_vals + log_p)
+        if np.any(np.isnan(at_zero)):
+            raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
+        mass0 = _dot(w, at_zero)
+        if not math.isfinite(mass0):
+            raise InvariantError("mass integral diverges at k = 0")
+        to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
+        try:
+            r = decreasing_root(lambda r: -mass(to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
+        except BracketError as exc:
+            raise InvariantError(f"no finite normalizing constant: {exc}") from exc
+    k = to_k(r)
+    return 0.0 if -1e-13 < k < 0.0 else k

@@ -27,7 +27,7 @@ from igc.measures import (
     finite_measure,
     tangent,
 )
-from oracles import rk4_scalar
+from oracles import illinois_cumulant, rk4_scalar
 
 ALL_FAMILIES = [("classical", None), ("tsallis", 0.6), ("kaniadakis", 0.3), ("newton", None)]
 
@@ -260,6 +260,119 @@ def test_phi_cumulant_subgradient(space):
             assert k1 >= k0 + pairing - 1e-9
 
 
+def _counting_exp(d):
+    """d with an exp that records each call, and the record."""
+    calls = []
+    return dataclasses.replace(d, exp=lambda x: calls.append(1) or d.exp(x)), calls
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Arguments of every bracketing root-find that phi_cumulant falls back to."""
+    import igc.deformed
+
+    seen = []
+    original = igc.deformed.decreasing_root
+    monkeypatch.setattr(igc.deformed, "decreasing_root", lambda *a, **kw: seen.append(a) or original(*a, **kw))
+    return seen
+
+
+def _cumulant_input(rng):
+    tag = DEFORMED_TAGS[rng.integers(4)]
+    param = {"tsallis": rng.uniform(0.2, 0.95), "kaniadakis": rng.uniform(0.05, 0.9)}.get(tag)
+    d = make_deformed(tag, param)
+    m = finite_measure(np.arange(float(rng.choice([4, 8, 16, 64]))))
+    p = Density.random(m, rng)
+    u = rng.uniform(0.1, 2.0) * rng.standard_normal(m.size)
+    if rng.random() < 0.5:
+        u = u - escort_expect(p, u, d)
+    return p, u, d
+
+
+def test_newton_cumulant_agrees_with_the_illinois_oracle(fallbacks):
+    # Newton in k from k = 0 against the r = 1/k (or -k) Illinois solve it replaced: same
+    # exceptions, a unit-mass side answer within 2e-14, and about half the exp calls
+    rng = np.random.default_rng(14)
+    per_root = []
+    for _ in range(600):
+        p, u, d = _cumulant_input(rng)
+        newton_d, newton_calls = _counting_exp(d)
+        fallbacks.clear()
+        try:
+            k = phi_cumulant(p, u, newton_d)
+        except InvariantError:
+            with pytest.raises(InvariantError):
+                illinois_cumulant(p, u, d)
+            continue
+        oracle = illinois_cumulant(p, u, d)
+        mass = float(p.base.weights @ d.exp(u - k + d.log(p.values)))
+        assert mass >= 1.0
+        assert abs(k - oracle) <= 2e-14 * max(1.0, abs(oracle))
+        if fallbacks:
+            assert k == oracle and mass > 1.0 + 1e-9  # only an input with no unit-mass root falls back
+        else:
+            per_root.append(len(newton_calls))
+    assert len(per_root) > 400
+    assert np.mean(per_root) <= 7.0 and max(per_root) <= 15
+
+
+def test_cumulant_without_a_unit_mass_root_falls_back_to_illinois(space, fallbacks):
+    # the tsallis draws of test_phi_cumulant_subgradient: three have no unit-mass root
+    rng, m = space
+    p = Density.random(m, rng)
+    d = make_deformed("tsallis", 0.6)
+    rng.standard_normal(8 * 10)  # the classical family's draws
+    no_root = 0
+    for _ in range(10):
+        raw = 0.5 * rng.standard_normal(8)
+        u = raw - escort_expect(p, raw, d)
+        fallbacks.clear()
+        k = phi_cumulant(p, u, d)
+        if fallbacks:
+            no_root += 1
+            assert k == illinois_cumulant(p, u, d)
+            assert float(m.weights @ d.exp(u - k + d.log(p.values))) > 1.0 + 1e-3
+    assert no_root == 3
+
+
+@pytest.mark.parametrize("seed,illinois_calls_at_least", [(0, 50), (91, 25)])
+def test_cumulant_on_a_mass_plateau_takes_few_exp_calls(seed, illinois_calls_at_least):
+    # for small k the computed mass rounds to 1 over a stretch of k: the Illinois solve in r = 1/k
+    # bisects it (seed 0), and Newton without its rounding-floor stop bounces along it (seed 91)
+    rng = np.random.default_rng(seed)
+    m = finite_measure(np.arange(8.0))
+    d = make_deformed("kaniadakis", 0.36)
+    p = Density.random(m, rng)
+    raw = 0.05 * rng.standard_normal(8)
+    u = raw - escort_expect(p, raw, d)
+    illinois_d, illinois_calls = _counting_exp(d)
+    newton_d, newton_calls = _counting_exp(d)
+    oracle = illinois_cumulant(p, u, illinois_d)
+    k = phi_cumulant(p, u, newton_d)
+    assert 1e-4 < k < 1e-3 and abs(k - oracle) <= 2e-14
+    assert len(illinois_calls) >= illinois_calls_at_least and len(newton_calls) <= 10
+
+
+def test_phi_cumulant_overflow_raises_without_a_warning(space):
+    # the patch at k = 0 overflows: one InvariantError, with no RuntimeWarning (an error under pytest)
+    rng, m = space
+    p = Density.random(m, rng)
+    u = np.zeros(8)
+    u[3] = 800.0
+    with pytest.raises(InvariantError, match="diverges"):
+        phi_cumulant(p, u, make_deformed("classical"))
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, 0.0, -1e-14, 1.0, 2.0])
+def test_phi_cumulant_rejects_a_bad_rel_tol(space, rel_tol):
+    rng, m = space
+    p = Density.random(m, rng)
+    d = make_deformed("tsallis", 0.6)
+    raw = 0.5 * rng.standard_normal(8)
+    with pytest.raises(InvariantError, match="rel_tol"):
+        phi_cumulant(p, raw - escort_expect(p, raw, d), d, rel_tol=rel_tol)
+
+
 def test_phi_patch_chart_roundtrip(space):
     rng, m = space
     for tag, param in ALL_FAMILIES:
@@ -334,8 +447,8 @@ def test_phi_arc_family_member_is_the_patch(space, tag, param):
 
 @pytest.mark.parametrize("tag,param", ALL_FAMILIES)
 def test_arc_and_patch_take_log_phi_once_per_input(space, tag, param):
-    # phi_arc needs log_phi of p0, p1 and the arc density, and phi(p0), once each;
-    # phi_patch needs log_phi p once
+    # phi_arc needs log_phi of p0, p1 and the arc density, and the escort weight phi(p0), once each;
+    # phi_patch needs log_phi p once.  The cumulant's Newton slope also calls phi, on patch values.
     rng, m = space
     p0 = Density.random(m, rng)
     p1 = Density.random(m, rng)
@@ -348,7 +461,7 @@ def test_arc_and_patch_take_log_phi_once_per_input(space, tag, param):
         logs.clear()
         phis.clear()
         arc = phi_arc(p0, p1, counted, t)
-        assert (len(logs), len(phis)) == (3, 1)
+        assert (len(logs), sum(x is p0.values for x in phis)) == (3, 1)
         plain = phi_arc(p0, p1, d, t)
         assert arc.psi == plain.psi and arc.pairing_unnormalized == plain.pairing_unnormalized
         assert np.array_equal(arc.family_density.values, plain.family_density.values)

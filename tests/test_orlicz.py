@@ -394,8 +394,9 @@ def test_walsh_round_trip_reads_the_arrays_only():
 
 
 def test_walsh_round_trip_peak_memory():
-    # at 16 sites one float array is 0.5 MiB: the input copy, the half-size scratch, the two
-    # spectrum arrays and the output fit under 3 MiB; a dict per coefficient does not
+    # at 16 sites one float array is 0.5 MiB: the input copy, the butterfly's one full-size
+    # ping-pong buffer, the two spectrum arrays and the output fit under 3 MiB; a dict per
+    # coefficient does not
     m = boolean_measure(16)
     u = RandomVariable(m, np.random.default_rng(16).standard_normal(m.size))
     tracemalloc.start()
