@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 
@@ -98,6 +99,8 @@ def decreasing_root(
 
 
 _NEWTON_STEPS = 40
+# a step that does not shrink is rounding only while f - target is at most this times f
+_ROUNDING = 64 * sys.float_info.epsilon
 
 
 def _convex_newton_root(
@@ -111,13 +114,15 @@ def _convex_newton_root(
 
     ``f`` returns (value, slope), or None past the edge of its domain; ``fx`` is f at the
     start.  From either side the first step lands where f >= target, and convexity keeps
-    every later step there, so Newton converges monotonically from below.  Rounding can
-    still cross the root: the largest point seen with f >= target and the smallest with
-    f < target bracket it, a step too short to move x moves it by one ulp, and a step
-    that leaves the bracket is bisected.  From a point with f >= target the loop stops,
-    returning that point, once the step is at most ``rel_tol * |x|`` or no shorter than
-    the last step from that side (the rounding floor), or once the bracket ends are
-    adjacent floats.
+    every later step there, so Newton converges monotonically from below.  Its steps
+    shrink only once (f - target) * f'' / f'^2 is small: far from the root a step may be
+    as long as the last one.  Rounding can still cross the root: the largest point seen
+    with f >= target and the smallest with f < target bracket it, a step too short to
+    move x moves it by one ulp, and a step that leaves the bracket is bisected.  From a
+    point with f >= target the loop stops, returning that point, once the step is at
+    most ``rel_tol * |x|``; once the step is no shorter than the last one from that side
+    while f - target <= 64 eps * f (the rounding floor of a sum of positive terms); or
+    once the bracket ends are adjacent floats.
 
     Returns None, so that the caller falls back to :func:`decreasing_root`, on a domain
     exit, a non-finite value or slope, or after 40 steps.
@@ -133,8 +138,10 @@ def _convex_newton_root(
         step = (target - value) / slope
         if value >= target:
             lo = x
-            if abs(step) <= rel_tol * abs(x) or abs(step) >= prev:
+            if abs(step) <= rel_tol * abs(x):
                 return x
+            if abs(step) >= prev and value - target <= _ROUNDING * value:
+                return x  # the value sits on its rounding floor
             prev = abs(step)
         else:
             hi = x

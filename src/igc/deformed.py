@@ -235,13 +235,6 @@ def _patch_values(u_vals: np.ndarray, k: float, log_p: np.ndarray, d: DeformedLo
         return d.exp(u_vals - k + log_p)
 
 
-def _patch_mass(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, k: float) -> float:
-    vals = d.exp(u_vals - k + log_p)  # the caller holds the errstate
-    if not np.all(vals > 0.0):
-        return 0.0  # domain exit (NaN) or a zero value: treat as past the unit-mass target
-    return _finite_sum(p.base.weights, vals)
-
-
 def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
     """The unique constant k making exp_phi(u - k + log_phi p) a unit-mass function.
 
@@ -278,22 +271,27 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
         if not math.isfinite(mass0):
             raise InvariantError("mass integral diverges at k = 0")
 
-        def mass_and_slope(vals: np.ndarray) -> tuple[float, float] | None:
-            if not np.all(vals > 0.0):
-                return None  # a domain exit, or a value at the edge
-            return _dot(w, vals), -_dot(w, d.phi(vals))
+        def patch(k: float) -> np.ndarray | None:
+            """The patch values at k, or None on a domain exit (NaN) or a value at the edge (0)."""
+            vals = d.exp(u_vals - k + log_p)
+            return vals if np.all(vals > 0.0) else None
 
-        k = _convex_newton_root(
-            lambda k: mass_and_slope(d.exp(u_vals - k + log_p)), 1.0, 0.0, mass_and_slope(at_zero), rel_tol
-        )
+        def mass_and_slope(k: float) -> tuple[float, float] | None:
+            vals = patch(k)
+            return None if vals is None else (_dot(w, vals), -_dot(w, d.phi(vals)))
+
+        def mass(k: float) -> float:
+            vals = patch(k)
+            return 0.0 if vals is None else _finite_sum(w, vals)  # past the edge counts as below the target
+
+        at_start = (mass0, -_dot(w, d.phi(at_zero))) if np.all(at_zero > 0.0) else None
+        k = _convex_newton_root(mass_and_slope, 1.0, 0.0, at_start, rel_tol)
         if k is None:
             # -mass(k(r)) is nonincreasing in r > 0 for k = 1/r (root k > 0) and k = -r (root k < 0);
             # the root-finder's answer keeps mass(k) >= 1, the side inside the domain
             to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
             try:
-                r = decreasing_root(
-                    lambda r: -_patch_mass(p, u_vals, log_p, d, to_k(r)), -1.0, 1.0, rel_tol=rel_tol
-                )
+                r = decreasing_root(lambda r: -mass(to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
             except BracketError as exc:
                 raise InvariantError(f"no finite normalizing constant: {exc}") from exc
             k = to_k(r)

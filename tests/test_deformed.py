@@ -277,25 +277,35 @@ def fallbacks(monkeypatch):
     return seen
 
 
-def _cumulant_input(rng):
-    tag = DEFORMED_TAGS[rng.integers(4)]
-    param = {"tsallis": rng.uniform(0.2, 0.95), "kaniadakis": rng.uniform(0.05, 0.9)}.get(tag)
-    d = make_deformed(tag, param)
+def _cumulant_input(rng, d=None, shift=0.0):
+    """A density and a coordinate for d (or a random family), the coordinate moved by up to shift."""
+    if d is None:
+        tag = DEFORMED_TAGS[rng.integers(4)]
+        param = {"tsallis": rng.uniform(0.2, 0.95), "kaniadakis": rng.uniform(0.05, 0.9)}.get(tag)
+        d = make_deformed(tag, param)
     m = finite_measure(np.arange(float(rng.choice([4, 8, 16, 64]))))
     p = Density.random(m, rng)
     u = rng.uniform(0.1, 2.0) * rng.standard_normal(m.size)
     if rng.random() < 0.5:
         u = u - escort_expect(p, u, d)
+    if shift:
+        u = u + rng.uniform(-shift, shift)
     return p, u, d
 
 
 def test_newton_cumulant_agrees_with_the_illinois_oracle(fallbacks):
     # Newton in k from k = 0 against the r = 1/k (or -k) Illinois solve it replaced: same
-    # exceptions, a unit-mass side answer within 2e-14, and about half the exp calls
+    # exceptions and a unit-mass side answer within 2e-14, with about half the exp calls
+    # for coordinates near 0; coordinates moved by up to 5 put the root far from k = 0
     rng = np.random.default_rng(14)
+    near = [_cumulant_input(rng) for _ in range(600)]
+    far = [
+        _cumulant_input(rng, d, shift=5.0)
+        for d in (None, make_deformed("kaniadakis", 0.9), make_deformed("tsallis", 0.2))
+        for _ in range(100)
+    ]
     per_root = []
-    for _ in range(600):
-        p, u, d = _cumulant_input(rng)
+    for i, (p, u, d) in enumerate(near + far):
         newton_d, newton_calls = _counting_exp(d)
         fallbacks.clear()
         try:
@@ -309,11 +319,27 @@ def test_newton_cumulant_agrees_with_the_illinois_oracle(fallbacks):
         assert mass >= 1.0
         assert abs(k - oracle) <= 2e-14 * max(1.0, abs(oracle))
         if fallbacks:
-            assert k == oracle and mass > 1.0 + 1e-9  # only an input with no unit-mass root falls back
-        else:
+            assert k == oracle
+            if i < len(near):
+                assert mass > 1.0 + 1e-9  # only an input with no unit-mass root falls back
+        elif i < len(near):
             per_root.append(len(newton_calls))
     assert len(per_root) > 400
     assert np.mean(per_root) <= 7.0 and max(per_root) <= 15
+
+
+@pytest.mark.parametrize("tag,param", [("kaniadakis", 0.9), ("tsallis", 0.2), ("classical", None), ("newton", None)])
+@pytest.mark.parametrize("c", [2.6, 5.0])
+def test_phi_cumulant_moves_with_a_constant_shift(tag, param, c):
+    # k(u + c) = k(u) + c: roots far above k = 0, where Newton's steps need not shrink
+    # (kaniadakis at kappa = 0.9 takes steps of 0.924 and then 0.933 from u = 2.6 on a uniform p)
+    rng = np.random.default_rng(7)
+    m = finite_measure(np.arange(8.0))
+    d = make_deformed(tag, param)
+    for p in (Density.from_unnormalized(m, np.ones(8)), Density.random(m, rng)):
+        for u in (np.zeros(8), 0.5 * np.abs(rng.standard_normal(8))):  # u >= 0 stays in every domain
+            k = phi_cumulant(p, u, d)
+            assert abs(phi_cumulant(p, u + c, d) - (k + c)) <= 1e-12 * max(1.0, abs(k + c))
 
 
 def test_cumulant_without_a_unit_mass_root_falls_back_to_illinois(space, fallbacks):
