@@ -98,7 +98,6 @@ def decreasing_root(
     return hi
 
 
-_NEWTON_STEPS = 40
 # a step that does not shrink is rounding only while f - target is at most this times f
 _ROUNDING = 64 * sys.float_info.epsilon
 
@@ -108,51 +107,59 @@ def _convex_newton_root(
     target: float,
     x: float,
     fx: tuple[float, float] | None,
+    lower: float,
+    upper: float,
     rel_tol: float,
-) -> float | None:
+) -> float:
     """Largest x with computed f(x) >= target, for a convex nonincreasing f, by Newton from x.
 
-    ``f`` returns (value, slope), or None past the edge of its domain; ``fx`` is f at the
-    start.  From either side the first step lands where f >= target, and convexity keeps
-    every later step there, so Newton converges monotonically from below.  Its steps
-    shrink only once (f - target) * f'' / f'^2 is small: far from the root a step may be
-    as long as the last one.  Rounding can still cross the root: the largest point seen
-    with f >= target and the smallest with f < target bracket it, a step too short to
-    move x moves it by one ulp, and a step that leaves the bracket is bisected.  From a
-    point with f >= target the loop stops, returning that point, once the step is at
-    most ``rel_tol * |x|``; once the step is no shorter than the last one from that side
-    while f - target <= 64 eps * f (the rounding floor of a sum of positive terms); or
-    once the bracket ends are adjacent floats.
-
-    Returns None, so that the caller falls back to :func:`decreasing_root`, on a domain
-    exit, a non-finite value or slope, or after 40 steps.
+    ``f`` returns (value, slope), or None past the edge of its domain (counted as below the
+    target); ``fx`` is f at the start.  The root lies in [lower, upper]; each Newton trial is
+    clipped to [lower, upper - rel_tol * max(1, |upper|) / 2].  Convexity keeps every step
+    after the first where f >= target, so Newton converges monotonically from below.  Rounding
+    can still cross the root: the evaluated points on either side bracket it, a step too short
+    to move x moves it by one ulp, and a trial is bisected when it leaves the bracket or, once
+    both ends are evaluated, while the bracket is wider than :func:`decreasing_root`'s progress
+    budget allows.  The loop stops at a point with f >= target once the step is at most
+    ``rel_tol * |x|``, or no shorter than the last one while f - target <= 64 eps * f (the
+    rounding floor of a sum of positive terms); it also stops when no bisection point lies
+    inside the bracket (adjacent ends, or the root at the clipped upper end).  It returns the
+    largest evaluated x with f(x) >= target.
     """
-    lo, hi = -math.inf, math.inf  # f(lo) >= target > f(hi)
+    lo, hi = -math.inf, math.inf  # evaluated: f(lo) >= target > f(hi), or f(hi) is None
+    cap = upper - 0.5 * rel_tol * max(1.0, abs(upper))
     prev = math.inf  # length of the last step taken from the f >= target side
-    for _ in range(_NEWTON_STEPS):
-        if fx is None:
-            return None
-        value, slope = fx
-        if not (math.isfinite(value) and -math.inf < slope < 0.0):
-            return None
-        step = (target - value) / slope
-        if value >= target:
-            lo = x
-            if abs(step) <= rel_tol * abs(x):
-                return x
-            if abs(step) >= prev and value - target <= _ROUNDING * value:
-                return x  # the value sits on its rounding floor
-            prev = abs(step)
-        else:
+    budget = math.inf  # widest bracket allowed; finite once both ends are evaluated
+    while True:
+        step = math.nan  # no Newton step on a domain exit or a value or slope that is not finite
+        if fx is None or fx[0] < target:
             hi = x
+            if fx is not None and -math.inf < fx[1] < 0.0:
+                step = (target - fx[0]) / fx[1]
+        else:
+            value, slope = fx
+            lo = x
+            if math.isfinite(value) and -math.inf < slope < 0.0:
+                step = (target - value) / slope
+                if abs(step) <= rel_tol * abs(x):
+                    return x
+                if abs(step) >= prev and value - target <= _ROUNDING * value:
+                    return x  # the value sits on its rounding floor
+                prev = abs(step)
         x_next = x + step
         if x_next == x:
             x_next = math.nextafter(x, math.copysign(math.inf, step))
-        if not lo < x_next < hi:
-            x_next = 0.5 * (lo + hi)
+        if x_next > cap:
+            x_next = cap
+        elif x_next < lower < x:  # not from x <= lower, where the computed f fell below target
+            x_next = lower
+        if budget < math.inf:
+            budget *= 0.5**_RATE
+        elif hi - lo < math.inf:
+            budget = (hi - lo) * 2.0 ** (_RATE * _SLACK)
+        if not lo < x_next < hi or hi - lo > budget:
+            x_next = 0.5 * (max(lo, lower) + min(hi, cap))
             if not lo < x_next < hi:
-                # lo and hi are adjacent floats, or one end is still unbounded
-                return lo if math.isfinite(lo) and math.isfinite(hi) else None
+                return lo
         x = x_next
         fx = f(x)
-    return None

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._rootfind import BracketError, _convex_newton_root, decreasing_root
+from ._rootfind import _convex_newton_root
 from .measures import (
     Density,
     InvariantError,
@@ -255,46 +255,32 @@ def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) ->
 def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
     """:func:`phi_cumulant` of the coordinate values u_vals, given log_phi p.
 
-    The mass k -> sum(w * exp_phi(u - k + log_phi p)) is convex and decreasing,
-    with slope -sum(w * phi(exp_phi(.))), so Newton from k = 0 solves it; the
-    bracketing root-finder takes over when Newton leaves the domain, meets a
-    non-finite mass or slope, or runs out of steps.
+    The mass k -> sum(w * exp_phi(u - k + log_phi p)) is convex and decreasing, with slope
+    -sum(w * phi(exp_phi(.))), so Newton from k = 0 solves it inside [-s, s], s = max |u|
+    (the patch is >= p at k = -s and <= p at k = s), capped for a finite ``lower_bound`` at
+    the domain edge min(u + log_phi p) - lower_bound, past which the patch leaves the domain.
     """
-    if float(np.max(np.abs(u_vals))) == 0.0:
+    s = float(np.max(np.abs(u_vals)))
+    if s == 0.0:
         return 0.0
     w = p.base.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        at_zero = d.exp(u_vals + log_p)
+        x0 = u_vals + log_p
+        at_zero = d.exp(x0)
         if np.any(np.isnan(at_zero)):
             raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
         mass0 = _dot(w, at_zero)
         if not math.isfinite(mass0):
             raise InvariantError("mass integral diverges at k = 0")
 
-        def patch(k: float) -> np.ndarray | None:
-            """The patch values at k, or None on a domain exit (NaN) or a value at the edge (0)."""
-            vals = d.exp(u_vals - k + log_p)
-            return vals if np.all(vals > 0.0) else None
-
         def mass_and_slope(k: float) -> tuple[float, float] | None:
-            vals = patch(k)
-            return None if vals is None else (_dot(w, vals), -_dot(w, d.phi(vals)))
-
-        def mass(k: float) -> float:
-            vals = patch(k)
-            return 0.0 if vals is None else _finite_sum(w, vals)  # past the edge counts as below the target
+            """Mass and slope at k, or None on a domain exit (NaN) or a patch value at the edge (0)."""
+            vals = d.exp(u_vals - k + log_p)
+            return (_dot(w, vals), -_dot(w, d.phi(vals))) if np.all(vals > 0.0) else None
 
         at_start = (mass0, -_dot(w, d.phi(at_zero))) if np.all(at_zero > 0.0) else None
-        k = _convex_newton_root(mass_and_slope, 1.0, 0.0, at_start, rel_tol)
-        if k is None:
-            # -mass(k(r)) is nonincreasing in r > 0 for k = 1/r (root k > 0) and k = -r (root k < 0);
-            # the root-finder's answer keeps mass(k) >= 1, the side inside the domain
-            to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
-            try:
-                r = decreasing_root(lambda r: -mass(to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
-            except BracketError as exc:
-                raise InvariantError(f"no finite normalizing constant: {exc}") from exc
-            k = to_k(r)
+        upper = s if d.lower_bound == -math.inf else min(s, float(np.min(x0)) - d.lower_bound)
+        k = _convex_newton_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, rel_tol)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
 

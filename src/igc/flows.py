@@ -301,7 +301,10 @@ def one_sided_lipschitz_probe(
     F(u) denotes the chart representation of the field at patch_e(p, u),
     centered under p; a non-finite value raises FlowError.  The returned ratio bounds the one-sided growth rate of
     the chart dynamics near p.  The samples come from a generator seeded with 0.
+    Raises unless trials >= 1 and scale is finite and positive: otherwise no pair is sampled.
     """
+    if trials < 1 or not 0.0 < scale < math.inf:
+        raise InvariantError(f"need trials >= 1 and a finite positive scale, got trials={trials}, scale={scale!r}")
     rng = np.random.default_rng(0)
     worst = -math.inf
     for _ in range(trials):

@@ -228,10 +228,13 @@ def halfline_measure(rate: float, tail_tol: float = 1e-12) -> Measure:
 
     The truncation point T satisfies the analytic tail bound
     ``int_T^inf exp(-rate*x) dx = exp(-rate*T)/rate <= tail_tol``; [0, T] is
-    cut into panels no wider than 2, and at least 8 of them.
+    cut into panels no wider than 2, and at least 8 of them.  Raises unless rate
+    is finite and positive and tail_tol lies in (0, 1/rate), where T > 0.
     """
-    if rate <= 0:
-        raise InvariantError("rate must be positive for a truncated half-line grid")
+    if not 0.0 < rate < math.inf:
+        raise InvariantError(f"rate must be finite and positive for a truncated half-line grid, got {rate!r}")
+    if not 0.0 < tail_tol < 1.0 / rate:
+        raise InvariantError(f"tail_tol must lie in (0, 1/rate) = (0, {1.0 / rate!r}), got {tail_tol!r}")
     upper = math.log(1.0 / (rate * tail_tol)) / rate
     n_panels = max(8, int(math.ceil(upper / 2.0)))
     return gauss_legendre_measure(0.0, upper, n_panels)

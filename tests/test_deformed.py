@@ -266,17 +266,6 @@ def _counting_exp(d):
     return dataclasses.replace(d, exp=lambda x: calls.append(1) or d.exp(x)), calls
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Arguments of every bracketing root-find that phi_cumulant falls back to."""
-    import igc.deformed
-
-    seen = []
-    original = igc.deformed.decreasing_root
-    monkeypatch.setattr(igc.deformed, "decreasing_root", lambda *a, **kw: seen.append(a) or original(*a, **kw))
-    return seen
-
-
 def _cumulant_input(rng, d=None, shift=0.0):
     """A density and a coordinate for d (or a random family), the coordinate moved by up to shift."""
     if d is None:
@@ -293,10 +282,11 @@ def _cumulant_input(rng, d=None, shift=0.0):
     return p, u, d
 
 
-def test_newton_cumulant_agrees_with_the_illinois_oracle(fallbacks):
-    # Newton in k from k = 0 against the r = 1/k (or -k) Illinois solve it replaced: same
-    # exceptions and a unit-mass side answer within 2e-14, with about half the exp calls
-    # for coordinates near 0; coordinates moved by up to 5 put the root far from k = 0
+def test_newton_cumulant_agrees_with_the_illinois_oracle():
+    # Newton in k inside [-max|u|, max|u|] against the r = 1/k (or -k) Illinois solve it replaced:
+    # same exceptions and a unit-mass side answer within 2e-14, with about half the exp calls for
+    # coordinates near 0; coordinates moved by up to 5 put the root far from k = 0, and an input
+    # with no unit-mass root stops at the domain edge
     rng = np.random.default_rng(14)
     near = [_cumulant_input(rng) for _ in range(600)]
     far = [
@@ -307,7 +297,6 @@ def test_newton_cumulant_agrees_with_the_illinois_oracle(fallbacks):
     per_root = []
     for i, (p, u, d) in enumerate(near + far):
         newton_d, newton_calls = _counting_exp(d)
-        fallbacks.clear()
         try:
             k = phi_cumulant(p, u, newton_d)
         except InvariantError:
@@ -318,11 +307,9 @@ def test_newton_cumulant_agrees_with_the_illinois_oracle(fallbacks):
         mass = float(p.base.weights @ d.exp(u - k + d.log(p.values)))
         assert mass >= 1.0
         assert abs(k - oracle) <= 2e-14 * max(1.0, abs(oracle))
-        if fallbacks:
-            assert k == oracle
-            if i < len(near):
-                assert mass > 1.0 + 1e-9  # only an input with no unit-mass root falls back
-        elif i < len(near):
+        if mass > 1.0 + 1e-9 or i >= len(near):
+            assert len(newton_calls) <= 20  # no unit-mass root, or a root far from k = 0
+        else:
             per_root.append(len(newton_calls))
     assert len(per_root) > 400
     assert np.mean(per_root) <= 7.0 and max(per_root) <= 15
@@ -342,8 +329,51 @@ def test_phi_cumulant_moves_with_a_constant_shift(tag, param, c):
             assert abs(phi_cumulant(p, u + c, d) - (k + c)) <= 1e-12 * max(1.0, abs(k + c))
 
 
-def test_cumulant_without_a_unit_mass_root_falls_back_to_illinois(space, fallbacks):
-    # the tsallis draws of test_phi_cumulant_subgradient: three have no unit-mass root
+@pytest.mark.parametrize("tag,param", [("kaniadakis", 0.9), ("classical", None), ("newton", None)])
+@pytest.mark.parametrize("c", [-2.6, -5.0])
+def test_phi_cumulant_of_a_negative_constant_is_the_constant(tag, param, c):
+    # u = c is the lower end -max|u| of the bracket; on some p its computed mass rounds below 1
+    rng = np.random.default_rng(3)
+    m = finite_measure(np.arange(8.0))
+    d = make_deformed(tag, param)
+    for _ in range(20):
+        p = Density.random(m, rng)
+        k = phi_cumulant(p, np.full(8, c), d)
+        assert abs(k - c) <= 1e-14 * abs(c)
+        assert float(m.weights @ d.exp(c - k + d.log(p.values))) >= 1.0
+
+
+def test_cumulant_bisects_toward_a_root_far_above_the_lower_end():
+    # u = (-40, -4, ..., -4): Newton from k = 0 is clipped to -40, where the classical mass is about
+    # e**36, and from there gains about one unit of k per step; bisection under the progress budget
+    # reaches the root near -4.13 in 18 exp calls (43 without the budget, 57 through the Illinois fallback)
+    m = finite_measure(np.arange(8.0))
+    d, calls = _counting_exp(make_deformed("classical"))
+    p = Density.from_unnormalized(m, np.ones(8))
+    u = np.full(8, -4.0)
+    u[0] = -40.0
+    k = phi_cumulant(p, u, d)
+    assert abs(k - illinois_cumulant(p, u, make_deformed("classical"))) <= 2e-14 * abs(k)
+    assert len(calls) <= 25
+
+
+def test_cumulant_starts_from_a_patch_value_on_the_domain_edge():
+    # one patch value sits exactly on the tsallis edge at k = 0, so Newton has no first step and
+    # the loop bisects toward the lower end -max|u| of the bracket
+    m = finite_measure(np.arange(8.0))
+    d = make_deformed("tsallis", 0.5)
+    p = Density.from_unnormalized(m, np.ones(8))
+    log_p = d.log(p.values)
+    u = np.full(8, -0.3)
+    u[0] = -2.0 - log_p[0]
+    assert d.exp(u + log_p)[0] == 0.0
+    oracle = illinois_cumulant(p, u, d)
+    assert abs(phi_cumulant(p, u, d) - oracle) <= 2e-14 * max(1.0, abs(oracle))
+
+
+def test_cumulant_without_a_unit_mass_root_stops_at_the_domain_edge(space):
+    # the tsallis draws of test_phi_cumulant_subgradient: three have no unit-mass root, so k is the
+    # largest constant that keeps the patch inside the domain, below the edge min(u + log_q p) + 1/(1 - q)
     rng, m = space
     p = Density.random(m, rng)
     d = make_deformed("tsallis", 0.6)
@@ -352,12 +382,17 @@ def test_cumulant_without_a_unit_mass_root_falls_back_to_illinois(space, fallbac
     for _ in range(10):
         raw = 0.5 * rng.standard_normal(8)
         u = raw - escort_expect(p, raw, d)
-        fallbacks.clear()
-        k = phi_cumulant(p, u, d)
-        if fallbacks:
+        counting_d, calls = _counting_exp(d)
+        k = phi_cumulant(p, u, counting_d)
+        assert len(calls) <= 20
+        vals = d.exp(u - k + d.log(p.values))
+        if float(m.weights @ vals) > 1.0 + 1e-9:
             no_root += 1
-            assert k == illinois_cumulant(p, u, d)
-            assert float(m.weights @ d.exp(u - k + d.log(p.values))) > 1.0 + 1e-3
+            oracle = illinois_cumulant(p, u, d)
+            assert abs(k - oracle) <= 2e-14 * max(1.0, abs(oracle))
+            assert np.all(vals > 0.0) and float(m.weights @ vals) > 1.0 + 1e-3
+            edge = float(np.min(u + d.log(p.values))) + 1.0 / (1.0 - 0.6)
+            assert 0.0 <= edge - k <= 2e-14 * max(1.0, edge)
     assert no_root == 3
 
 

@@ -271,6 +271,16 @@ def test_one_sided_lipschitz(space):
     assert math.isfinite(lam_heat)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"trials": 0}, {"trials": -3}, {"scale": 0.0}, {"scale": -0.5}, {"scale": math.nan}, {"scale": math.inf}]
+)
+def test_one_sided_lipschitz_probe_rejects_a_probe_that_samples_nothing(space, kwargs):
+    # trials < 1 or scale <= 0 used to return -inf, a bound that no sample supports
+    rng, m = space
+    with pytest.raises(InvariantError, match="need trials >= 1 and a finite positive scale"):
+        one_sided_lipschitz_probe(VectorField(lambda q: np.zeros(8)), Density.random(m, rng), **kwargs)
+
+
 def test_exponential_field_leaves_f_uncentered_and_centers_once():
     rng = np.random.default_rng(91)
     m = finite_measure(np.arange(16.0))

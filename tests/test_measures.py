@@ -174,6 +174,18 @@ def test_halfline_tail_bound():
     assert approx == pytest.approx(c_integral(1.0, a), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "rate,tail_tol,name",
+    [(0.0, 1e-12, "rate"), (-1.0, 1e-12, "rate"), (math.nan, 1e-12, "rate"), (math.inf, 1e-12, "rate")]
+    + [(1.0, tol, "tail_tol") for tol in (0.0, -1e-12, math.nan, 1.0, 2.0)]
+    + [(4.0, 0.25, "tail_tol")],
+)
+def test_halfline_measure_rejects_a_bad_rate_or_tail_tol(rate, tail_tol, name):
+    # these used to leak ZeroDivisionError, ValueError or the unrelated "need b > a"
+    with pytest.raises(InvariantError, match=name):
+        halfline_measure(rate=rate, tail_tol=tail_tol)
+
+
 def test_upper_incomplete_gamma_tail_and_oracle():
     assert upper_incomplete_gamma_half(500.0) < 1e-200
     for x in (0.3, 1.0, 4.0):
