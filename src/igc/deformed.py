@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._rootfind import _convex_newton_root
+from ._rootfind import decreasing_root
 from .measures import (
     Density,
     InvariantError,
@@ -63,6 +63,8 @@ class DeformedLogarithm:
     exponential is defined on arguments above it); -inf when the range is the
     whole line.  ``log`` and ``exp`` are vectorized; ``exp`` returns 0 at the
     domain edge and NaN below it as a divergence flag rather than raising.
+    ``exp_slope(u, exp(u))``, when given, is a cheaper form of the slope
+    phi(exp(u)) of ``exp`` at u.
     """
 
     tag: str
@@ -70,6 +72,7 @@ class DeformedLogarithm:
     log: Callable[[np.ndarray], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     lower_bound: float
+    exp_slope: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _classical() -> DeformedLogarithm:
@@ -121,7 +124,8 @@ def _kaniadakis(kappa: float) -> DeformedLogarithm:
     def exp_k(u):
         return np.exp(np.arcsinh(kappa * np.asarray(u, dtype=float)) / kappa)
 
-    return DeformedLogarithm("kaniadakis", phi, log_k, exp_k, -math.inf)
+    # exp_slope: phi(exp_k(u)) = exp_k(u) / cosh(arcsinh(ku)), without phi's two powers
+    return DeformedLogarithm("kaniadakis", phi, log_k, exp_k, -math.inf, lambda u, e: e / np.sqrt(1.0 + (kappa * u) ** 2))
 
 
 def _newton() -> DeformedLogarithm:
@@ -170,14 +174,23 @@ def affine_bound_defect(d: DeformedLogarithm) -> float:
 
 
 def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
-    """inf { r > 0 : integral of exp_phi(|u|/r + log_phi p) dmu <= 2 }, the gauge of ``orlicz``."""
+    """inf { r > 0 : integral of exp_phi(|u|/r + log_phi p) dmu <= 2 }, the gauge of ``orlicz``.
+
+    In s = 1/r the tangent of exp_phi at log_phi p gives M(s) >= 1 + s * sum(w * phi(p) * |u|), and
+    phi(x) <= x + 1 (every family here) gives M(s) <= 1 + (1 + sum(w)) (e**(s max|u|) - 1).
+    """
     abs_vals = np.abs(values_on(p.base, u))
-    sup = float(np.max(abs_vals))
+    sup = float(abs_vals.max())
     if sup == 0.0:
         return 0.0
+    w = p.base.weights
     log_p = d.log(p.values)
+    slope = d.exp_slope or (lambda x, e: d.phi(e))
+    sloped = lambda y: (e := d.exp(x := y + log_p), slope(x, e))  # noqa: E731
+    scale = math.log1p(1.0 / (1.0 + float(w.sum()))) / sup
+    start = 1.0 / _dot(w * slope(log_p, p.values), abs_vals * scale)
     what = f"deformed norm diverges for tag {d.tag!r}"
-    return _gauge(p.base.weights, lambda x: d.exp(x + log_p), abs_vals, 2.0, max(sup, 1e-6), what)
+    return _gauge(w, lambda y: d.exp(y + log_p), sloped, abs_vals, 2.0, scale, start, what, base=1.0)
 
 
 def escort_mass(p: Density, d: DeformedLogarithm) -> float:
@@ -264,7 +277,7 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
     if s == 0.0:
         return 0.0
     w = p.base.weights
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x0 = u_vals + log_p
         at_zero = d.exp(x0)
         if np.any(np.isnan(at_zero)):
@@ -273,14 +286,18 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
         if not math.isfinite(mass0):
             raise InvariantError("mass integral diverges at k = 0")
 
-        def mass_and_slope(k: float) -> tuple[float, float] | None:
-            """Mass and slope at k, or None on a domain exit (NaN) or a patch value at the edge (0)."""
-            vals = d.exp(u_vals - k + log_p)
-            return (_dot(w, vals), -_dot(w, d.phi(vals))) if np.all(vals > 0.0) else None
+        def inside(x: np.ndarray, vals: np.ndarray) -> bool:  # no NaN, and a 0 only above the edge (an underflow)
+            return bool(np.all(vals > 0.0) or np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound))))
 
-        at_start = (mass0, -_dot(w, d.phi(at_zero))) if np.all(at_zero > 0.0) else None
+        def mass_and_slope(k: float) -> tuple[float, float] | None:
+            """Mass and slope at k, or None when a patch value leaves the domain."""
+            x = u_vals - k + log_p
+            vals = d.exp(x)
+            return (_dot(w, vals), -_dot(w, d.phi(vals))) if inside(x, vals) else None
+
+        at_start = (mass0, -_dot(w, d.phi(at_zero))) if inside(x0, at_zero) else None
         upper = s if d.lower_bound == -math.inf else min(s, float(np.min(x0)) - d.lower_bound)
-        k = _convex_newton_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, rel_tol)
+        k = decreasing_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, rel_tol)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
 

@@ -208,36 +208,37 @@ def gauss_legendre_measure(a: float, b: float, n_panels: int) -> Measure:
         raise InvariantError("need n_panels >= 1")
     x01, w01 = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(a, b, n_panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (lo + hi) + half * x01)
-        weights.append(half * w01)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]  # one row per panel
     return Measure(
         "grid1d",
-        np.concatenate(nodes),
-        np.concatenate(weights),
+        ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x01).ravel(),
+        (half * w01).ravel(),
         domain=(float(a), float(b)),
         rule="gauss_legendre",
         mass_tol=GRID_MASS_TOL,
     )
 
 
+HALFLINE_MAX_NODES = 2**20  # 2**16 panels of 16 nodes: 16 MiB of points and weights
+
+
 def halfline_measure(rate: float, tail_tol: float = 1e-12) -> Measure:
     """Truncated Gauss-Legendre grid for integrands bounded by exp(-rate*x) on [0, inf).
 
-    The truncation point T satisfies the analytic tail bound
-    ``int_T^inf exp(-rate*x) dx = exp(-rate*T)/rate <= tail_tol``; [0, T] is
-    cut into panels no wider than 2, and at least 8 of them.  Raises unless rate
-    is finite and positive and tail_tol lies in (0, 1/rate), where T > 0.
+    The truncation point T = (-log(rate) - log(tail_tol)) / rate satisfies the analytic tail bound
+    ``int_T^inf exp(-rate*x) dx = exp(-rate*T)/rate <= tail_tol``; [0, T] is cut into panels no
+    wider than 2, and at least 8 of them.  Raises unless rate is finite and positive and tail_tol
+    lies in (0, 1/rate), where T > 0, and, before allocating, when the grid would hold more than
+    ``HALFLINE_MAX_NODES`` nodes (T above 2**17: rate below about 3e-4 at tail_tol = 1e-12).
     """
     if not 0.0 < rate < math.inf:
         raise InvariantError(f"rate must be finite and positive for a truncated half-line grid, got {rate!r}")
     if not 0.0 < tail_tol < 1.0 / rate:
         raise InvariantError(f"tail_tol must lie in (0, 1/rate) = (0, {1.0 / rate!r}), got {tail_tol!r}")
-    upper = math.log(1.0 / (rate * tail_tol)) / rate
-    n_panels = max(8, int(math.ceil(upper / 2.0)))
-    return gauss_legendre_measure(0.0, upper, n_panels)
+    upper = (-math.log(rate) - math.log(tail_tol)) / rate  # rate * tail_tol may underflow
+    if upper > 2.0 * (HALFLINE_MAX_NODES // 16):
+        raise InvariantError(f"a grid to T = {upper:.4g} needs {8.0 * upper:.4g} nodes > HALFLINE_MAX_NODES")
+    return gauss_legendre_measure(0.0, upper, max(8, math.ceil(upper / 2.0)))
 
 
 def periodic_grid_measure(a: float, b: float, n: int) -> Measure:

@@ -7,8 +7,9 @@ cosh(x) - 1.  The Luxemburg norm of u under a density p is the gauge
     inf { r > 0 : E_p[Phi(u/r)] <= 1 },
 
 computed by ``_gauge``, the one gauge that also serves the dual and deformed
-norms, as the root of the map r -> E_p[Phi(u/r)] by the shared root-finder.
-Divergent integrals are reported as values (math.inf), never silently clipped.
+norms, by Newton in log(1/r) from an a-priori Jensen bracket, certified by one
+evaluation at the returned radius.  Divergent integrals are reported as values
+(math.inf), never silently clipped.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._rootfind import BracketError, decreasing_root
+from ._rootfind import decreasing_root
 from .measures import (
     Density,
     InvariantError,
@@ -54,12 +55,54 @@ __all__ = [
 ]
 
 
+# the gauges' relative tolerance, Newton's first stop (absolute in log s) and the most Newton runs
+_REL_TOL, _NEWTON_TOL, _RUNS = 1e-14, 1e-7, 8
+
+
+def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, scale: float, start: float, what: str, base=0.0):
+    """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, a non-finite sum counting as +inf.
+
+    F is convex and increasing, sloped(y) = (F(y), F'(y)), and M(s) = sum(weights * F(s * vals)), s = 1/r,
+    has M(scale) <= target <= M(start * scale) and M(0) = base.  M is convex in log s too: Newton solves
+    M - base = target - base in k = -1 - log(s / scale) from -1 - log(start), inside [-1 - log(start), -1],
+    with slope -sum(weights * y * F'(y)), y = s * vals, and stops at a step below 1e-7, which it takes: by
+    convexity that lands on or below the root.  The result is r there times 1 + rel_tol / 2, rel_tol = 1e-14,
+    once one evaluation shows modular(result) <= target; otherwise Newton runs on from it to rel_tol.  So
+    modular(result) <= target, and it is above the target at some r >= result * (1 - rel_tol).  Raises
+    ``InvariantError(f"{what}: ...")`` when 8 runs do not bring it down.
+    """
+    a = vals * scale
+    wa = weights * a
+    seen = {}
+
+    def modular_and_slope(k: float) -> tuple[float, float]:
+        s = math.exp(-1.0 - k)
+        fy, dfy = sloped(a * s)
+        seen[k] = out = (_finite_sum(weights, fy) - base, -s * _dot(wa, dfy))
+        return out
+
+    k = lower = -1.0 - math.log(max(start, 1.0))
+    tol = _NEWTON_TOL / -lower
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_RUNS):
+            k = decreasing_root(modular_and_slope, target - base, k, modular_and_slope(k), lower, -1.0, tol)
+            value, slope = seen[k]
+            if math.isfinite(value) and -math.inf < slope < 0.0:
+                k += (target - base - value) / slope
+            r = (1.0 + 0.5 * _REL_TOL) / (math.exp(-1.0 - k) * scale)
+            if _finite_sum(weights, F(vals / r)) <= target:
+                return r
+            k, tol = math.log(r * scale) - 1.0, _REL_TOL / -lower
+    raise InvariantError(f"{what}: no radius brings the modular down to {target}")
+
+
 @dataclass(frozen=True)
 class YoungFunction:
     """A conjugate pair (Phi, Phi_conj) with its generating derivative pair.
 
-    ``phi`` is the right derivative of Phi on the nonnegative axis and
-    ``phi_inv`` its inverse; ``strict`` records whether phi is strictly
+    ``phi`` is the right derivative of Phi on the nonnegative axis,
+    ``phi_inv`` its inverse and ``dphi_inv`` the derivative of ``phi_inv``
+    (the dual-norm slope); ``strict`` records whether phi is strictly
     increasing, which the dual-norm stationarity solve requires.
     """
 
@@ -68,12 +111,28 @@ class YoungFunction:
     Phi_conj: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], np.ndarray]
     phi_inv: Callable[[np.ndarray], np.ndarray]
+    dphi_inv: Callable[[np.ndarray], np.ndarray]
     strict: bool = True
+
+    def __post_init__(self) -> None:
+        """Solve ``_unit_level``, the c > 0 with Phi(c) = 1 or 0.0 when there is none: the reciprocal gauge of the
+        constant 1 under a point mass, bracketed by the powers of two from 2**-1074 to 2**1023, read at once."""
+        ys = np.ldexp(1.0, np.arange(-1074, 1024))
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = ~(self.Phi(ys) < 1.0)
+        level, one, sloped = 0.0, np.ones(1), lambda y: (self.Phi(y), self.phi(y))
+        if reach[-1] and not reach[0]:
+            level = 1.0 / _gauge(one, self.Phi, sloped, one, 1.0, ys[np.argmax(reach) - 1], 2.0, self.tag)
+        object.__setattr__(self, "_unit_level", level)
+
+
+def _phi_a_sloped(x):  # Phi_a(x) and its slope log1p(x) for x >= 0 from one log1p, for the Luxemburg gauge
+    log1p = np.log1p(x)
+    return (1.0 + x) * log1p - x, log1p
 
 
 def _phi_a(x):
-    x = np.abs(np.asarray(x, dtype=float))
-    return (1.0 + x) * np.log1p(x) - x
+    return _phi_a_sloped(np.abs(np.asarray(x, dtype=float)))[0]
 
 
 def _phi_a_conj(y):
@@ -81,9 +140,13 @@ def _phi_a_conj(y):
     return np.expm1(y) - y
 
 
+def _phi_b_sloped(x):  # Phi_b(x) and its slope arcsinh(x) for x >= 0 from one arcsinh
+    asinh = np.arcsinh(x)
+    return x * asinh - np.sqrt(1.0 + x * x) + 1.0, asinh
+
+
 def _phi_b(x):
-    x = np.abs(np.asarray(x, dtype=float))
-    return x * np.arcsinh(x) - np.sqrt(1.0 + x * x) + 1.0
+    return _phi_b_sloped(np.abs(np.asarray(x, dtype=float)))[0]
 
 
 def _cosh_minus_one(y):
@@ -104,19 +167,20 @@ def _half_square(x):
     return 0.5 * x * x
 
 
+def _identity(u):
+    return np.asarray(u, dtype=float)
+
+
 _PAIRS: dict[str, YoungFunction] = {
-    "a": YoungFunction("a", _phi_a, _phi_a_conj, np.log1p, np.expm1),
-    "b": YoungFunction("b", _phi_b, _cosh_minus_one, np.arcsinh, np.sinh),
+    "a": YoungFunction("a", _phi_a, _phi_a_conj, np.log1p, np.expm1, np.exp),
+    "b": YoungFunction("b", _phi_b, _cosh_minus_one, np.arcsinh, np.sinh, np.cosh),
     "c": YoungFunction(
-        "c",
-        _phi_c,
-        _phi_c_conj,
-        lambda u: np.log(np.maximum(np.asarray(u, dtype=float), 1.0)),
-        np.exp,
-        strict=False,
+        "c", _phi_c, _phi_c_conj, lambda u: np.log(np.maximum(np.asarray(u, dtype=float), 1.0)), np.exp, np.exp, strict=False
     ),
-    "two": YoungFunction("two", _half_square, _half_square, lambda u: np.asarray(u, dtype=float), lambda v: np.asarray(v, dtype=float)),
-    "cosh_minus_one": YoungFunction("cosh_minus_one", _cosh_minus_one, _phi_b, np.sinh, np.arcsinh),
+    "two": YoungFunction("two", _half_square, _half_square, _identity, _identity, np.ones_like),
+    "cosh_minus_one": YoungFunction(
+        "cosh_minus_one", _cosh_minus_one, _phi_b, np.sinh, np.arcsinh, lambda y: 1.0 / np.sqrt(1.0 + np.square(y))
+    ),
 }
 
 YOUNG_TAGS = tuple(_PAIRS)
@@ -133,7 +197,8 @@ def validate_young_pair(yf: YoungFunction) -> None:
     """Spot-check the Young-function contract on 49 points of [-6, 6] and on -30 and 30.
 
     Verifies Phi(0) = 0, evenness, midpoint convexity of both conjugates and
-    the Young inequality |xy| <= Phi(x) + Phi_conj(y), to 1e-12; raises on violation.
+    the Young inequality |xy| <= Phi(x) + Phi_conj(y), to 1e-12, and ``dphi_inv``
+    against a central difference of ``phi_inv`` at x >= 0, to 1e-6; raises on violation.
     """
     xs = np.concatenate([np.linspace(-6.0, 6.0, 49), [-30.0, 30.0]])
     tol = 1e-12
@@ -151,31 +216,28 @@ def validate_young_pair(yf: YoungFunction) -> None:
     rhs = yf.Phi(gx) + yf.Phi_conj(gy)
     if np.any(lhs > rhs * (1.0 + 1e-12) + 1e-10):
         raise InvariantError(f"pair {yf.tag!r}: Young inequality fails on the grid")
+    ys = xs[xs >= 0.0]
+    h = 1e-5 * np.maximum(1.0, ys)
+    central = (yf.phi_inv(ys + h) - yf.phi_inv(ys - h)) / (2.0 * h)
+    if np.any(np.abs(yf.dphi_inv(ys) - central) > 1e-6 * np.maximum(1.0, np.abs(central))):
+        raise InvariantError(f"pair {yf.tag!r}: dphi_inv is not the derivative of phi_inv")
 
 
-def _gauge(weights: np.ndarray, F: Callable, vals: np.ndarray, target: float, guess: float, what: str) -> float:
-    """inf { r > 0 : sum(weights * F(vals / r)) <= target }, a non-finite sum counting as +inf.
-
-    Raises ``InvariantError(f"{what}: ...")`` when no radius brings the sum down to the target.
-    """
-
-    def modular(r: float) -> float:
-        return _finite_sum(weights, F(vals / r))
-
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return decreasing_root(modular, target, guess)
-    except BracketError as exc:
-        raise InvariantError(f"{what}: {exc}") from exc
+def _jensen_gauge(p: Density, F: Callable, sloped: Callable, abs_vals: np.ndarray, level: float, what: str) -> float:
+    """The gauge of E_p[F(|v|/r)] <= 1, F(level) = 1: by Jensen, at most 1 at s = level / max|v|, at least at level / E_p|v|."""
+    if not 0.0 < level < math.inf:
+        raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf)")
+    scale = level / float(np.max(abs_vals))
+    return _gauge(p.prob, F, sloped, abs_vals, 1.0, scale, level / _dot(p.prob, abs_vals * scale), what)
 
 
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
     """Gauge of the unit ball {E_p[Phi(u)] <= 1}; zero for u identically zero."""
-    vals = values_on(p.base, u)
-    sup = float(np.max(np.abs(vals)))
-    if sup == 0.0:
+    abs_vals = np.abs(values_on(p.base, u))
+    if not abs_vals.any():
         return 0.0
-    return _gauge(p.prob, Phi.Phi, vals, 1.0, sup, f"Luxemburg norm diverges for tag {Phi.tag!r}")
+    sloped = {_phi_a: _phi_a_sloped, _phi_b: _phi_b_sloped}.get(Phi.Phi, lambda y: (Phi.Phi(y), Phi.phi(y)))
+    return _jensen_gauge(p, Phi.Phi, sloped, abs_vals, Phi._unit_level, f"Luxemburg norm diverges for tag {Phi.tag!r}")
 
 
 def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
@@ -183,19 +245,17 @@ def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
 
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
     and the constraint E_p[Phi(phi_inv(|v|/lam))] = 1 is active; lam is its
-    gauge, found by the shared root-finder.
+    gauge, with slope y * dphi_inv(y) and unit level phi(c), Phi(c) = 1.
     """
     if not Phi.strict:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
-    vals = values_on(p.base, v)
-    abs_vals = np.abs(vals)
-    sup = float(np.max(abs_vals))
-    if sup == 0.0:
+    abs_vals = np.abs(values_on(p.base, v))
+    if not abs_vals.any():
         return 0.0
-    what = f"dual norm diverges for tag {Phi.tag!r}"
-    lam = _gauge(p.prob, lambda x: Phi.Phi(Phi.phi_inv(x)), abs_vals, 1.0, sup, what)
-    u_opt = np.sign(vals) * Phi.phi_inv(abs_vals / lam)
-    return _dot(p.prob, u_opt * vals)
+    level = float(Phi.phi(np.array([Phi._unit_level]))[0])
+    F = lambda y: Phi.Phi(Phi.phi_inv(y))  # noqa: E731
+    lam = _jensen_gauge(p, F, lambda y: (F(y), y * Phi.dphi_inv(y)), abs_vals, level, f"dual norm diverges for tag {Phi.tag!r}")
+    return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam))  # E_p[u v], u = sign(v) phi_inv(|v| / lam)
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -87,7 +87,8 @@ def rk4_scalar(f, y0, t_final, n_steps):
 def bisection_root(g, target, guess, rel_tol=1e-14):
     """Plain bisection for a nonincreasing g from the bracket that doubling or halving ``guess`` finds.
 
-    The same bracket and stop rule as ``_rootfind.decreasing_root``; inf and NaN count as above.
+    The bracket and stop rule of the false-position solve the gauges used before they moved to
+    Newton: hi - lo <= rel_tol * hi, hi returned; inf and NaN count as above.
     """
     def above(r):
         return not (g(r) <= target)
@@ -130,14 +131,15 @@ def c_integral_reference(theta, a):
     return series / (theta * a**1.5)
 
 
-def illinois_cumulant(p, u_vals, d, rel_tol=1e-14):
-    """The deformed cumulant by the bracketing root-finder alone: k with mass(k) = 1, mass(k) >= 1 kept.
+def bisection_cumulant(p, u_vals, d, rel_tol=1e-14):
+    """The deformed cumulant by plain bisection alone: k with mass(k) = 1, mass(k) >= 1 kept.
 
     The normalizing constant of exp_phi(u - k + log_phi p), solved for r = 1/k (when the mass at
-    k = 0 is at least 1) or r = -k by ``_rootfind.decreasing_root``, with roundoff-level negatives
-    snapped to 0; raises ``InvariantError`` as ``phi_cumulant`` does.
+    k = 0 is at least 1) or r = -k by :func:`bisection_root`, with roundoff-level negatives
+    snapped to 0; raises ``InvariantError`` as ``phi_cumulant`` does.  A patch value that is NaN,
+    or 0 with its argument at or below the domain edge, counts as mass 0 (past the edge); a 0
+    above the edge is an underflow and counts as a value.
     """
-    from igc._rootfind import BracketError, decreasing_root
     from igc.measures import InvariantError, _dot, _finite_sum
 
     u_vals = np.asarray(u_vals, dtype=float)
@@ -147,8 +149,10 @@ def illinois_cumulant(p, u_vals, d, rel_tol=1e-14):
     w = p.base.weights
 
     def mass(k):
-        vals = d.exp(u_vals - k + log_p)
-        return _finite_sum(w, vals) if np.all(vals > 0.0) else 0.0
+        x = u_vals - k + log_p
+        vals = d.exp(x)
+        inside = (vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound))
+        return _finite_sum(w, vals) if np.all(inside) else 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         at_zero = d.exp(u_vals + log_p)
@@ -158,9 +162,6 @@ def illinois_cumulant(p, u_vals, d, rel_tol=1e-14):
         if not math.isfinite(mass0):
             raise InvariantError("mass integral diverges at k = 0")
         to_k = (lambda r: 1.0 / r) if mass0 >= 1.0 else (lambda r: -r)
-        try:
-            r = decreasing_root(lambda r: -mass(to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
-        except BracketError as exc:
-            raise InvariantError(f"no finite normalizing constant: {exc}") from exc
+        r = bisection_root(lambda r: -mass(to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
     k = to_k(r)
     return 0.0 if -1e-13 < k < 0.0 else k

@@ -27,7 +27,7 @@ from igc.measures import (
     finite_measure,
     tangent,
 )
-from oracles import illinois_cumulant, rk4_scalar
+from oracles import bisection_cumulant, rk4_scalar
 
 ALL_FAMILIES = [("classical", None), ("tsallis", 0.6), ("kaniadakis", 0.3), ("newton", None)]
 
@@ -54,6 +54,10 @@ def test_family_contract():
         assert np.all(np.diff(slopes) < 1e-12)
         # affine bound phi(x) <= x + 1 certified on the grid
         assert affine_bound_defect(d) <= 0.0
+        # exp_slope, where a family gives it, is the slope phi(exp(u)) of exp
+        if d.exp_slope is not None:
+            e = d.exp(lg)
+            assert np.max(np.abs(d.exp_slope(lg, e) / d.phi(e) - 1.0)) < 1e-13
 
 
 def test_make_deformed_validation():
@@ -282,9 +286,9 @@ def _cumulant_input(rng, d=None, shift=0.0):
     return p, u, d
 
 
-def test_newton_cumulant_agrees_with_the_illinois_oracle():
-    # Newton in k inside [-max|u|, max|u|] against the r = 1/k (or -k) Illinois solve it replaced:
-    # same exceptions and a unit-mass side answer within 2e-14, with about half the exp calls for
+def test_newton_cumulant_agrees_with_the_bisection_oracle():
+    # Newton in k inside [-max|u|, max|u|] against plain bisection in r = 1/k (or -k): same
+    # exceptions and a unit-mass side answer within 2e-14, with about half the exp calls for
     # coordinates near 0; coordinates moved by up to 5 put the root far from k = 0, and an input
     # with no unit-mass root stops at the domain edge
     rng = np.random.default_rng(14)
@@ -301,9 +305,9 @@ def test_newton_cumulant_agrees_with_the_illinois_oracle():
             k = phi_cumulant(p, u, newton_d)
         except InvariantError:
             with pytest.raises(InvariantError):
-                illinois_cumulant(p, u, d)
+                bisection_cumulant(p, u, d)
             continue
-        oracle = illinois_cumulant(p, u, d)
+        oracle = bisection_cumulant(p, u, d)
         mass = float(p.base.weights @ d.exp(u - k + d.log(p.values)))
         assert mass >= 1.0
         assert abs(k - oracle) <= 2e-14 * max(1.0, abs(oracle))
@@ -345,16 +349,35 @@ def test_phi_cumulant_of_a_negative_constant_is_the_constant(tag, param, c):
 
 def test_cumulant_bisects_toward_a_root_far_above_the_lower_end():
     # u = (-40, -4, ..., -4): Newton from k = 0 is clipped to -40, where the classical mass is about
-    # e**36, and from there gains about one unit of k per step; bisection under the progress budget
-    # reaches the root near -4.13 in 18 exp calls (43 without the budget, 57 through the Illinois fallback)
+    # e**36; from there Newton gains about one unit of k per step, and bisection under the progress
+    # budget reached the root near -4.13 in 18 exp calls (43 without the budget, 57 through the old
+    # Illinois fallback), but the Newton step of log mass, exact for this family, takes 4
     m = finite_measure(np.arange(8.0))
     d, calls = _counting_exp(make_deformed("classical"))
     p = Density.from_unnormalized(m, np.ones(8))
     u = np.full(8, -4.0)
     u[0] = -40.0
     k = phi_cumulant(p, u, d)
-    assert abs(k - illinois_cumulant(p, u, make_deformed("classical"))) <= 2e-14 * abs(k)
-    assert len(calls) <= 25
+    assert abs(k - bisection_cumulant(p, u, make_deformed("classical"))) <= 2e-14 * abs(k)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize(
+    "tag,param,most", [("classical", None, 4), ("kaniadakis", 0.3, 12), ("newton", None, 12), ("tsallis", 0.95, 12)]
+)
+def test_cumulant_reaches_a_far_root_by_log_mass_steps(tag, param, most):
+    # u = 300 + N(0, 1): from k = 0 the mass is about e**300, where Newton on the mass gains about one
+    # unit of k per step (306 exp calls for the classical family); while the mass exceeds 2 the
+    # step is Newton's on log mass, exact for the classical family
+    rng = np.random.default_rng(0)
+    m = finite_measure(np.arange(8.0))
+    for _ in range(10):
+        p = Density.random(m, rng)
+        u = 300.0 + rng.standard_normal(8)
+        d, calls = _counting_exp(make_deformed(tag, param))
+        k = phi_cumulant(p, u, d)
+        assert abs(k - bisection_cumulant(p, u, make_deformed(tag, param))) <= 2e-14 * abs(k)
+        assert len(calls) <= most
 
 
 def test_cumulant_starts_from_a_patch_value_on_the_domain_edge():
@@ -367,7 +390,7 @@ def test_cumulant_starts_from_a_patch_value_on_the_domain_edge():
     u = np.full(8, -0.3)
     u[0] = -2.0 - log_p[0]
     assert d.exp(u + log_p)[0] == 0.0
-    oracle = illinois_cumulant(p, u, d)
+    oracle = bisection_cumulant(p, u, d)
     assert abs(phi_cumulant(p, u, d) - oracle) <= 2e-14 * max(1.0, abs(oracle))
 
 
@@ -388,7 +411,7 @@ def test_cumulant_without_a_unit_mass_root_stops_at_the_domain_edge(space):
         vals = d.exp(u - k + d.log(p.values))
         if float(m.weights @ vals) > 1.0 + 1e-9:
             no_root += 1
-            oracle = illinois_cumulant(p, u, d)
+            oracle = bisection_cumulant(p, u, d)
             assert abs(k - oracle) <= 2e-14 * max(1.0, abs(oracle))
             assert np.all(vals > 0.0) and float(m.weights @ vals) > 1.0 + 1e-3
             edge = float(np.min(u + d.log(p.values))) + 1.0 / (1.0 - 0.6)
@@ -396,22 +419,49 @@ def test_cumulant_without_a_unit_mass_root_stops_at_the_domain_edge(space):
     assert no_root == 3
 
 
-@pytest.mark.parametrize("seed,illinois_calls_at_least", [(0, 50), (91, 25)])
-def test_cumulant_on_a_mass_plateau_takes_few_exp_calls(seed, illinois_calls_at_least):
-    # for small k the computed mass rounds to 1 over a stretch of k: the Illinois solve in r = 1/k
-    # bisects it (seed 0), and Newton without its rounding-floor stop bounces along it (seed 91)
+@pytest.mark.parametrize("seed,oracle_calls_at_least", [(0, 50), (91, 25)])
+def test_cumulant_on_a_mass_plateau_takes_few_exp_calls(seed, oracle_calls_at_least):
+    # for small k the computed mass rounds to 1 over a stretch of k: a bracketing solve in r = 1/k
+    # bisects it (seed 0: the old Illinois solve took 80 exp calls, plain bisection 62), and
+    # Newton without its rounding-floor stop bounces along it (seed 91)
     rng = np.random.default_rng(seed)
     m = finite_measure(np.arange(8.0))
     d = make_deformed("kaniadakis", 0.36)
     p = Density.random(m, rng)
     raw = 0.05 * rng.standard_normal(8)
     u = raw - escort_expect(p, raw, d)
-    illinois_d, illinois_calls = _counting_exp(d)
+    oracle_d, oracle_calls = _counting_exp(d)
     newton_d, newton_calls = _counting_exp(d)
-    oracle = illinois_cumulant(p, u, illinois_d)
+    oracle = bisection_cumulant(p, u, oracle_d)
     k = phi_cumulant(p, u, newton_d)
     assert 1e-4 < k < 1e-3 and abs(k - oracle) <= 2e-14
-    assert len(illinois_calls) >= illinois_calls_at_least and len(newton_calls) <= 10
+    assert len(oracle_calls) >= oracle_calls_at_least and len(newton_calls) <= 10
+
+
+@pytest.mark.parametrize("tag,param", [("classical", None), ("tsallis", 0.999), ("kaniadakis", 0.3), ("newton", None)])
+def test_cumulant_counts_an_underflowed_patch_value_as_a_value(tag, param):
+    # u = (-800, 0, ..., 0, 1) on a uniform 8-point p: the -800 entry of the patch underflows to 0
+    # for every k above about -56 (kaniadakis decays like a power and stays positive), though only
+    # tsallis has a domain edge, at -1000 here; counted as a domain exit, the 0 drove the classical
+    # k to -56.95 at mass 5.9e24, newton to -56.82 and tsallis to -276.7
+    m = finite_measure(np.arange(8.0))
+    p = Density.uniform(m)
+    u = np.zeros(8)
+    u[0], u[-1] = -800.0, 1.0
+    d = make_deformed(tag, param)
+    k = phi_cumulant(p, u, d)
+    member = d.exp(u - k + d.log(p.values))
+    assert abs(float(m.weights @ member) - 1.0) <= 1e-14
+    assert abs(k - bisection_cumulant(p, u, d)) <= 2e-14 * max(1.0, abs(k))
+    if tag == "classical":
+        assert abs(k - math.log(float(p.prob @ np.exp(u)))) <= 1e-14
+    if np.all(member > 0.0):
+        assert phi_patch(p, u, d).values.tobytes() == Density.from_unnormalized(m, member).values.tobytes()
+    else:
+        # the member's -800 entry is 0, which no density holds: no renormalized stand-in either
+        assert tag != "kaniadakis"
+        with pytest.raises(InvariantError, match="positive"):
+            phi_patch(p, u, d)
 
 
 def test_phi_cumulant_overflow_raises_without_a_warning(space):

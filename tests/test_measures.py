@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from igc.measures import (
     finite_measure,
     gauss_hermite_measure,
     gauss_legendre_measure,
+    HALFLINE_MAX_NODES,
     halfline_measure,
     lp_norm,
     measure_from_json,
@@ -184,6 +186,30 @@ def test_halfline_measure_rejects_a_bad_rate_or_tail_tol(rate, tail_tol, name):
     # these used to leak ZeroDivisionError, ValueError or the unrelated "need b > a"
     with pytest.raises(InvariantError, match=name):
         halfline_measure(rate=rate, tail_tol=tail_tol)
+
+
+def test_halfline_measure_takes_the_logs_apart():
+    # rate * tail_tol underflows to 0 here (the old log(1/(rate*tail_tol)) divided by zero), yet
+    # T = (log 2 - log(5e-324)) / 0.5 = 1490.3 is a small grid
+    m = halfline_measure(rate=0.5, tail_tol=5e-324)
+    upper = (math.log(2.0) - math.log(5e-324)) / 0.5
+    assert m.domain == (0.0, upper) and m.size == 16 * math.ceil(upper / 2.0)
+    with pytest.raises(InvariantError, match="HALFLINE_MAX_NODES"):
+        halfline_measure(rate=1e-200, tail_tol=1e-200)
+    assert halfline_measure(rate=2.8e-4).size <= HALFLINE_MAX_NODES
+
+
+@pytest.mark.parametrize("rate", [1e-6, 2.7e-4, 5e-324])
+def test_halfline_measure_refuses_a_grid_above_the_node_bound_before_allocating(rate):
+    # 1e-6 would ask for about 2.8e8 nodes (4.4 GiB); the bound sits between 2.7e-4 and 2.8e-4
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantError, match="HALFLINE_MAX_NODES"):
+            halfline_measure(rate=rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_upper_incomplete_gamma_tail_and_oracle():

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from igc._rootfind import BracketError, decreasing_root
+from igc.deformed import DeformedLogarithm, make_deformed, phi_norm
 from igc.measures import (
     Density,
     InvariantError,
@@ -35,7 +36,7 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
-from oracles import concatenating_fwht, walsh_values
+from oracles import bisection_root, concatenating_fwht, walsh_values
 
 
 def _two_point():
@@ -131,7 +132,7 @@ def test_divergent_gauges_raise_invariant_error():
     def infinite(x):
         return np.full(np.shape(x), np.inf)
 
-    yf = YoungFunction("inf", infinite, infinite, np.log1p, np.expm1)
+    yf = YoungFunction("inf", infinite, infinite, np.log1p, np.expm1, np.exp)
     for norm, name in ((luxemburg_norm, "Luxemburg"), (dual_norm, "dual")):
         with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'inf'"):
             norm(p, coordinate(m), yf)
@@ -503,8 +504,102 @@ def test_steepness_divergence_flag():
     assert rows[1].divergent and rows[1].value == math.inf
 
 
-def test_decreasing_root_reports_divergence():
-    with pytest.raises(BracketError):
-        decreasing_root(lambda r: math.inf, 1.0, 1.0)
-    # and the flat-zero side returns zero
-    assert decreasing_root(lambda r: 0.0, 1.0, 1.0) == 0.0
+def test_gauges_report_divergence():
+    # Phi = 0 at 0 and +inf elsewhere: convex, but no radius brings E_p[Phi(u/r)] down to 1, and
+    # a deformed exponential that is +inf everywhere: no radius brings the mass down to 2
+    m, p = _two_point()
+
+    def jump(x):
+        return np.where(np.asarray(x) == 0.0, 0.0, np.inf)
+
+    yf = YoungFunction("jump", jump, jump, np.log1p, np.expm1, np.exp)
+    for norm, name in ((luxemburg_norm, "Luxemburg"), (dual_norm, "dual")):
+        with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'jump'"):
+            norm(p, coordinate(m), yf)
+    d = DeformedLogarithm("inf", lambda x: np.asarray(x, dtype=float), np.log, lambda x: np.full(np.shape(x), np.inf), -math.inf)
+    with pytest.raises(InvariantError, match="deformed norm diverges for tag 'inf'"):
+        phi_norm(p, coordinate(m), d)
+
+
+def test_validate_young_pair_checks_dphi_inv():
+    b = young_pair("b")
+    validate_young_pair(b)
+    wrong = YoungFunction("b", b.Phi, b.Phi_conj, b.phi, b.phi_inv, np.exp)  # exp, not cosh, the derivative of sinh
+    with pytest.raises(InvariantError, match="dphi_inv"):
+        validate_young_pair(wrong)
+
+
+def _modular(weights, F, vals, r):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(weights @ F(vals / r))
+    return total if math.isfinite(total) else math.inf
+
+
+@pytest.mark.parametrize("tag", ["a", "b", "two", "cosh_minus_one"])
+def test_orlicz_gauges_keep_their_contract_and_agree_with_bisection(tag):
+    # modular(r) <= 1, the modular above 1 at r * (1 - 1e-14), and the radius within 1e-13 of
+    # plain bisection on the same modular; the dual norm through its multiplier lam
+    rng = np.random.default_rng(16)
+    yf = young_pair(tag)
+    dual_F = lambda y: yf.Phi(yf.phi_inv(y))  # noqa: E731
+    for _ in range(200):
+        m = finite_measure(np.arange(float(rng.choice([1, 4, 16, 64]))))
+        p = Density.random(m, rng)
+        u = rng.standard_normal(m.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        r = luxemburg_norm(p, u, yf)
+        assert _modular(p.prob, yf.Phi, u, r) <= 1.0 < _modular(p.prob, yf.Phi, u, r * (1.0 - 1e-14))
+        oracle = bisection_root(lambda s: _modular(p.prob, yf.Phi, u, s), 1.0, float(np.max(np.abs(u))))
+        assert abs(r - oracle) <= 1e-13 * oracle
+        lam = bisection_root(lambda s: _modular(p.prob, dual_F, np.abs(u), s), 1.0, float(np.max(np.abs(u))))
+        want = float(p.prob @ (yf.phi_inv(np.abs(u) / lam) * np.abs(u)))
+        assert abs(dual_norm(p, u, yf) - want) <= 1e-13 * want
+
+
+def test_gauges_find_a_spike_far_below_the_jensen_start():
+    # p puts 1e-12 on the one point where |v| = 1e3, and |v| = 1e-3 elsewhere: the Jensen start
+    # level / E_p|v| lies about 1e3 times above the root.  Newton runs in log s, with steps on log M
+    # while M is far above the target; for kaniadakis the spike's curvature stops the first Newton
+    # run early, and a second run to 1e-14 finishes (a fixed creep of rel_tol / 2 steps raised here)
+    m = finite_measure(np.arange(8.0))
+    raw = np.ones(8)
+    raw[0] = 1e-12
+    p = Density.from_unnormalized(m, raw)
+    v = np.full(8, 1e-3)
+    v[0] = 1e3
+    for tag in ("a", "b", "two", "cosh_minus_one"):
+        base = young_pair(tag)
+        calls = []
+        yf = dataclasses.replace(base, Phi=lambda x, F=base.Phi: calls.append(1) or F(x))
+        dual_F = lambda y: base.Phi(base.phi_inv(y))  # noqa: E731
+        for norm, F in ((luxemburg_norm, base.Phi), (dual_norm, dual_F)):
+            yf._unit_level
+            calls.clear()
+            got = norm(p, v, yf)
+            r = bisection_root(lambda s: _modular(p.prob, F, v, s), 1.0, 1e3)
+            want = r if norm is luxemburg_norm else float(p.prob @ (base.phi_inv(v / r) * v))
+            # the dual value E_p[phi_inv(|v| / lam) |v|] amplifies lam's error by up to |v| / lam, about 40
+            assert abs(got - want) <= (1e-13 if norm is luxemburg_norm else 1e-12) * want
+            assert len(calls) <= 12
+    for tag, param in (("classical", None), ("tsallis", 0.5), ("kaniadakis", 0.3), ("newton", None)):
+        d, calls = make_deformed(tag, param), []
+        counting = dataclasses.replace(d, exp=lambda x, exp=d.exp: calls.append(1) or exp(x))
+        F = lambda x: d.exp(x + d.log(p.values))  # noqa: E731
+        want = bisection_root(lambda s: _modular(m.weights, F, v, s), 2.0, 1e3)
+        assert abs(phi_norm(p, v, counting) - want) <= 1e-13 * want
+        assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("tag,param", [("classical", None), ("tsallis", 0.5), ("kaniadakis", 0.3), ("newton", None)])
+def test_phi_norm_keeps_its_contract_and_agrees_with_bisection(tag, param):
+    rng = np.random.default_rng(17)
+    d = make_deformed(tag, param)
+    for _ in range(200):
+        m = finite_measure(np.arange(float(rng.choice([1, 4, 16, 64]))))
+        p = Density.random(m, rng)
+        u = rng.standard_normal(m.size) * 10.0 ** rng.uniform(-3.0, 2.0)
+        log_p = d.log(p.values)
+        F = lambda x: d.exp(x + log_p)  # noqa: E731
+        r = phi_norm(p, u, d)
+        assert _modular(m.weights, F, np.abs(u), r) <= 2.0 < _modular(m.weights, F, np.abs(u), r * (1.0 - 1e-14))
+        oracle = bisection_root(lambda s: _modular(m.weights, F, np.abs(u), s), 2.0, float(np.max(np.abs(u))))
+        assert abs(r - oracle) <= 1e-13 * oracle

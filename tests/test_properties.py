@@ -3,6 +3,7 @@ the Hilbert transport, the Pythagorean pairing, the Walsh layer, the shared root
 norms built on it and the half-line integral c_integral."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,13 +222,14 @@ def test_walsh_layer_matches_brute_force(spec, t, seed):
 
 
 @dataclass(frozen=True)
-class MonotoneMap:
-    """A nonincreasing map that crosses ``target`` near ``root``.
+class ConvexMap:
+    """A convex nonincreasing map x -> (value, slope) that crosses ``target`` at ``root``.
 
-    "affine" has slope -steep/root; "exp" is target - 1 + exp(steep * (root/r - 1)), whose
-    r g'(r) at the root is -steep; "inf" and "nan" are "exp" with +inf or NaN below edge * root;
-    "jump" falls from target + 1 to target - edge at the root, like the mass map of phi_cumulant
-    at a domain exit, and then slopes down like "affine".
+    "affine" has slope -steep; "exp" is target - 1 + exp(steep * (root - x)); "inf" is "exp" with
+    +inf (slope -inf) below root - edge, like an overflowing sum; "cubic" is target * (1 + steep *
+    (root - x))**3, and 0 past its zero; "edge" is "exp" with a domain exit (None) past root + edge;
+    "jump" is target + exp(steep * (root - x)) - 1/2 up to root and a domain exit past it, like the
+    mass map of phi_cumulant with no unit-mass root, where the answer is the edge itself.
     """
 
     kind: str
@@ -236,75 +238,90 @@ class MonotoneMap:
     steep: float
     edge: float = 0.0
 
-    def __call__(self, r):
+    def __call__(self, x):
+        t = self.root - x
         if self.kind == "affine":
-            return self.target + self.steep * (1.0 - r / self.root)
+            return self.target + self.steep * t, -self.steep
+        if self.kind == "cubic":
+            base = max(1.0 + self.steep * t, 0.0)
+            return self.target * base**3, -3.0 * self.steep * self.target * base**2
+        if self.kind == "inf" and t > self.edge or self.kind == "edge" and t < -self.edge:
+            return (math.inf, -math.inf) if self.kind == "inf" else None
         if self.kind == "jump":
-            if r < self.root:
-                return self.target + 1.0
-            return self.target - self.edge - self.steep * (r / self.root - 1.0)
-        if r < self.edge * self.root:
-            return math.inf if self.kind == "inf" else math.nan
-        x = self.steep * (self.root / r - 1.0)
-        return self.target - 1.0 + (math.inf if x > 709.0 else math.exp(x))
+            return (self.target + math.exp(self.steep * t) - 0.5, -self.steep * math.exp(self.steep * t)) if t >= 0 else None
+        return self.target - 1.0 + math.exp(self.steep * t), -self.steep * math.exp(self.steep * t)
 
 
 @st.composite
-def monotone_maps(draw):
-    kind = draw(st.sampled_from(("affine", "exp", "inf", "nan", "jump")))
-    edge = 0.0
-    if kind in ("inf", "nan"):
-        edge = draw(st.floats(0.01, 0.999))
-    elif kind == "jump":
-        edge = 10.0 ** draw(st.floats(-12.0, 1.0))
-    target = draw(st.floats(-10.0, 10.0))
-    root = 10.0 ** draw(st.floats(-6.0, 6.0))
-    return MonotoneMap(kind, target, root, 10.0 ** draw(st.floats(-2.0, 2.5)), edge)
+def convex_maps(draw):
+    """A map, its a-priori bracket [lower, upper] around the root, and a start inside it.
+
+    The bracket is up to 10 times |root| (at least 1e-6) wide on the left, where the map is at or
+    above the target, and steep * width <= 30, so Newton from the lower end needs at most about 30
+    steps while the map is far above the target.  The start is the lower end, as for the gauges,
+    or any point of the bracket, as for the deformed cumulant's k = 0.
+    """
+    kind = draw(st.sampled_from(("affine", "exp", "inf", "cubic", "edge", "jump")))
+    root = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-6.0, 6.0))
+    width = max(abs(root), 1e-6) * 10.0 ** draw(st.floats(-3.0, 1.0))
+    steep = 10.0 ** draw(st.floats(-2.0, math.log10(30.0))) / width
+    gap = 0.0 if kind == "jump" else width * draw(st.floats(0.0, 1.0))
+    edge = {"inf": 0.5 * width, "edge": 0.5 * gap}.get(kind, 0.0)
+    g = ConvexMap(kind, draw(st.floats(0.1, 10.0)), root, steep, edge)
+    lower, upper = root - width, root + gap
+    start = lower if draw(st.booleans()) else lower + (upper - lower) * draw(st.floats(0.0, 1.0))
+    return g, lower, upper, start
 
 
 def counted(g):
     calls = []
 
-    def wrapped(r):
-        calls.append(r)
-        return g(r)
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
 
     return wrapped, calls
 
 
 @PROPERTY_SETTINGS
-@given(g=monotone_maps(), shift=st.floats(-10.0, 10.0))
-@example(g=MonotoneMap("jump", -1.0, 3.7, 1.0, 1e-12), shift=0.3)
-@example(g=MonotoneMap("exp", 1.0, 1e-6, 300.0), shift=-10.0)
-@example(g=MonotoneMap("nan", 0.0, 1e6, 1.0, 0.999), shift=10.0)
-def test_decreasing_root_contract(g, shift):
+@given(case=convex_maps())
+@example(case=(ConvexMap("jump", 1.0, 0.0, 3.0), -1.0, 0.0, 0.0))  # the domain edge at k = 0
+@example(case=(ConvexMap("exp", 1.0, 30.0, 1.0), 0.0, 30.0, 0.0))  # a far root: about 30 linear steps
+@example(case=(ConvexMap("inf", 2.0, 1e-6, 1e4, 5e-7), 0.0, 2e-6, 0.0))
+def test_decreasing_root_contract(case):
+    g, lower, upper, start = case
     rel_tol = 1e-14
-    guess = g.root * 2.0**shift
     fn, calls = counted(g)
-    r = decreasing_root(fn, g.target, guess, rel_tol=rel_tol)
-    assert g(r) <= g.target
-    # the final lower end, where g is above the target, is at least r - rel_tol * r (rounded
-    # like the stop rule), and g is nonincreasing, so it is above the target there too
-    assert not (g(r - rel_tol * r) <= g.target)
-    # the progress budget keeps every map, the jump included, within twice plain bisection
-    ref, ref_calls = counted(g)
-    bisection_root(ref, g.target, guess, rel_tol)
-    assert len(calls) <= 2 * len(ref_calls)
+    x = decreasing_root(fn, g.target, start, g(start), lower, upper, rel_tol)
+    # the returned side: the map is defined and at or above the target there
+    fx = g(x)
+    assert fx is not None and fx[0] >= g.target
+    # within rel_tol of the crossing, or of its rounding floor: near the root the value is known
+    # to about 64 eps * target, which moves the crossing by that over the slope
+    slope = abs(g(g.root)[1]) if g.kind != "jump" else math.inf
+    tol = 2.0 * rel_tol * max(1.0, abs(g.root)) + 128.0 * sys.float_info.epsilon * g.target / slope
+    assert abs(x - g.root) <= tol
+    # at most about 30 Newton steps far above the target, then quadratic convergence or, once
+    # both ends are evaluated, no more than 1.25 times bisection's steps plus 9
+    bisection = math.log2((upper - lower) / (rel_tol * max(1.0, abs(g.root))))
+    assert len(calls) <= 30 + 1.25 * bisection + 9
 
 
 def test_decreasing_root_is_fast_on_smooth_maps():
-    # the Luxemburg maps of the strict Young pairs have |r g'(r)| = 1.6-3 at the root (where
-    # g = 1); the exponential maps here reach 10, with guesses within a factor 8 of the root
+    # Luxemburg-like maps: a sum of convex terms whose computed values are exact enough that Newton
+    # converges quadratically from the lower end of a bracket up to 8 times the root's distance wide
     rng = np.random.default_rng(6)
     counts = []
     for i in range(400):
-        kind = ("affine", "exp")[i % 2]
-        steep = 10.0 ** rng.uniform(-2.0, 2.0) if kind == "affine" else 10.0 ** rng.uniform(0.0, 1.0)
-        g = MonotoneMap(kind, rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-6.0, 6.0), steep)
+        kind = ("affine", "exp", "cubic")[i % 3]
+        root = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        width = abs(root) * 2.0 ** rng.uniform(-3.0, 3.0)
+        g = ConvexMap(kind, rng.uniform(0.5, 2.0), root, 10.0 ** rng.uniform(-0.5, 0.5) / width)
         fn, calls = counted(g)
-        decreasing_root(fn, g.target, g.root * 2.0 ** rng.uniform(-3.0, 3.0))
+        lower = root - width
+        decreasing_root(fn, g.target, lower, g(lower), lower, root + width, 1e-14)
         counts.append(len(calls))
-    assert np.mean(counts) <= 20.0
+    assert np.mean(counts) <= 6.0 and max(counts) <= 12
 
 
 STRICT_PAIRS = ("a", "b", "two", "cosh_minus_one")
