@@ -287,15 +287,15 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
             raise InvariantError("mass integral diverges at k = 0")
 
         def inside(x: np.ndarray, vals: np.ndarray) -> bool:  # no NaN, and a 0 only above the edge (an underflow)
-            return bool(np.all(vals > 0.0) or np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound))))
+            return bool(np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound))))
 
         def mass_and_slope(k: float) -> tuple[float, float] | None:
             """Mass and slope at k, or None when a patch value leaves the domain."""
             x = u_vals - k + log_p
             vals = d.exp(x)
-            return (_dot(w, vals), -_dot(w, d.phi(vals))) if inside(x, vals) else None
+            return (_dot(w, vals), -_dot(w, d.phi(vals))) if np.all(vals > 0.0) or inside(x, vals) else None
 
-        at_start = (mass0, -_dot(w, d.phi(at_zero))) if inside(x0, at_zero) else None
+        at_start = (mass0, -_dot(w, d.phi(at_zero))) if np.all(at_zero > 0.0) or inside(x0, at_zero) else None
         upper = s if d.lower_bound == -math.inf else min(s, float(np.min(x0)) - d.lower_bound)
         k = decreasing_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, rel_tol)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
