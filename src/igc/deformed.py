@@ -177,20 +177,23 @@ def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
     """inf { r > 0 : integral of exp_phi(|u|/r + log_phi p) dmu <= 2 }, the gauge of ``orlicz``.
 
     In s = 1/r the tangent of exp_phi at log_phi p gives M(s) >= 1 + s * sum(w * phi(p) * |u|), and
-    phi(x) <= x + 1 (every family here) gives M(s) <= 1 + (1 + sum(w)) (e**(s max|u|) - 1).
+    phi(x) <= x + 1 (every family here) gives M(s) <= 1 + (1 + sum(w)) (e**(s max|u|) - 1), at most 2
+    for s max|u| <= log1p(1 / (1 + sum(w))).
     """
     abs_vals = np.abs(values_on(p.base, u))
     sup = float(abs_vals.max())
     if sup == 0.0:
         return 0.0
+    what = f"deformed norm diverges for tag {d.tag!r}"
+    if not sup < math.inf:
+        raise InvariantError(f"{what}: a value is not finite")
     w = p.base.weights
     log_p = d.log(p.values)
     slope = d.exp_slope or (lambda x, e: d.phi(e))
     sloped = lambda y: (e := d.exp(x := y + log_p), slope(x, e))  # noqa: E731
-    scale = math.log1p(1.0 / (1.0 + float(w.sum()))) / sup
-    start = 1.0 / _dot(w * slope(log_p, p.values), abs_vals * scale)
-    what = f"deformed norm diverges for tag {d.tag!r}"
-    return _gauge(w, lambda y: d.exp(y + log_p), sloped, abs_vals, 2.0, scale, start, what, base=1.0)
+    level = math.log1p(1.0 / (1.0 + float(w.sum())))
+    start = 1.0 / _dot(w * slope(log_p, p.values), abs_vals / sup * level)
+    return _gauge(w, lambda y: d.exp(y + log_p), sloped, abs_vals, 2.0, level, start, what, base=1.0)
 
 
 def escort_mass(p: Density, d: DeformedLogarithm) -> float:

@@ -59,19 +59,20 @@ __all__ = [
 _REL_TOL, _NEWTON_TOL, _RUNS = 1e-14, 1e-7, 8
 
 
-def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, scale: float, start: float, what: str, base=0.0):
-    """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, a non-finite sum counting as +inf.
+def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, level: float, start: float, what: str, base=0.0):
+    """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, not all 0, a non-finite sum counting as +inf.
 
-    F is convex and increasing, sloped(y) = (F(y), F'(y)), and M(s) = sum(weights * F(s * vals)), s = 1/r,
-    has M(scale) <= target <= M(start * scale) and M(0) = base.  M is convex in log s too: Newton solves
-    M - base = target - base in k = -1 - log(s / scale) from -1 - log(start), inside [-1 - log(start), -1],
+    F is convex and increasing, sloped(y) = (F(y), F'(y)), and M(s) = sum(weights * F(s * vals)), s = 1/r, has
+    M(lo) <= target <= M(start * lo), lo = level / max(vals), and M(0) = base.  M is convex in log s too: Newton
+    solves M - base = target - base in k = -1 - log(s / lo) from -1 - log(start), inside [-1 - log(start), -1],
     with slope -sum(weights * y * F'(y)), y = s * vals, and stops at a step below 1e-7, which it takes: by
     convexity that lands on or below the root.  The result is r there times 1 + rel_tol / 2, rel_tol = 1e-14,
     once one evaluation shows modular(result) <= target; otherwise Newton runs on from it to rel_tol.  So
     modular(result) <= target, and it is above the target at some r >= result * (1 - rel_tol).  Raises
     ``InvariantError(f"{what}: ...")`` when 8 runs do not bring it down.
     """
-    a = vals * scale
+    sup = float(vals.max())
+    a = vals / sup * level  # s * vals at s = lo, formed without lo, which can overflow
     wa = weights * a
     seen = {}
 
@@ -89,10 +90,10 @@ def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, scale: f
             value, slope = seen[k]
             if math.isfinite(value) and -math.inf < slope < 0.0:
                 k += (target - base - value) / slope
-            r = (1.0 + 0.5 * _REL_TOL) / (math.exp(-1.0 - k) * scale)
+            r = max((1.0 + 0.5 * _REL_TOL) * math.exp(1.0 + k) * sup / level, math.ulp(0.0))
             if _finite_sum(weights, F(vals / r)) <= target:
                 return r
-            k, tol = math.log(r * scale) - 1.0, _REL_TOL / -lower
+            k, tol = math.log(r / sup * level) - 1.0, _REL_TOL / -lower
     raise InvariantError(f"{what}: no radius brings the modular down to {target}")
 
 
@@ -225,10 +226,10 @@ def validate_young_pair(yf: YoungFunction) -> None:
 
 def _jensen_gauge(p: Density, F: Callable, sloped: Callable, abs_vals: np.ndarray, level: float, what: str) -> float:
     """The gauge of E_p[F(|v|/r)] <= 1, F(level) = 1: by Jensen, at most 1 at s = level / max|v|, at least at level / E_p|v|."""
-    if not 0.0 < level < math.inf:
-        raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf)")
-    scale = level / float(np.max(abs_vals))
-    return _gauge(p.prob, F, sloped, abs_vals, 1.0, scale, level / _dot(p.prob, abs_vals * scale), what)
+    sup = float(abs_vals.max())
+    if not (0.0 < level < math.inf and sup < math.inf):
+        raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf), or a value is not finite")
+    return _gauge(p.prob, F, sloped, abs_vals, 1.0, level, 1.0 / _dot(p.prob, abs_vals / sup), what)
 
 
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:

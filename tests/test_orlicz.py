@@ -555,6 +555,34 @@ def test_orlicz_gauges_keep_their_contract_and_agree_with_bisection(tag):
         assert abs(dual_norm(p, u, yf) - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("u", [[1e-308, 0.0, 0.0, 0.0], [1e308, 1.0, 1.0, 1.0], [1e300, -1e300, 0.0, 0.0]])
+def test_gauges_at_the_ends_of_the_double_range(u):
+    # the lower end of the bracket, s = level / max|u|, overflows for max|u| = 1e-308: the gauge
+    # scales by max|u| itself, and moves the radius, not its logarithm, by rel_tol / 2
+    m, p = finite_measure(np.arange(4.0)), Density.uniform(finite_measure(np.arange(4.0)))
+    u = np.array(u)
+    for tag in ("a", "b", "two", "cosh_minus_one"):
+        yf = young_pair(tag)
+        r = luxemburg_norm(p, u, yf)
+        assert _modular(p.prob, yf.Phi, np.abs(u), r) <= 1.0 < _modular(p.prob, yf.Phi, np.abs(u), r * (1.0 - 1e-14))
+        assert dual_norm(p, u, yf) > 0.0
+    d = make_deformed("kaniadakis", 0.3)
+    F = lambda x: d.exp(x + d.log(p.values))  # noqa: E731
+    r = phi_norm(p, u, d)
+    assert _modular(m.weights, F, np.abs(u), r) <= 2.0 < _modular(m.weights, F, np.abs(u), r * (1.0 - 1e-14))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_gauges_reject_values_that_are_not_finite(bad):
+    m, p = _two_point()
+    u = np.array([bad, 1.0])
+    for norm, name in ((luxemburg_norm, "Luxemburg"), (dual_norm, "dual")):
+        with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'b'.*not finite"):
+            norm(p, u, young_pair("b"))
+    with pytest.raises(InvariantError, match="not finite"):
+        phi_norm(p, u, make_deformed("classical"))
+
+
 def test_gauges_find_a_spike_far_below_the_jensen_start():
     # p puts 1e-12 on the one point where |v| = 1e3, and |v| = 1e-3 elsewhere: the Jensen start
     # level / E_p|v| lies about 1e3 times above the root.  Newton runs in log s, with steps on log M
