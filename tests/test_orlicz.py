@@ -559,7 +559,8 @@ def test_orlicz_gauges_keep_their_contract_and_agree_with_bisection(tag):
 def test_gauges_at_the_ends_of_the_double_range(u):
     # the lower end of the bracket, s = level / max|u|, overflows for max|u| = 1e-308: the gauge
     # scales by max|u| itself, and moves the radius, not its logarithm, by rel_tol / 2
-    m, p = finite_measure(np.arange(4.0)), Density.uniform(finite_measure(np.arange(4.0)))
+    m = finite_measure(np.arange(4.0))
+    p = Density.uniform(m)
     u = np.array(u)
     for tag in ("a", "b", "two", "cosh_minus_one"):
         yf = young_pair(tag)

@@ -37,7 +37,7 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
-from oracles import bisection_root, c_integral_reference, log_space_patch, walsh_values
+from oracles import c_integral_reference, log_space_patch, walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
