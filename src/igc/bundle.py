@@ -276,9 +276,11 @@ def hermite_transport_demo(y: RandomVariable, n_max: int) -> HermiteTransportRep
     x = SphereVector(base, np.ones(base.size))
     ypt = SphereVector(base, y.values)
     transported = []
+    prev, cur = np.ones(base.size), base.points  # H_0 and H_1: the recurrence of hermite_values, run once
     for n in range(1, n_max + 1):
-        hn = hermite_values(n, base.points)
-        hn = hn - _dot(base.weights, hn)  # exact mean is zero; remove quadrature residue
+        if n > 1:
+            prev, cur = cur, base.points * cur - (n - 1) * prev
+        hn = cur - _dot(base.weights, cur)  # exact mean is zero; remove quadrature residue
         tn = sphere_transport(x, ypt, SphereVector(base, hn, at=x))
         transported.append(tn.values)
     mat = np.stack(transported)

@@ -109,18 +109,32 @@ def _require_steps(t_final: float, dt: float) -> None:
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, dt: float):
     """Yield the classical RK4 states of dy/dt = rhs(y) over [0, t_final], in the fewest equal steps <= dt.
 
-    A caller may overwrite a yielded state in place to restart from there.  The
-    stage slopes outlive each step: freeing them every step made the allocator
-    return memory to the OS and fault it back in (a fifth of the time at large n).
+    ``rhs`` must return a fresh array, which the stepper may overwrite.  A caller may overwrite a
+    yielded state in place to restart from there.  One stage buffer serves every step: k1's array
+    becomes the slope sum, accumulated in the order ((k1 + 2 k2) + 2 k3) + k4 of the textbook
+    update, so only y, the stage, the sum and one slope are live at a time.
     """
     n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))
     h = t_final / n_steps if n_steps else dt
+    stage = np.empty_like(y)
     for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc = rhs(y)  # k1, whose array becomes the slope sum
+        np.multiply(acc, 0.5 * h, out=stage)
+        stage += y
+        k = rhs(stage)  # k2
+        np.multiply(k, 0.5 * h, out=stage)
+        stage += y
+        k *= 2.0
+        acc += k
+        k = rhs(stage)  # k3
+        np.multiply(k, h, out=stage)
+        stage += y
+        k *= 2.0
+        acc += k
+        acc += rhs(stage)  # k4
+        acc *= h / 6.0
+        acc += y
+        y = acc
         yield y
 
 

@@ -327,6 +327,8 @@ def walsh_transform(u: RandomVariable) -> WalshSpectrum:
     else:
         coeffs = _fwht(vals.copy())
         coeffs /= size
+    if coeffs.all():  # a dense spectrum adopts the butterfly's output
+        return WalshSpectrum._from_arrays(n, np.arange(coeffs.size, dtype=np.int64), coeffs)
     nz = np.flatnonzero(coeffs != 0.0)
     return WalshSpectrum._from_arrays(n, nz, coeffs[nz])
 
@@ -335,8 +337,11 @@ def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
     """Reconstruct u(x) as the sum of coeff * monomial over the spectrum."""
     if measure.n_sites != spec.n or measure.size != (1 << spec.n):
         raise InvariantError("measure does not match the spectrum size")
-    dense = np.zeros(measure.size)
-    dense[spec.masks] = spec.values
+    if spec.masks.size == measure.size:  # every mask present, in order: copy instead of scattering
+        dense = spec.values.copy()
+    else:
+        dense = np.zeros(measure.size)
+        dense[spec.masks] = spec.values
     dense = _fwht(dense)
     dense.setflags(write=False)
     return RandomVariable(measure, dense)

@@ -84,6 +84,23 @@ def rk4_scalar(f, y0, t_final, n_steps):
     return y
 
 
+def allocating_rk4(rhs, y, t_final, dt):
+    """The RK4 states the chart flows take, each stage and the update built as fresh arrays.
+
+    The reference for the stepper with one stage buffer: the same fewest equal steps <= dt, the
+    same operations in the textbook order, and a yielded state may be overwritten to restart.
+    """
+    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))
+    h = t_final / n_steps if n_steps else dt
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield y
+
+
 def bisection_root(g, target, guess, rel_tol=1e-14):
     """Plain bisection for a nonincreasing g from the bracket that doubling or halving ``guess`` finds.
 
@@ -165,3 +182,22 @@ def bisection_cumulant(p, u_vals, d, rel_tol=1e-14):
         r = bisection_root(lambda r: -mass(to_k(r)), -1.0, 1.0, rel_tol=rel_tol)
     k = to_k(r)
     return 0.0 if -1e-13 < k < 0.0 else k
+
+
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gamma_minus_half_reference(x):
+    """Gamma(-1/2, x), the integral of s**(-3/2) * exp(-s) from x to infinity, by quadrature.
+
+    With s = x * e**r it is exp(-x) / sqrt(x) times the integral over r >= 0 of
+    exp(-r/2 - x * expm1(r)): a smooth integrand with no subtraction anywhere.  The integral
+    is cut where x * expm1(r) = 60 (the rest is about exp(-60) of it) and summed by 16-point
+    Gauss-Legendre on 64 equal panels; against a 50-digit reference it is within 4e-16 at 13
+    points of [1e-6, 700].
+    """
+    edges = np.linspace(0.0, math.log1p(60.0 / x), 65)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    r = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _LEGENDRE_NODES
+    integral = float(np.sum(half * _LEGENDRE_WEIGHTS * np.exp(-0.5 * r - x * np.expm1(r))))
+    return math.exp(-x) * integral / math.sqrt(x)

@@ -338,6 +338,21 @@ def test_hermite_transport(space):
     assert abs(sphere_dot(moved, ypt)) < 1e-12
 
 
+def test_hermite_transport_takes_each_degree_from_hermite_values_bitwise():
+    # one recurrence for every degree, against a fresh hermite_values call per degree
+    gh = gauss_hermite_measure(32)
+    rng = np.random.default_rng(16)
+    y = rng.standard_normal(gh.size)
+    y = RandomVariable(gh, y / np.sqrt(gh.weights @ (y * y)))
+    x, ypt = SphereVector(gh, np.ones(gh.size)), SphereVector(gh, y.values)
+    rows = []
+    for n in range(1, 17):
+        hn = hermite_values(n, gh.points)
+        rows.append(sphere_transport(x, ypt, SphereVector(gh, hn - gh.weights @ hn, at=x)).values)
+    mat = np.stack(rows)
+    assert hermite_transport_demo(y, 16).gram.tobytes() == ((mat * gh.weights) @ mat.T).tobytes()
+
+
 def test_hermite_quadrature_guard():
     gh = gauss_hermite_measure(6)
     y = RandomVariable(gh, gh.points)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from igc.measures import (
     periodic_grid_measure,
     tangent,
 )
+from oracles import allocating_rk4
 
 
 @pytest.fixture
@@ -513,3 +515,51 @@ def test_chart_state_stays_centered_over_a_long_run(monkeypatch):
     assert len(record.times) == 16385
     assert worst[0] <= 2.0**-52
     assert record.mass_drift() <= 1e-12
+
+
+def test_rk4_stage_buffer_is_bitwise_the_allocating_stepper(monkeypatch):
+    # a chart flow that re-anchors several times and the heat reference, with the stepper's one
+    # stage buffer and with fresh arrays for every stage and update
+    rng = np.random.default_rng(41)
+    m = finite_measure(np.arange(64.0))
+    p = Density.random(m, rng)
+    field = exponential_field(RandomVariable(m, 3.0 * rng.standard_normal(m.size)))
+    grid = periodic_grid_measure(0.0, 1.0, 32)
+    p0 = Density.from_unnormalized(grid, 1.0 + 0.5 * np.cos(2 * math.pi * grid.points))
+    anchors = set()
+
+    def spy(anchor, u):
+        anchors.add(id(anchor))  # every anchor stays alive in the record, so ids are not reused
+        return patch_e(anchor, u)
+
+    def run():
+        record = integrate_e_chart(field, p, 1.0, 0.05, reanchor_threshold=1.0)
+        heat = reference_heat_solution(p0.values, grid.spacing, 0.02, grid.spacing**2 / 4.0)
+        return [a.tobytes() for a in (*(d.values for d in record.densities), *record.velocities, heat)]
+
+    monkeypatch.setattr(flows_module, "patch_e", spy)
+    got = run()
+    assert len(anchors) >= 3
+    monkeypatch.setattr(flows_module, "_rk4", allocating_rk4)
+    assert run() == got
+
+
+def test_geodesic_allocates_only_what_its_record_keeps():
+    # one 10-step n = 32,768 geodesic: the record keeps 10 new densities and 11 velocities and
+    # nothing else (on a counting measure prob is the density's own values); the stepper's stage
+    # buffer, slope sum and one slope keep the peak at most 26 arrays of n floats
+    n = 32768
+    rng = np.random.default_rng(32)
+    m = finite_measure(np.arange(float(n)))
+    p0 = Density.random(m, rng)
+    field = exponential_field(RandomVariable(m, rng.standard_normal(n)))
+    _ = p0.log_values  # the chart center's log, cached on first use, is not the flow's
+    tracemalloc.start()
+    try:
+        record = integrate_e_chart(field, p0, 0.2, 0.02)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(record.times) == 11
+    assert round(kept / (8 * n)) == 21
+    assert peak <= 26 * 8 * n

@@ -39,6 +39,7 @@ from igc.measures import (
     upper_incomplete_gamma_half,
 )
 from igc.measures import _DOT_BLOCK, _dot
+from oracles import gamma_minus_half_reference
 
 
 def test_measure_validation():
@@ -213,12 +214,13 @@ def test_halfline_measure_refuses_a_grid_above_the_node_bound_before_allocating(
 
 
 def test_upper_incomplete_gamma_tail_and_oracle():
-    assert upper_incomplete_gamma_half(500.0) < 1e-200
-    for x in (0.3, 1.0, 4.0):
-        oracle, err = quad(lambda s: s**-1.5 * math.exp(-s), x, np.inf)
-        assert upper_incomplete_gamma_half(x) == pytest.approx(oracle, rel=1e-9)
-    with pytest.raises(InvariantError):
-        upper_incomplete_gamma_half(0.0)
+    # full relative accuracy: the integration-by-parts difference was 4.9e-11 off at x = 500
+    for x in (1e-6, 1e-3, 0.3, 1.0, 3.99, 4.0, 4.01, 20.0, 50.0, 100.0, 250.0, 500.0):
+        assert upper_incomplete_gamma_half(x) == pytest.approx(gamma_minus_half_reference(x), rel=1e-14, abs=0.0)
+    assert upper_incomplete_gamma_half(800.0) == upper_incomplete_gamma_half(math.inf) == 0.0
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(InvariantError):
+            upper_incomplete_gamma_half(bad)
 
 
 def test_upper_incomplete_gamma_derivative():
@@ -323,3 +325,15 @@ def test_dot_sums_every_block(n):
     b = rng.standard_normal(n)
     prods = a * b
     assert abs(_dot(a, b) - math.fsum(prods)) <= 1e-14 * math.fsum(np.abs(prods))
+
+
+def test_prob_is_the_values_on_unit_weights_only():
+    rng = np.random.default_rng(17)
+    for m in (finite_measure(np.arange(6.0)), boolean_measure(3)):
+        p = Density.random(m, rng)
+        assert m.unit_weights and p.prob is p.values
+    for m in (periodic_grid_measure(0.0, 1.0, 8), finite_measure(np.arange(4.0), [1.0, 2.0, 0.5, 1.0])):
+        p = Density.random(m, rng)
+        assert not m.unit_weights and p.prob is not p.values
+        assert p.prob.tobytes() == (m.weights * p.values).tobytes()
+        assert not p.prob.flags.writeable

@@ -9,6 +9,7 @@ from igc.deformed import DeformedLogarithm, make_deformed, phi_norm
 from igc.measures import (
     Density,
     InvariantError,
+    Measure,
     RandomVariable,
     boolean_measure,
     boolean_signs,
@@ -342,6 +343,32 @@ def test_walsh_matches_concatenating_butterfly_bitwise(n):
         dense = np.zeros(m.size)
         dense[nz] = ref[nz]
         assert inverse_walsh(spec, m).values.tobytes() == concatenating_fwht(dense).tobytes()
+
+
+def test_walsh_dense_and_sparse_paths_match_concatenating_butterfly_bitwise():
+    # integer values sum exactly, so moving u[0] by c_5 zeroes coefficient 5 and no other
+    m = boolean_measure(6)
+    u = np.random.default_rng(6).integers(-1000, 1000, m.size).astype(float)
+    dense = walsh_transform(RandomVariable(m, u))
+    assert dense.masks.tolist() == list(range(m.size))
+    assert dense.values.tobytes() == (concatenating_fwht(u) / m.size).tobytes()
+    u[0] -= concatenating_fwht(u)[5]
+    ref = concatenating_fwht(u) / m.size
+    spec = walsh_transform(RandomVariable(m, u))
+    assert spec.masks.tolist() == [k for k in range(m.size) if k != 5]
+    assert spec.values.tobytes() == np.delete(ref, 5).tobytes()
+    # inverse of a sparse spectrum, and of a full one that keeps a zero coefficient
+    for coeffs in ({0: 0.25, 9: -1.5, 63: 3.0}, {k: float(k % 7) for k in range(m.size)}):
+        full = np.zeros(m.size)
+        full[list(coeffs)] = list(coeffs.values())
+        assert inverse_walsh(WalshSpectrum(6, coeffs), m).values.tobytes() == concatenating_fwht(full).tobytes()
+
+
+def test_walsh_round_trip_on_a_single_state():
+    m = Measure("finite", [0], [1.0], n_sites=0)
+    spec = walsh_transform(RandomVariable(m, [2.5]))
+    assert spec.masks.tolist() == [0] and spec.values.tolist() == [2.5]
+    assert inverse_walsh(spec, m).values.tolist() == [2.5]
 
 
 @pytest.mark.parametrize("n", range(17))
