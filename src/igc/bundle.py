@@ -24,6 +24,8 @@ from .measures import (
     TangentVector,
     _dot,
     _frozen_array,
+    _max,
+    _min,
     require_same_base,
     values_on,
 )
@@ -79,7 +81,7 @@ class SphereVector:
             if self.at.at is not None:
                 raise InvariantError("tangent base must be a sphere point")
             inner = _dot(self.base.weights, vals * self.at.values)
-            scale = max(1.0, float(np.max(np.abs(vals))))
+            scale = max(1.0, _max(vals), -_min(vals))
             if abs(inner) > _SPHERE_TOL * scale:
                 raise InvariantError("tangent vector is not orthogonal to its base point")
 

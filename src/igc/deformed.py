@@ -28,6 +28,8 @@ from .measures import (
     RandomVariable,
     _dot,
     _finite_sum,
+    _max,
+    _min,
     require_same_base,
     values_on,
 )
@@ -181,7 +183,7 @@ def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
     for s max|u| <= log1p(1 / (1 + sum(w))).
     """
     abs_vals = np.abs(values_on(p.base, u))
-    sup = float(abs_vals.max())
+    sup = _max(abs_vals)
     if sup == 0.0:
         return 0.0
     what = f"deformed norm diverges for tag {d.tag!r}"
@@ -276,14 +278,14 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
     (the patch is >= p at k = -s and <= p at k = s), capped for a finite ``lower_bound`` at
     the domain edge min(u + log_phi p) - lower_bound, past which the patch leaves the domain.
     """
-    s = float(np.max(np.abs(u_vals)))
+    s = max(_max(u_vals), -_min(u_vals))
     if s == 0.0:
         return 0.0
     w = p.base.weights
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x0 = u_vals + log_p
         at_zero = d.exp(x0)
-        if np.any(np.isnan(at_zero)):
+        if math.isnan(_max(at_zero)):
             raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
         mass0 = _dot(w, at_zero)
         if not math.isfinite(mass0):
@@ -296,10 +298,10 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
             """Mass and slope at k, or None when a patch value leaves the domain."""
             x = u_vals - k + log_p
             vals = d.exp(x)
-            return (_dot(w, vals), -_dot(w, d.phi(vals))) if np.all(vals > 0.0) or inside(x, vals) else None
+            return (_dot(w, vals), -_dot(w, d.phi(vals))) if _min(vals) > 0.0 or inside(x, vals) else None
 
-        at_start = (mass0, -_dot(w, d.phi(at_zero))) if np.all(at_zero > 0.0) or inside(x0, at_zero) else None
-        upper = s if d.lower_bound == -math.inf else min(s, float(np.min(x0)) - d.lower_bound)
+        at_start = (mass0, -_dot(w, d.phi(at_zero))) if _min(at_zero) > 0.0 or inside(x0, at_zero) else None
+        upper = s if d.lower_bound == -math.inf else min(s, _min(x0) - d.lower_bound)
         k = decreasing_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, rel_tol)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
@@ -341,8 +343,8 @@ def _chart(
     u = RandomVariable(p.base, delta - pairing)
     k = -pairing
     recon = _patch_values(u.values, k, log_p, d)
-    defect = float(np.max(np.abs(recon - q.values)))
-    if not math.isfinite(defect) or defect > 1e-9 * max(1.0, float(np.max(q.values))):
+    defect = _max(np.abs(recon - q.values))
+    if not math.isfinite(defect) or defect > 1e-9 * max(1.0, _max(q.values)):
         raise InvariantError(f"chart reconstruction defect {defect!r} exceeds 1e-9")
     return PhiChartResult(u, k)
 

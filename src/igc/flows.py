@@ -26,7 +26,10 @@ from .measures import (
     InvariantError,
     RandomVariable,
     TangentVector,
+    _all_finite,
     _dot,
+    _max,
+    _min,
     covariance,
     expect,
     require_same_base,
@@ -80,7 +83,7 @@ class VectorField:
         if self._domain is not None and not self._domain(p):
             raise FlowError("vector field evaluated outside its domain")
         vals = values_on(p.base, self._evaluator(p))
-        if not np.isfinite(vals).all():
+        if not _all_finite(vals):
             raise FlowError("vector field produced non-finite values")
         return vals
 
@@ -142,7 +145,7 @@ def _chart_field(field: VectorField, anchor: Density, u: np.ndarray) -> np.ndarr
     """The field at patch_e(anchor, u), centered under the anchor: the chart representation of the field."""
     f = field.raw(patch_e(anchor, u))
     out = f - _dot(anchor.prob, f)
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise FlowError("non-finite vector field value; step rejected")
     return out
 
@@ -173,13 +176,13 @@ def integrate_e_chart(
     velocities = [field(p0).values]
     # the lambda reads ``anchor`` when called, so a re-anchor takes effect at the next step
     for u in _rk4(lambda u_state: _chart_field(field, anchor, u_state), np.zeros(p0.base.size), t_final, dt):
-        if not np.isfinite(u).all():
+        if not _all_finite(u):
             raise FlowError("non-finite chart state; step rejected")
         u -= _dot(anchor.prob, u)  # the next step starts from the centered state
         pt = patch_e(anchor, u)
         densities.append(pt)
         velocities.append(field(pt).values)
-        if reanchor_threshold is not None and float(np.max(np.abs(u))) > reanchor_threshold:
+        if reanchor_threshold is not None and max(_max(u), -_min(u)) > reanchor_threshold:
             anchor = pt
             u[:] = 0.0  # the next step starts from the new anchor
     return CurveRecord(np.linspace(0.0, t_final, len(densities)), densities, velocities)
@@ -268,7 +271,7 @@ def natural_gradient_ascent(
         objective_trace.append(_dot(q.prob, f))
         # shifting each function by its value at the mode of q leaves every covariance as it is,
         # but keeps the centered values exact once q concentrates there
-        mode = int(np.argmax(q.prob))
+        mode = q.prob.argmax()
         fq = f - f[mode]
         fq -= _dot(q.prob, fq)
         if basis is None:

@@ -22,6 +22,8 @@ from .measures import (
     RandomVariable,
     TangentVector,
     _dot,
+    _max,
+    _min,
     lp_norm,
     require_centered,
     require_same_base,
@@ -57,7 +59,7 @@ def _centered_values(p: Density, u, what: str) -> np.ndarray:
 
 def _log_partition(vals: np.ndarray, prob: np.ndarray) -> float:
     """log sum(prob * exp(vals)), shifted by max(vals) so no exponential overflows."""
-    top = float(np.max(vals))
+    top = _max(vals)
     return top + float(np.log(_dot(prob, np.exp(vals - top))))
 
 
@@ -82,11 +84,11 @@ def patch_e(p: Density, u) -> Density:
     vals = _centered_values(p, u, "patch_e")
     weights = p.base.weights
     q = vals + p.log_values
-    top = int(np.argmax(q))
+    top = q.argmax()
     q -= q[top] + math.log(weights[top])
     np.exp(q, out=q)
     q /= _dot(q, weights)
-    if q.min() < _FLOOR:
+    if _min(q) < _FLOOR:
         np.maximum(q, _FLOOR, out=q)
         q /= _dot(q, weights)
     q.setflags(write=False)

@@ -47,32 +47,46 @@ __all__ = [
     "lp_norm",
     "upper_incomplete_gamma_half",
     "c_integral",
-    "measure_to_json",
-    "measure_from_json",
-    "density_to_json",
-    "density_from_json",
-    "density_csv_rows",
 ]
 
 
 # OpenBLAS splits a dot product over more than 10,000 entries across its thread
 # pool: the rounding then depends on the pool size, and each call wakes a worker
-# thread that spins between calls and competes with the caller.
+# thread that spins between calls and competes with the caller.  It is also the
+# cut-off below which numpy's set-up outweighs the arithmetic of the reductions.
 _DOT_BLOCK = 8192
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) for 1-D float arrays, in one thread and in a fixed order.
 
-    Longer arrays are summed as the leading remainder plus one BLAS dot product
-    per block of _DOT_BLOCK entries, each below the threading cut-off.
+    Up to _DOT_BLOCK entries a.dot(b), bitwise a @ b with less set-up (a view with a
+    negative stride aside); longer arrays are summed as the leading remainder plus
+    one BLAS dot product per block of _DOT_BLOCK entries, each below the threading cut-off.
     """
     n = a.shape[0]
     if n <= _DOT_BLOCK:
-        return float(a @ b)
+        return float(a.dot(b))
     k, r = divmod(n, _DOT_BLOCK)
     blocks = np.matmul(a[r:].reshape(k, 1, _DOT_BLOCK), b[r:].reshape(k, _DOT_BLOCK, 1))
     return (float(a[:r] @ b[:r]) if r else 0.0) + float(blocks.sum())
+
+
+def _max(a: np.ndarray) -> float:
+    """float(a.max()) of a non-empty array; up to _DOT_BLOCK entries the entry at a.argmax(),
+    which is NaN when any entry is NaN, since argmax stops at the first NaN."""
+    return a.item(a.argmax()) if a.size <= _DOT_BLOCK else float(a.max())
+
+
+def _min(a: np.ndarray) -> float:
+    """float(a.min()) of a non-empty array; up to _DOT_BLOCK entries the entry at a.argmin(),
+    which is NaN when any entry is NaN, since argmin stops at the first NaN."""
+    return a.item(a.argmin()) if a.size <= _DOT_BLOCK else float(a.min())
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() for a non-empty array: a NaN or infinite entry shows in the maximum or the minimum."""
+    return math.isfinite(_max(a)) and math.isfinite(_min(a))
 
 
 def _finite_sum(weights: np.ndarray, vals: np.ndarray) -> float:
@@ -134,7 +148,10 @@ class Measure:
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise InvariantError("weights must be strictly positive and finite")
         if self.kind == "finite":
-            if np.unique(self.points).size != self.points.size:
+            # sorted, a repeated point sits beside its twin; NaNs sort last, and two of them
+            # also count as a repeat.  (np.unique would say the same, but loads numpy.ma.)
+            pts = np.sort(self.points)
+            if (pts[1:] == pts[:-1]).any() or np.isnan(pts[-2:]).sum() > 1:
                 raise InvariantError("finite support points must be pairwise distinct")
         else:
             if not np.all(np.diff(self.points) > 0):
@@ -289,7 +306,7 @@ class Density:
             raise InvariantError("density values must match the support size")
         # a NaN, zero or negative entry fails the minimum; with positive weights, +inf fails the mass
         mass = _dot(self.values, self.base.weights)
-        if not self.values.min() > 0 or not math.isfinite(mass):
+        if not _min(self.values) > 0 or not math.isfinite(mass):
             raise InvariantError("density values must be strictly positive and finite")
         if abs(mass - 1.0) > self.base.mass_tol:
             raise InvariantError(f"density mass {mass!r} is not 1 within {self.base.mass_tol}")
@@ -321,7 +338,7 @@ class Density:
     @classmethod
     def from_unnormalized(cls, base: Measure, values) -> "Density":
         vals = np.asarray(values, dtype=float)
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
+        if not (_min(vals) > 0 and _max(vals) < math.inf):
             raise InvariantError("unnormalized density values must be positive and finite")
         return cls(base, vals / _dot(vals, base.weights))
 
@@ -342,7 +359,7 @@ class RandomVariable:
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.shape != self.base.points.shape:
             raise InvariantError("random variable values must match the support size")
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise InvariantError("random variable values must be finite")
 
     @classmethod
@@ -422,7 +439,7 @@ def lp_norm(p: Density, u, alpha: float) -> float:
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
     """Raise unless vals are finite and |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
-    sup = max(float(vals.max()), -float(vals.min()))
+    sup = max(_max(vals), -_min(vals))
     if not math.isfinite(sup):
         raise InvariantError(f"{what}: values are not finite")
     if abs(_dot(p.prob, vals)) > CENTER_TOL * max(1.0, sup):
@@ -516,49 +533,3 @@ def c_integral(theta: float, a: float) -> float:
         t = y + 0.5 * k / t
     g = 0.5 / t
     return 2.0 / math.sqrt(a) * g / (y + g)
-
-
-def measure_to_json(m: Measure) -> dict:
-    out = {
-        "kind": m.kind,
-        "points": m.points.tolist(),
-        "weights": m.weights.tolist(),
-        "mass_tol": m.mass_tol,
-    }
-    if m.domain is not None:
-        out["domain"] = list(m.domain)
-    if m.rule is not None:
-        out["rule"] = m.rule
-    if m.n_sites is not None:
-        out["n_sites"] = m.n_sites
-    return out
-
-
-def measure_from_json(data: dict) -> Measure:
-    return Measure(
-        data["kind"],
-        np.asarray(data["points"]),
-        np.asarray(data["weights"]),
-        domain=tuple(data["domain"]) if "domain" in data else None,
-        rule=data.get("rule"),
-        n_sites=data.get("n_sites"),
-        mass_tol=data.get("mass_tol", FINITE_MASS_TOL),
-    )
-
-
-def density_to_json(p: Density) -> dict:
-    out = measure_to_json(p.base)
-    out["values"] = p.values.tolist()
-    return out
-
-
-def density_from_json(data: dict) -> Density:
-    return Density(measure_from_json(data), np.asarray(data["values"]))
-
-
-def density_csv_rows(p: Density) -> list[tuple[float, float, float]]:
-    """One (point, weight, value) row per support point."""
-    return [
-        (float(pt), float(w), float(v))
-        for pt, w, v in zip(p.base.points, p.base.weights, p.values)
-    ]

@@ -32,6 +32,8 @@ from .measures import (
     _dot,
     _finite_sum,
     _frozen_array,
+    _max,
+    _min,
     c_integral,
     values_on,
 )
@@ -71,7 +73,7 @@ def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, level: f
     modular(result) <= target, and it is above the target at some r >= result * (1 - rel_tol).  Raises
     ``InvariantError(f"{what}: ...")`` when 8 runs do not bring it down.
     """
-    sup = float(vals.max())
+    sup = _max(vals)
     a = vals / sup * level  # s * vals at s = lo, formed without lo, which can overflow
     wa = weights * a
     seen = {}
@@ -150,6 +152,19 @@ def _phi_b(x):
     return _phi_b_sloped(np.abs(np.asarray(x, dtype=float)))[0]
 
 
+# The dual gauges' F(y) = Phi(phi_inv(y)) and slope y * dphi_inv(y) for y >= 0, each from one expm1 z = e**y - 1
+def _dual_a_sloped(y):  # Phi_a(expm1(y)) = (1 + z) * y - z, slope y * e**y
+    z = np.expm1(y)
+    return (1.0 + z) * y - z, y * (1.0 + z)
+
+
+def _dual_b_sloped(y):  # Phi_b(sinh(y)) = y * sinh(y) - (cosh(y) - 1), slope y * cosh(y)
+    z = np.expm1(y)
+    e = 1.0 + z
+    # sinh(y) = z (1 + e) / 2e, cosh(y) - 1 = z**2 / 2e: no cancellation near 0, and no overflow before y * z
+    return z / (2.0 * e) * (y * (1.0 + e) - z), 0.5 * y * (e + 1.0 / e)
+
+
 def _cosh_minus_one(y):
     return np.cosh(np.asarray(y, dtype=float)) - 1.0
 
@@ -226,7 +241,7 @@ def validate_young_pair(yf: YoungFunction) -> None:
 
 def _jensen_gauge(p: Density, F: Callable, sloped: Callable, abs_vals: np.ndarray, level: float, what: str) -> float:
     """The gauge of E_p[F(|v|/r)] <= 1, F(level) = 1: by Jensen, at most 1 at s = level / max|v|, at least at level / E_p|v|."""
-    sup = float(abs_vals.max())
+    sup = _max(abs_vals)
     if not (0.0 < level < math.inf and sup < math.inf):
         raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf), or a value is not finite")
     return _gauge(p.prob, F, sloped, abs_vals, 1.0, level, 1.0 / _dot(p.prob, abs_vals / sup), what)
@@ -235,7 +250,7 @@ def _jensen_gauge(p: Density, F: Callable, sloped: Callable, abs_vals: np.ndarra
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
     """Gauge of the unit ball {E_p[Phi(u)] <= 1}; zero for u identically zero."""
     abs_vals = np.abs(values_on(p.base, u))
-    if not abs_vals.any():
+    if _max(abs_vals) == 0.0:
         return 0.0
     sloped = {_phi_a: _phi_a_sloped, _phi_b: _phi_b_sloped}.get(Phi.Phi, lambda y: (Phi.Phi(y), Phi.phi(y)))
     return _jensen_gauge(p, Phi.Phi, sloped, abs_vals, Phi._unit_level, f"Luxemburg norm diverges for tag {Phi.tag!r}")
@@ -251,11 +266,14 @@ def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
     if not Phi.strict:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
     abs_vals = np.abs(values_on(p.base, v))
-    if not abs_vals.any():
+    if _max(abs_vals) == 0.0:
         return 0.0
     level = float(Phi.phi(np.array([Phi._unit_level]))[0])
-    F = lambda y: Phi.Phi(Phi.phi_inv(y))  # noqa: E731
-    lam = _jensen_gauge(p, F, lambda y: (F(y), y * Phi.dphi_inv(y)), abs_vals, level, f"dual norm diverges for tag {Phi.tag!r}")
+    sloped = {(_phi_a, np.expm1): _dual_a_sloped, (_phi_b, np.sinh): _dual_b_sloped}.get(
+        (Phi.Phi, Phi.phi_inv), lambda y: (Phi.Phi(Phi.phi_inv(y)), y * Phi.dphi_inv(y))
+    )
+    F = lambda y: sloped(y)[0]  # noqa: E731
+    lam = _jensen_gauge(p, F, sloped, abs_vals, level, f"dual norm diverges for tag {Phi.tag!r}")
     return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam))  # E_p[u v], u = sign(v) phi_inv(|v| / lam)
 
 
@@ -322,7 +340,7 @@ def walsh_transform(u: RandomVariable) -> WalshSpectrum:
     # every coefficient is an average, so |c| <= max|u|, but the butterfly's sums reach size * max|u|:
     # past DBL_MAX / size scale first (exact, size being a power of two); below it divide last,
     # which rounds a subnormal coefficient once
-    if max(vals.max(), -vals.min()) > sys.float_info.max / size:
+    if max(_max(vals), -_min(vals)) > sys.float_info.max / size:
         coeffs = _fwht(vals / size)
     else:
         coeffs = _fwht(vals.copy())

@@ -245,3 +245,17 @@ def test_import_cli_leaves_scipy_unloaded():
 def test_profile_commands_pass_with_scipy_unimportable():
     block = "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
     assert run_fresh_interpreter(block + PROFILE_RUNS + "print(json.dumps(runs))") == [[0, True], [0, True]]
+
+
+def test_chart_and_flow_opt_leave_numpy_ma_unloaded():
+    # Measure checks distinct points by sorting: np.unique would import numpy.ma (16-20 ms) in every command
+    runs = (
+        "import contextlib, io, json\n"
+        "from igc.cli import main\n"
+        "codes = []\n"
+        "for argv in (['chart', '--n', '8'], ['flow', 'opt', '--n-sites', '8', '--gamma', '0.5', '--iters', '20']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    assert run_fresh_interpreter(runs) == [[0, 0], False]

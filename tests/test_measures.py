@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -22,9 +21,6 @@ from igc.measures import (
     coordinate,
     cotangent,
     covariance,
-    density_csv_rows,
-    density_from_json,
-    density_to_json,
     expect,
     finite_measure,
     gauss_hermite_measure,
@@ -32,8 +28,6 @@ from igc.measures import (
     HALFLINE_MAX_NODES,
     halfline_measure,
     lp_norm,
-    measure_from_json,
-    measure_to_json,
     periodic_grid_measure,
     tangent,
     upper_incomplete_gamma_half,
@@ -47,8 +41,13 @@ def test_measure_validation():
         finite_measure([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(InvariantError):
         finite_measure([0.0, 1.0], [1.0, -1.0])
-    with pytest.raises(InvariantError):
-        finite_measure([1.0, 1.0])
+    for repeated in ([1.0, 1.0], [2.0, 0.0, -0.0], [np.nan, 1.0, np.nan]):  # NaNs count as equal, as in np.unique
+        with pytest.raises(InvariantError, match="pairwise distinct"):
+            finite_measure(repeated)
+    assert finite_measure([np.nan, 1.0, -np.inf]).size == 3
+    with pytest.raises(InvariantError, match="pairwise distinct"):
+        Measure("finite", [3, 1, 3], [1.0, 1.0, 1.0], n_sites=2)
+    assert Measure("finite", [3, 0, 2, 1], np.ones(4), n_sites=2).size == 4
     with pytest.raises(InvariantError):
         Measure("grid1d", [0.0, 0.5, 0.4], [1.0, 1.0, 1.0])
     with pytest.raises(InvariantError):
@@ -293,27 +292,6 @@ def test_lp_norm():
     assert lp_norm(p, u, 2.0) == pytest.approx(math.sqrt(expect(p, u * u)), rel=1e-12)
     with pytest.raises(InvariantError):
         lp_norm(p, u, 0.0)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(5)
-    for base in (boolean_measure(3), gauss_legendre_measure(0.0, 2.0, 4), finite_measure([0.5, 1.5])):
-        blob = json.dumps(measure_to_json(base))
-        back = measure_from_json(json.loads(blob))
-        assert back.same_base(base)
-        assert back.kind == base.kind and back.rule == base.rule and back.n_sites == base.n_sites
-        p = Density.random(base, rng)
-        blob_p = json.dumps(density_to_json(p))
-        back_p = density_from_json(json.loads(blob_p))
-        assert back_p.base.same_base(base)
-        assert np.array_equal(back_p.values, p.values)
-
-
-def test_csv_rows():
-    m = finite_measure([0.0, 1.0], [1.0, 3.0])
-    p = Density.from_unnormalized(m, [1.0, 1.0])
-    rows = density_csv_rows(p)
-    assert rows == [(0.0, 1.0, 0.25), (1.0, 3.0, 0.25)]
 
 
 @pytest.mark.parametrize("n", [1, _DOT_BLOCK, _DOT_BLOCK + 1, 3 * _DOT_BLOCK, 3 * _DOT_BLOCK + 5])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from igc.orlicz import (
     WalshSpectrum,
     YOUNG_TAGS,
     YoungFunction,
+    _dual_a_sloped,
+    _dual_b_sloped,
     _fwht,
     _gf2_kernel_basis,
     boolean_mgf,
@@ -118,6 +121,39 @@ def test_dual_norm_examples():
     got = dual_norm(p, v, Phi)
     assert got == pytest.approx(math.acosh(2.0), rel=1e-10)
     assert got == pytest.approx(oracle, abs=5e-3)
+
+
+def _dual_reference(tag: str, y: float) -> tuple[float, float]:
+    """Phi(phi_inv(y)) and its slope y * dphi_inv(y) for pairs a and b, from a 60-digit decimal exp."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        y = Decimal(y)
+        e = y.exp()
+        if tag == "a":  # (1 + z) y - z with z = e**y - 1
+            return float(1 + (y - 1) * e), float(y * e)
+        sinh, cosh = (e - 1 / e) / 2, (e + 1 / e) / 2
+        return float(y * sinh - (cosh - 1)), float(y * cosh)
+
+
+@pytest.mark.parametrize("tag,sloped", [("a", _dual_a_sloped), ("b", _dual_b_sloped)])
+def test_dual_gauge_terms_are_no_less_accurate_than_the_composition(tag, sloped):
+    # per decade of a log grid on [1e-9, 700], the worst relative error of the one-expm1 form is at most
+    # that of Phi(phi_inv(y)); both cancel near 0 for pair a, while for pair b the composition loses
+    # everything below 1e-7 and overflows past y = 355, and the one-expm1 form keeps full precision
+    yf = young_pair(tag)
+    ys = np.geomspace(1e-9, 700.0, 600)
+    ref = np.array([_dual_reference(tag, y) for y in ys])
+    F, slope = sloped(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        composed = yf.Phi(yf.phi_inv(ys))
+    err = np.abs(F - ref[:, 0]) / ref[:, 0]
+    err_composed = np.where(np.isfinite(composed), np.abs(composed - ref[:, 0]) / ref[:, 0], np.inf)
+    for d in range(-9, 3):
+        decade = (ys >= 10.0**d) & (ys < 10.0 ** (d + 1))
+        assert err[decade].max() <= err_composed[decade].max()
+    if tag == "b":
+        assert err.max() <= 1e-15
+    assert np.all(np.abs(slope - ref[:, 1]) <= 1e-15 * ref[:, 1])
 
 
 def test_dual_norm_flat_phi_rejected():
