@@ -155,7 +155,8 @@ def _phi_b(x):
 # The dual gauges' F(y) = Phi(phi_inv(y)) and slope y * dphi_inv(y) for y >= 0, each from one expm1 z = e**y - 1
 def _dual_a_sloped(y):  # Phi_a(expm1(y)) = (1 + z) * y - z, slope y * e**y
     z = np.expm1(y)
-    return (1.0 + z) * y - z, y * (1.0 + z)
+    e = 1.0 + z
+    return e * y - z, y * e
 
 
 def _dual_b_sloped(y):  # Phi_b(sinh(y)) = y * sinh(y) - (cosh(y) - 1), slope y * cosh(y)
