@@ -25,7 +25,6 @@ from .measures import (
     _dot,
     _frozen_array,
     _max,
-    _min,
     require_same_base,
     values_on,
 )
@@ -74,16 +73,22 @@ class SphereVector:
             raise InvariantError("sphere vector values must match the support size")
         if self.at is None:
             nrm = _dot(self.base.weights, vals * vals)
-            if abs(nrm - 1.0) > _SPHERE_TOL:
+            if not abs(nrm - 1.0) <= _SPHERE_TOL:  # a NaN norm fails too
                 raise InvariantError(f"sphere point has squared norm {nrm!r}, expected 1")
         else:
             require_same_base(self.base, self.at.base, "SphereVector")
             if self.at.at is not None:
                 raise InvariantError("tangent base must be a sphere point")
-            inner = _dot(self.base.weights, vals * self.at.values)
-            scale = max(1.0, _max(vals), -_min(vals))
-            if abs(inner) > _SPHERE_TOL * scale:
-                raise InvariantError("tangent vector is not orthogonal to its base point")
+            _require_tangent(self.base.weights, vals, self.at.values)
+
+
+def _require_tangent(weights: np.ndarray, vals: np.ndarray, at_vals: np.ndarray) -> None:
+    """Raise unless vals is finite and mu-orthogonal to the point at_vals within _SPHERE_TOL * max(1, max|vals|)."""
+    sup = _max(np.abs(vals))  # NaN when any entry is NaN
+    if not math.isfinite(sup):
+        raise InvariantError("sphere tangent values must be finite")
+    if abs(_dot(weights, vals * at_vals)) > _SPHERE_TOL * max(1.0, sup):
+        raise InvariantError("tangent vector is not orthogonal to its base point")
 
 
 def sphere_dot(x: SphereVector, y: SphereVector) -> float:
@@ -136,19 +141,22 @@ def sphere_patch(x: SphereVector, u: SphereVector) -> SphereVector:
     return SphereVector(x.base, u.values + math.sqrt(1.0 - uu) * x.values)
 
 
-def transport_values(
-    base: Measure,
-    x_values: np.ndarray,
-    y_values: np.ndarray,
-    u_values: np.ndarray,
-) -> np.ndarray:
-    """Raw chord transport u - <u, y> (x + y) / (1 + <x, y>) on value arrays."""
-    w = base.weights
+def _chord_transport(w: np.ndarray, x_values: np.ndarray, y_values: np.ndarray) -> Callable[..., np.ndarray]:
+    """The chord transport from x to y as a map of u's values, its x-y terms computed once."""
     c = _dot(w, x_values * y_values)
     if c <= -1.0 + 1e-12:
         raise InvariantError("transport is undefined between antipodal points")
-    uy = _dot(w, u_values * y_values)
-    return u_values - (uy / (1.0 + c)) * (x_values + y_values)
+    denom, xy = 1.0 + c, x_values + y_values
+
+    def move(u_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(u_values, (_dot(w, u_values * y_values) / denom) * xy, out=out)
+
+    return move
+
+
+def transport_values(base: Measure, x_values: np.ndarray, y_values: np.ndarray, u_values: np.ndarray) -> np.ndarray:
+    """Raw chord transport u - <u, y> (x + y) / (1 + <x, y>) on value arrays."""
+    return _chord_transport(base.weights, x_values, y_values)(u_values)
 
 
 def sphere_transport(x: SphereVector, y: SphereVector, u: SphereVector) -> SphereVector:
@@ -275,22 +283,23 @@ def hermite_transport_demo(y: RandomVariable, n_max: int) -> HermiteTransportRep
     ynorm = _dot(base.weights, y.values * y.values)
     if abs(ynorm - 1.0) > 1e-8:
         raise InvariantError(f"E[y^2] = {ynorm!r}, expected 1")
-    x = SphereVector(base, np.ones(base.size))
-    ypt = SphereVector(base, y.values)
-    transported = []
-    prev, cur = np.ones(base.size), base.points  # H_0 and H_1: the recurrence of hermite_values, run once
+    # the two points are the only sphere objects; each degree is checked as SphereVector would check it,
+    # H_n as a tangent at x and its transport as a tangent at y
+    w, x, yv = base.weights, SphereVector(base, np.ones(base.size)).values, SphereVector(base, y.values).values
+    move = _chord_transport(w, x, yv)
+    mat = np.empty((n_max, base.size))
+    prev, cur = x, base.points  # H_0 and H_1: the recurrence of hermite_values, run once
     for n in range(1, n_max + 1):
         if n > 1:
             prev, cur = cur, base.points * cur - (n - 1) * prev
-        hn = cur - _dot(base.weights, cur)  # exact mean is zero; remove quadrature residue
-        tn = sphere_transport(x, ypt, SphereVector(base, hn, at=x))
-        transported.append(tn.values)
-    mat = np.stack(transported)
-    gram = (mat * base.weights) @ mat.T
+        hn = cur - _dot(w, cur)  # exact mean is zero; remove quadrature residue
+        _require_tangent(w, hn, x)
+        _require_tangent(w, move(hn, out=mat[n - 1]), yv)
+    gram = (mat * w) @ mat.T
+    diag = np.diag(gram)
     expected = np.array([math.factorial(n) for n in range(1, n_max + 1)], dtype=float)
-    off = gram - np.diag(np.diag(gram))
     return HermiteTransportReport(
         gram=gram,
-        max_offdiag=float(np.max(np.abs(off))) if n_max > 1 else 0.0,
-        max_diag_defect=float(np.max(np.abs(np.diag(gram) - expected) / expected)),
+        max_offdiag=float(np.abs(gram - np.diag(diag)).max()) if n_max > 1 else 0.0,
+        max_diag_defect=float((np.abs(diag - expected) / expected).max()),
     )

@@ -338,6 +338,8 @@ class Density:
     @classmethod
     def from_unnormalized(cls, base: Measure, values) -> "Density":
         vals = np.asarray(values, dtype=float)
+        if vals.shape != base.points.shape:
+            raise InvariantError("density values must match the support size")
         if not (_min(vals) > 0 and _max(vals) < math.inf):
             raise InvariantError("unnormalized density values must be positive and finite")
         return cls(base, vals / _dot(vals, base.weights))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -302,7 +302,7 @@ class WalshSpectrum:
 
     @classmethod
     def _from_arrays(cls, n: int, masks: np.ndarray, values: np.ndarray) -> WalshSpectrum:
-        """Adopt fresh arrays of sorted, distinct, in-range masks and finite values, unchecked."""
+        """Adopt arrays of sorted, distinct, in-range masks and finite values, unchecked, and make them read-only."""
         spec = cls.__new__(cls)
         masks.flags.writeable = values.flags.writeable = False
         vars(spec).update(n=n, masks=masks, values=values)
@@ -332,6 +332,14 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return src
 
 
+@cache
+def _dense_masks(n: int) -> np.ndarray:
+    """The masks 0 .. 2**n - 1 of a dense n-site spectrum: one read-only array shared by all of them."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
+
+
 def walsh_transform(u: RandomVariable) -> WalshSpectrum:
     """Exact character coefficients of u on a boolean measure, zero coefficients dropped."""
     n = u.base.n_sites
@@ -347,7 +355,7 @@ def walsh_transform(u: RandomVariable) -> WalshSpectrum:
         coeffs = _fwht(vals.copy())
         coeffs /= size
     if coeffs.all():  # a dense spectrum adopts the butterfly's output
-        return WalshSpectrum._from_arrays(n, np.arange(coeffs.size, dtype=np.int64), coeffs)
+        return WalshSpectrum._from_arrays(n, _dense_masks(n), coeffs)
     nz = np.flatnonzero(coeffs != 0.0)
     return WalshSpectrum._from_arrays(n, nz, coeffs[nz])
 

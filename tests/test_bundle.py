@@ -78,6 +78,16 @@ def test_sphere_vector_invariants(space):
         SphereVector(m, x.values + 1.0, at=x)  # not orthogonal to x
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sphere_vector_rejects_values_that_are_not_finite(bad):
+    four = finite_measure(np.arange(4.0))
+    with pytest.raises(InvariantError, match="squared norm"):
+        SphereVector(four, [bad, 0.5, 0.5, 0.5])
+    y = SphereVector(four, np.full(4, 0.5))
+    with pytest.raises(InvariantError, match="^sphere tangent values must be finite$"):
+        SphereVector(four, [bad, 0.0, 0.0, 0.0], at=y)
+
+
 def test_sphere_vector_leaves_the_caller_array_writeable(space):
     rng, m = space
     raw = rng.standard_normal(12)
@@ -361,6 +371,8 @@ def test_hermite_quadrature_guard():
     bad = RandomVariable(gh, 2.0 * gh.points)
     with pytest.raises(InvariantError):
         hermite_transport_demo(bad, 3)
+    with pytest.raises(InvariantError, match="antipodal"):
+        hermite_transport_demo(RandomVariable(gh, -np.ones(gh.size)), 3)
 
 
 def test_hilbert_vector_requires_centering(space):

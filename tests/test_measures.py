@@ -131,6 +131,12 @@ def test_density_rejects_non_positive_or_non_finite_values(bad):
         Density(m, [bad, 0.25, 0.25, 0.5])
 
 
+def test_unnormalized_density_of_the_wrong_length_is_an_invariant_error():
+    m = finite_measure(np.arange(4.0))
+    with pytest.raises(InvariantError, match="^density values must match the support size$"):
+        Density.from_unnormalized(m, np.ones(3))
+
+
 def test_density_copies_unless_handed_a_frozen_array_it_can_own():
     m = finite_measure(np.arange(4.0))
     src = np.full(4, 0.25)

@@ -457,6 +457,19 @@ def test_walsh_round_trip_reads_the_arrays_only():
     assert not back.values.flags.writeable and back.values.base is None
 
 
+def test_dense_spectra_of_one_size_share_one_read_only_mask_array():
+    m = boolean_measure(8)
+    rng = np.random.default_rng(8)
+    us = [rng.standard_normal(m.size) for _ in range(2)]
+    specs = [walsh_transform(RandomVariable(m, u)) for u in us]
+    assert specs[0].masks is specs[1].masks and not specs[0].masks.flags.writeable
+    assert specs[0].masks.dtype == np.int64 and specs[0].masks.tolist() == list(range(m.size))
+    assert walsh_transform(RandomVariable(boolean_measure(7), us[0][:128])).masks.size == 128
+    for u, spec in zip(us, specs):
+        assert spec.values.tobytes() == (concatenating_fwht(u) / m.size).tobytes()
+        assert inverse_walsh(spec, m).values.tobytes() == concatenating_fwht(spec.values).tobytes()
+
+
 def test_walsh_round_trip_peak_memory():
     # at 16 sites one float array is 0.5 MiB: the input copy, the butterfly's one full-size
     # ping-pong buffer, the two spectrum arrays and the output fit under 3 MiB; a dict per

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from igc._rootfind import decreasing_root
-from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
+from igc.bundle import (
+    SphereVector,
+    hermite_transport_demo,
+    hermite_values,
+    hilbert_transport,
+    hilbert_vector,
+    metric_derivative,
+    sphere_transport,
+)
 from igc.deformed import make_deformed, phi_norm
 from igc.manifold import _log_partition, chart_s, divergence, patch_e, pythagorean_check, transport_e, transport_m
 from igc.measures import (
@@ -23,6 +31,7 @@ from igc.measures import (
     c_integral,
     cotangent,
     finite_measure,
+    gauss_hermite_measure,
     periodic_grid_measure,
     tangent,
 )
@@ -180,6 +189,31 @@ def test_hilbert_transport_is_an_isometry_with_inverse(n, spread, scale, seed):
     assert abs(float(q.prob @ moved.values**2) - norm2) <= 1e-12 * max(1.0, norm2)
     back = hilbert_transport(q, p, moved).values
     assert np.max(np.abs(back - u.values)) <= 1e-12 * max(1.0, float(np.max(np.abs(u.values))))
+
+
+@st.composite
+def hermite_transport_cases(draw):
+    nodes = draw(st.integers(2, 96))
+    return nodes, draw(st.integers(1, nodes // 2)), draw(st.floats(-1.0, 3.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(case=hermite_transport_cases())
+def test_hermite_transport_demo_is_the_per_degree_sphere_transport_bitwise(case):
+    # the array loop against one SphereVector tangent and one sphere_transport per degree
+    nodes, n_max, offset, seed = case
+    gh = gauss_hermite_measure(nodes)
+    raw = offset + np.random.default_rng(seed).standard_normal(nodes)
+    y = RandomVariable(gh, raw / np.sqrt(gh.weights @ (raw * raw)))
+    x, ypt = SphereVector(gh, np.ones(nodes)), SphereVector(gh, y.values)
+    rows = []
+    for n in range(1, n_max + 1):
+        hn = hermite_values(n, gh.points)
+        rows.append(sphere_transport(x, ypt, SphereVector(gh, hn - gh.weights @ hn, at=x)).values)
+    mat = np.stack(rows)
+    assert hermite_transport_demo(y, n_max).gram.tobytes() == ((mat * gh.weights) @ mat.T).tobytes()
+    for row in mat:
+        assert abs(gh.weights @ (row * y.values)) <= 1e-12 * max(1.0, float(np.max(np.abs(row))))
 
 
 @PROPERTY_SETTINGS
