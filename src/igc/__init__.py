@@ -8,98 +8,12 @@ deformed-exponential generalization.
 
 __version__ = "0.1.0"
 
-from .measures import (
-    BaseMismatchError,
-    CotangentVector,
-    Density,
-    InvariantError,
-    Measure,
-    RandomVariable,
-    TangentVector,
-    boolean_measure,
-    boolean_signs,
-    boolean_site,
-    c_integral,
-    coordinate,
-    cotangent,
-    covariance,
-    expect,
-    finite_measure,
-    gauss_hermite_measure,
-    gauss_legendre_measure,
-    halfline_measure,
-    lp_norm,
-    periodic_grid_measure,
-    tangent,
-    upper_incomplete_gamma_half,
-)
-from .orlicz import (
-    WalshSpectrum,
-    YoungFunction,
-    boolean_mgf,
-    boolean_phi_moment,
-    dual_norm,
-    inverse_walsh,
-    luxemburg_norm,
-    nonsteep_density,
-    nonsteep_profile,
-    steepness_profile,
-    walsh_transform,
-    young_pair,
-)
-from .manifold import (
-    chart_m,
-    chart_s,
-    cumulant,
-    cumulant_derivatives,
-    cumulant_gradient,
-    divergence,
-    e_convergence_diagnostic,
-    orthogonal_mixture_third,
-    patch_e,
-    patch_m,
-    pythagorean_check,
-    transition_e,
-    transport_e,
-    transport_m,
-)
-from .bundle import (
-    HilbertVector,
-    SphereVector,
-    covariant_derivative_sphere,
-    embed_sqrt,
-    hermite_transport_demo,
-    hilbert_transport,
-    hilbert_vector,
-    metric_derivative,
-    sphere_chart,
-    sphere_dot,
-    sphere_patch,
-    sphere_point,
-    sphere_tangent,
-    sphere_transport,
-)
-from .flows import (
-    CurveRecord,
-    VectorField,
-    e_geodesic,
-    exponential_field,
-    heat_flow,
-    hessian_expectation,
-    integrate_e_chart,
-    m_geodesic,
-    natural_gradient_ascent,
-    one_sided_lipschitz_probe,
-)
-from .deformed import (
-    DeformedLogarithm,
-    escort_density,
-    escort_expect,
-    make_deformed,
-    phi_arc,
-    phi_chart,
-    phi_connected,
-    phi_cumulant,
-    phi_norm,
-    phi_patch,
-)
+from .measures import *
+from .orlicz import *
+from .manifold import *
+from .bundle import *
+from .flows import *
+from .deformed import *
+
+# each module's __all__ is its public API; the package re-exports all of them
+__all__ = [*measures.__all__, *orlicz.__all__, *manifold.__all__, *bundle.__all__, *flows.__all__, *deformed.__all__]

@@ -33,7 +33,7 @@ from .measures import (
     require_same_base,
     values_on,
 )
-from .orlicz import _gauge
+from .orlicz import _REL_TOL, _gauge
 
 __all__ = [
     "DeformedLogarithm",
@@ -253,24 +253,22 @@ def _patch_values(u_vals: np.ndarray, k: float, log_p: np.ndarray, d: DeformedLo
         return d.exp(u_vals - k + log_p)
 
 
-def phi_cumulant(p: Density, u, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
+def phi_cumulant(p: Density, u, d: DeformedLogarithm) -> float:
     """The unique constant k making exp_phi(u - k + log_phi p) a unit-mass function.
 
     On escort-centered coordinates (vanishing pairing against phi(p)) the
     constant is nonnegative by convexity and zero exactly when u vanishes.
     Coordinates carrying a nonzero escort pairing are normalized all the
     same; their constant may take either sign.  Raises when u + log_phi p
-    leaves the domain of the deformed exponential or the mass diverges, and
-    when ``rel_tol`` does not lie in (0, 1).  If the mass drops past 1 only
-    at a domain exit, k is the largest constant that keeps the patch inside
-    the domain (its mass then exceeds 1).
+    leaves the domain of the deformed exponential or the mass diverges.  If
+    the mass drops past 1 only at a domain exit, k is the largest constant
+    that keeps the patch inside the domain (its mass then exceeds 1).  k is
+    solved to the gauges' relative tolerance of 1e-14.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise InvariantError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    return _cumulant(p, values_on(p.base, u), d.log(p.values), d, rel_tol)
+    return _cumulant(p, values_on(p.base, u), d.log(p.values), d)
 
 
-def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm, rel_tol: float = 1e-14) -> float:
+def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm) -> float:
     """:func:`phi_cumulant` of the coordinate values u_vals, given log_phi p.
 
     The mass k -> sum(w * exp_phi(u - k + log_phi p)) is convex and decreasing, with slope
@@ -302,7 +300,7 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
 
         at_start = (mass0, -_dot(w, d.phi(at_zero))) if _min(at_zero) > 0.0 or inside(x0, at_zero) else None
         upper = s if d.lower_bound == -math.inf else min(s, _min(x0) - d.lower_bound)
-        k = decreasing_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, rel_tol)
+        k = decreasing_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, _REL_TOL)
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
 

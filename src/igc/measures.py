@@ -47,6 +47,9 @@ __all__ = [
     "lp_norm",
     "upper_incomplete_gamma_half",
     "c_integral",
+    "require_same_base",
+    "values_on",
+    "require_centered",
 ]
 
 
@@ -382,19 +385,10 @@ class RandomVariable:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __rsub__(self, other):
-        return RandomVariable(self.base, float(other) - self.values)
-
     def __mul__(self, other):
         return self._binary(other, np.multiply)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, np.divide)
-
-    def __neg__(self):
-        return RandomVariable(self.base, -self.values)
 
 
 def coordinate(measure: Measure) -> RandomVariable:
@@ -469,10 +463,6 @@ class TangentVector:
     @property
     def values(self) -> np.ndarray:
         return self.rv.values
-
-    @property
-    def base(self) -> Measure:
-        return self.at.base
 
 
 class CotangentVector(TangentVector):

@@ -373,6 +373,11 @@ def test_hermite_quadrature_guard():
         hermite_transport_demo(bad, 3)
     with pytest.raises(InvariantError, match="antipodal"):
         hermite_transport_demo(RandomVariable(gh, -np.ones(gh.size)), 3)
+    # one tolerance decides whether y is a unit point: the sphere's, 1e-10 on E[y^2]
+    gh = gauss_hermite_measure(40)
+    with pytest.raises(InvariantError, match="squared norm"):
+        hermite_transport_demo(RandomVariable(gh, gh.points * np.sqrt(1 + 1e-9)), 3)
+    hermite_transport_demo(RandomVariable(gh, gh.points * np.sqrt(1 + 1e-12)), 3)
 
 
 def test_hilbert_vector_requires_centering(space):

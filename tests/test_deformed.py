@@ -242,8 +242,8 @@ def test_phi_cumulant_derivative_is_escort_expectation(space):
         q = phi_patch(p, u, d)
         expected = escort_expect(q, v, d)
         fd = (
-            phi_cumulant(p, u + v * h, d, rel_tol=1e-15)
-            - phi_cumulant(p, u - v * h, d, rel_tol=1e-15)
+            phi_cumulant(p, u + v * h, d)
+            - phi_cumulant(p, u - v * h, d)
         ) / (2 * h)
         assert fd == pytest.approx(expected, rel=1e-5, abs=1e-8)
 
@@ -472,16 +472,6 @@ def test_phi_cumulant_overflow_raises_without_a_warning(space):
     u[3] = 800.0
     with pytest.raises(InvariantError, match="diverges"):
         phi_cumulant(p, u, make_deformed("classical"))
-
-
-@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, 0.0, -1e-14, 1.0, 2.0])
-def test_phi_cumulant_rejects_a_bad_rel_tol(space, rel_tol):
-    rng, m = space
-    p = Density.random(m, rng)
-    d = make_deformed("tsallis", 0.6)
-    raw = 0.5 * rng.standard_normal(8)
-    with pytest.raises(InvariantError, match="rel_tol"):
-        phi_cumulant(p, raw - escort_expect(p, raw, d), d, rel_tol=rel_tol)
 
 
 def test_phi_patch_chart_roundtrip(space):

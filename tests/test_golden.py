@@ -15,11 +15,10 @@ from functools import cache
 
 import pytest
 
-import make_golden
-from make_golden import GOLDEN, ops, run_cli, workloads
+from make_golden import GOLDEN, SEEDS, fingerprint, ops, run_cli, workloads
 
 RECORDED = json.loads(GOLDEN.read_text())
-BITWISE = RECORDED["fingerprint"] == make_golden.fingerprint()
+BITWISE = RECORDED["fingerprint"] == fingerprint()
 CASES = [(w, seed, key) for w in ("flows", "kernels", "cli-cold") for seed in RECORDED[w] for key in RECORDED[w][seed]]
 
 
@@ -30,7 +29,7 @@ def _ops(workload: str, seed: str) -> dict:
 
 def test_golden_file_covers_every_operation():
     for workload in ("flows", "kernels", "cli-cold"):
-        assert sorted(RECORDED[workload]) == [str(s) for s in make_golden.SEEDS]
+        assert sorted(RECORDED[workload]) == [str(s) for s in SEEDS]
         for seed in RECORDED[workload]:
             assert sorted(RECORDED[workload][seed]) == sorted(_ops(workload, seed))
 

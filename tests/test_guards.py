@@ -1,0 +1,140 @@
+"""Every input guard of igc's modules, given one bad input: the exception class and message it raises.
+
+Each row of GUARDS reaches one ``raise`` that no other test reaches; where an ``igc`` command
+reaches the same guard, CLI_GUARDS also checks its exit code 2 and its error record.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import igc
+from igc import FlowError, InvariantError
+from igc.cli import main
+
+M = igc.finite_measure(np.arange(4.0))
+P = igc.Density(M, [0.1, 0.7, 0.1, 0.1])
+Q = igc.Density(M, [0.4, 0.3, 0.2, 0.1])
+X = igc.sphere_point(M, np.ones(4))  # values 1/2: a sphere point
+T = igc.sphere_tangent(X, [1.0, -1.0, 0.0, 0.0])  # a tangent at X
+GH = igc.gauss_hermite_measure(8)
+TWO = igc.young_pair("two")  # Phi = Phi_conj = x**2 / 2
+
+
+def _pair(**fields):
+    return dataclasses.replace(TWO, tag="broken", **fields)
+
+
+def _overflowing(fn, *args, **kwargs):
+    # the guard catches what numpy's overflow produced; keep its warning from raising first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args, **kwargs)
+
+
+_BIG = igc.VectorField(lambda q: np.array([1.7e308, -1.7e308, 0.0, 0.0]))  # centered under P: entry 0 overflows
+_STEEP = igc.VectorField(lambda q: np.array([1e308, -1e308]))  # centered under the uniform density on 2 points
+_HALVES = igc.Density.uniform(igc.finite_measure([0.0, 1.0]))
+
+GUARDS = [
+    # measures
+    ("measure-shapes", lambda: igc.Measure("finite", np.arange(3.0), np.ones(2)), InvariantError,
+     "1-D arrays of equal length"),
+    ("measure-empty", lambda: igc.finite_measure([]), InvariantError, "empty support"),
+    ("spacing-not-periodic", lambda: M.spacing, InvariantError, "periodic uniform grids only"),
+    ("boolean-sites", lambda: igc.boolean_measure(21), InvariantError, "n_sites must be between 1 and 20"),
+    ("boolean-signs", lambda: igc.boolean_signs(M), InvariantError, "not a boolean measure"),
+    ("legendre-interval", lambda: igc.gauss_legendre_measure(1.0, 0.0, 2), InvariantError, "need b > a"),
+    ("legendre-panels", lambda: igc.gauss_legendre_measure(0.0, 1.0, 0), InvariantError, "need n_panels >= 1"),
+    ("periodic-nodes", lambda: igc.periodic_grid_measure(0.0, 1.0, 2), InvariantError, "need b > a and n >= 3"),
+    ("hermite-nodes", lambda: igc.gauss_hermite_measure(1), InvariantError, "need at least 2 nodes"),
+    ("density-size", lambda: igc.Density(M, np.full(3, 0.25)), InvariantError, "density values must match"),
+    ("variable-size", lambda: igc.RandomVariable(M, np.ones(3)), InvariantError, "random variable values must match"),
+    ("coordinate-boolean", lambda: igc.coordinate(igc.boolean_measure(2)), InvariantError, "boolean state codes"),
+    ("values-size", lambda: igc.expect(P, np.ones(3)), InvariantError, "value array does not match the support size"),
+    # orlicz
+    ("young-tag", lambda: igc.young_pair("three"), InvariantError, "unknown Young pair tag 'three'"),
+    ("young-zero", lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.5 * x * x + 1e-3)), InvariantError,
+     "Phi\\(0\\) must vanish"),
+    ("young-even", lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.5 * x * x + 0.1 * x)), InvariantError,
+     "not even"),
+    ("young-convex", lambda: igc.validate_young_pair(_pair(Phi=lambda x: np.sqrt(np.abs(x)))), InvariantError,
+     "midpoint convexity fails"),
+    ("young-inequality",
+     lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.25 * x * x, Phi_conj=lambda x: 0.25 * x * x)),
+     InvariantError, "Young inequality fails"),
+    ("walsh-base", lambda: igc.walsh_transform(igc.RandomVariable(M, np.ones(4))), InvariantError,
+     "needs a boolean base measure"),
+    ("inverse-walsh-size",
+     lambda: igc.inverse_walsh(igc.walsh_transform(igc.boolean_site(igc.boolean_measure(2), 0)),
+                               igc.boolean_measure(3)),
+     InvariantError, "measure does not match the spectrum size"),
+    ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
+    # manifold
+    ("chart-m-mass", lambda: igc.chart_m(P, np.full(4, 0.5)), InvariantError, "chart_m: argument has mass 2.0"),
+    ("third-equal", lambda: igc.orthogonal_mixture_third(P, P, np.random.default_rng(0)), InvariantError,
+     "q equals p"),
+    ("third-degenerate",  # on 2 points the centred directions form one line; this draw projects to exactly 0
+     lambda: igc.orthogonal_mixture_third(_HALVES, igc.Density(_HALVES.base, [0.25, 0.75]),
+                                          SimpleNamespace(standard_normal=lambda n: np.array([1.0, 0.0]))),
+     InvariantError, "degenerate direction draw"),
+    # bundle
+    ("sphere-size", lambda: igc.SphereVector(M, np.ones(3)), InvariantError, "sphere vector values must match"),
+    ("sphere-tangent-base", lambda: igc.SphereVector(M, [0.0, 0.0, 1.0, -1.0], at=T), InvariantError,
+     "tangent base must be a sphere point"),
+    ("sphere-zero", lambda: igc.sphere_point(M, np.zeros(4)), InvariantError, "cannot normalize the zero vector"),
+    ("sphere-patch-ball", lambda: igc.sphere_patch(X, igc.sphere_tangent(X, [2.0, -2.0, 0.0, 0.0])), InvariantError,
+     "outside the unit ball"),
+    ("covariant-point", lambda: igc.covariant_derivative_sphere(lambda z: z, X, X), InvariantError,
+     "w must be a tangent vector"),
+    ("hermite-base", lambda: igc.hermite_transport_demo(igc.RandomVariable(M, np.ones(4)), 1), InvariantError,
+     "needs a Gauss-Hermite base measure"),
+    ("hermite-degree", lambda: igc.hermite_transport_demo(igc.RandomVariable(GH, GH.points), 0), InvariantError,
+     "n_max must be at least 1"),
+    # flows
+    ("field-value-overflow", lambda: _overflowing(igc.one_sided_lipschitz_probe, _BIG, P, trials=1), FlowError,
+     "non-finite vector field value"),
+    ("chart-state-overflow", lambda: _overflowing(igc.integrate_e_chart, _STEEP, _HALVES, 1.0, 1.0), FlowError,
+     "non-finite chart state"),
+    ("heat-grid", lambda: igc.heat_flow(P, 0.1, 0.01), InvariantError, "needs a periodic uniform grid"),
+    # deformed
+    ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
+    ("arc-diverges", lambda: igc.phi_arc(P, Q, igc.make_deformed("classical"), 1000.0), InvariantError,
+     "arc mass diverges at t = 1000.0"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [row[1:] for row in GUARDS], ids=[row[0] for row in GUARDS])
+def test_guard_raises_its_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+CLI_GUARDS = [
+    (["chart", "--n", "0"], "empty support"),
+    (["pyth", "--n", "1"], "q equals p"),
+    # on 2 points the centred directions are one line; at seed 0 nothing at all is left of the draw
+    (["pyth", "--n", "2"], "degenerate direction draw"),
+    (["flow", "opt", "--n-sites", "21"], "n_sites must be between 1 and 20"),
+    (["flow", "heat", "--nodes", "2"], "need b > a and n >= 3"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_GUARDS, ids=[" ".join(argv) for argv, _ in CLI_GUARDS])
+def test_cli_reports_the_guard_with_exit_code_2(argv, message):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 2
+    record = json.loads(out.getvalue())
+    assert record == {"schema_version": 1, "command": argv[0], "error": record["error"], "pass": False}
+    assert message in record["error"]
+
+
+def test_the_branches_no_other_test_takes():
+    assert igc.hermite_values(0, GH.points).tolist() == [1.0] * GH.size
+    assert igc.values_on(M, 2.5).tolist() == [2.5] * 4

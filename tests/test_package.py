@@ -1,0 +1,42 @@
+"""The package surface: each module's ``__all__`` is its public API, and ``igc`` re-exports all of them."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import igc
+from igc import bundle, deformed, flows, manifold, measures, orlicz
+
+MODULES = (measures, orlicz, manifold, bundle, flows, deformed)
+
+
+def test_igc_exports_the_modules_public_names_once():
+    joined = [name for module in MODULES for name in module.__all__]
+    assert igc.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+def test_every_exported_name_is_the_modules_own_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(igc, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[module.__name__ for module in MODULES])
+def test_every_public_function_and_class_is_declared(module):
+    defined = [
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert sorted(set(defined) - set(module.__all__)) == []
+
+
+def test_integrate_e_chart_raises_the_exported_flow_error():
+    p = igc.Density.uniform(igc.finite_measure(np.arange(3.0)))
+    field = igc.VectorField(lambda q: np.array([np.inf, 0.0, 0.0]))
+    with pytest.raises(igc.FlowError, match="non-finite"):
+        igc.integrate_e_chart(field, p, 0.1, 0.1)
