@@ -22,6 +22,7 @@ from .measures import (
     Measure,
     RandomVariable,
     TangentVector,
+    _centered,
     _dot,
     _frozen_array,
     _max,
@@ -194,8 +195,7 @@ class HilbertVector(TangentVector):
 
 def hilbert_vector(p: Density, values) -> HilbertVector:
     """Center values under p and wrap them as a fiber vector."""
-    vals = values_on(p.base, values)
-    return HilbertVector(p, vals - _dot(p.prob, vals))
+    return HilbertVector(p, _centered(p, values))
 
 
 def hilbert_transport(p: Density, q: Density, u: HilbertVector) -> HilbertVector:
@@ -242,9 +242,8 @@ def metric_derivative(p: Density, f0: HilbertVector, f0_dot, w: TangentVector) -
 
         f0_dot + (1/2) f0 * w, recentered under p.
     """
-    dot = values_on(p.base, f0_dot)
-    raw = dot + 0.5 * f0.values * w.values
-    return HilbertVector(p, raw - _dot(p.prob, raw))
+    raw = values_on(p.base, f0_dot) + 0.5 * f0.values * w.values
+    return HilbertVector(p, _centered(p, raw))
 
 
 def hermite_values(n: int, x: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def cumulant_derivatives(
 def cumulant_gradient(p: Density, u) -> CotangentVector:
     """The gradient of K_p at u as the mixture coordinate q/p - 1."""
     q = patch_e(p, u)
-    return CotangentVector(p, RandomVariable(p.base, q.values / p.values - 1.0))
+    return CotangentVector(p, q.values / p.values - 1.0)
 
 
 def cumulant_gradient_derivative(p: Density, u, w) -> RandomVariable:
@@ -149,7 +149,7 @@ def transport_m(p: Density, q: Density, v) -> CotangentVector:
     """Mixture transport (p/q) * v; stays centered since E_q[(p/q)v] = E_p[v]."""
     require_same_base(p, q, "transport_m")
     vals = values_on(p.base, v)
-    return CotangentVector(q, RandomVariable(q.base, vals * p.values / q.values))
+    return CotangentVector(q, vals * p.values / q.values)
 
 
 def chart_m(p: Density, q) -> CotangentVector:
@@ -162,7 +162,7 @@ def chart_m(p: Density, q) -> CotangentVector:
         mass = _dot(qv, p.base.weights)
         if abs(mass - 1.0) > max(p.base.mass_tol, 1e-10):
             raise InvariantError(f"chart_m: argument has mass {mass!r}, expected 1")
-    return CotangentVector(p, RandomVariable(p.base, qv / p.values - 1.0))
+    return CotangentVector(p, qv / p.values - 1.0)
 
 
 def patch_m(p: Density, v) -> RandomVariable:
@@ -227,7 +227,8 @@ def orthogonal_mixture_third(p: Density, q: Density, rng: np.random.Generator) -
 
     Draw a direction w, center it under p, remove its component along s_p(q)
     in the p inner product, and move from p along the mixture line to
-    r = p * (1 + w / (2 max|w|)), which stays positive.
+    r = p * (1 + w / (2 max|w|)), which stays positive.  Raises when the
+    projection leaves at most 1e-12 of the centred draw's sup norm.
     """
     u = chart_s(p, q).values
     uu = _dot(p.prob, u * u)
@@ -235,9 +236,10 @@ def orthogonal_mixture_third(p: Density, q: Density, rng: np.random.Generator) -
         raise InvariantError("q equals p, no direction to be orthogonal to")
     w = rng.standard_normal(p.base.size)
     w = w - _dot(p.prob, w)
+    drawn = float(np.max(np.abs(w)))
     w = w - (_dot(p.prob, w * u) / uu) * u
     sup = float(np.max(np.abs(w)))
-    if sup == 0.0:
+    if sup <= 1e-12 * drawn:  # only rounding is left, as always on two points, where s_p(q) spans every draw
         raise InvariantError("degenerate direction draw")
     t = 0.5 / sup
     return Density(p.base, p.values * (1.0 + t * w))

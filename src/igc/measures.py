@@ -5,7 +5,7 @@ weights, either as a plain finite weighted set (including counting measure on
 boolean state spaces) or as a 1-D quadrature grid.  A :class:`Density` is a
 strictly positive unit-mass function on a measure, a :class:`RandomVariable`
 is a plain value array tied to a base measure, and tangent/cotangent vectors
-are random variables centered under a given density.
+are value arrays centered under a given density.
 
 All objects are immutable after construction and every operation here is a
 pure function, so concurrent reads are safe.
@@ -124,23 +124,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class Measure:
     """Weighted support points, either a finite set or a 1-D quadrature grid.
 
-    ``weights`` are counting weights for ``kind == "finite"`` and quadrature
-    weights for ``kind == "grid1d"``.  Boolean state spaces store their points
-    as integer state codes with ``n_sites`` declared; all other supports use
-    real points.
+    With no ``rule`` the weights are counting weights on distinct points; with a
+    ``rule`` ("gauss_legendre", "periodic", "gauss_hermite") they are quadrature
+    weights on increasing nodes.  Boolean state spaces store their points as
+    integer state codes with ``n_sites`` declared; all other supports use real points.
     """
 
-    kind: str
     points: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float] | None = None
     rule: str | None = None
     n_sites: int | None = None
-    mass_tol: float = FINITE_MASS_TOL
 
     def __post_init__(self):
-        if self.kind not in ("finite", "grid1d"):
-            raise InvariantError(f"unknown measure kind {self.kind!r}")
         dtype = np.int64 if self.n_sites is not None else float
         object.__setattr__(self, "points", _frozen_array(self.points, dtype))
         object.__setattr__(self, "weights", _frozen_array(self.weights))
@@ -150,7 +146,7 @@ class Measure:
             raise InvariantError("empty support")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise InvariantError("weights must be strictly positive and finite")
-        if self.kind == "finite":
+        if self.rule is None:
             # sorted, a repeated point sits beside its twin; NaNs sort last, and two of them
             # also count as a repeat.  (np.unique would say the same, but loads numpy.ma.)
             pts = np.sort(self.points)
@@ -172,13 +168,18 @@ class Measure:
         return (self.domain[1] - self.domain[0]) / self.size
 
     @cached_property
+    def mass_tol(self) -> float:
+        """How far a density's mass may be from 1: GRID_MASS_TOL on Gauss-Legendre and periodic grids."""
+        return GRID_MASS_TOL if self.rule in ("gauss_legendre", "periodic") else FINITE_MASS_TOL
+
+    @cached_property
     def unit_weights(self) -> bool:
         """Whether every weight is exactly 1.0, as on a counting measure."""
         return bool(np.all(self.weights == 1.0))
 
     def same_base(self, other: "Measure") -> bool:
         return self is other or (
-            self.kind == other.kind
+            self.rule == other.rule
             and self.n_sites == other.n_sites
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.weights, other.weights)
@@ -196,7 +197,7 @@ def finite_measure(points, weights=None) -> Measure:
     """Finite weighted support; unit counting weights by default."""
     pts = np.asarray(points, dtype=float)
     w = np.ones_like(pts) if weights is None else np.asarray(weights, dtype=float)
-    return Measure("finite", pts, w)
+    return Measure(pts, w)
 
 
 def boolean_measure(n_sites: int) -> Measure:
@@ -208,7 +209,7 @@ def boolean_measure(n_sites: int) -> Measure:
     if not 1 <= n_sites <= 20:
         raise InvariantError("n_sites must be between 1 and 20")
     n = 1 << n_sites
-    return Measure("finite", np.arange(n), np.ones(n), n_sites=n_sites)
+    return Measure(np.arange(n), np.ones(n), n_sites=n_sites)
 
 
 def boolean_signs(measure: Measure) -> np.ndarray:
@@ -235,12 +236,10 @@ def gauss_legendre_measure(a: float, b: float, n_panels: int) -> Measure:
     edges = np.linspace(a, b, n_panels + 1)
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]  # one row per panel
     return Measure(
-        "grid1d",
         ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x01).ravel(),
         (half * w01).ravel(),
         domain=(float(a), float(b)),
         rule="gauss_legendre",
-        mass_tol=GRID_MASS_TOL,
     )
 
 
@@ -272,12 +271,10 @@ def periodic_grid_measure(a: float, b: float, n: int) -> Measure:
         raise InvariantError("need b > a and n >= 3")
     h = (b - a) / n
     return Measure(
-        "grid1d",
         a + h * np.arange(n),
         np.full(n, h),
         domain=(float(a), float(b)),
         rule="periodic",
-        mass_tol=GRID_MASS_TOL,
     )
 
 
@@ -287,12 +284,10 @@ def gauss_hermite_measure(n: int) -> Measure:
         raise InvariantError("need at least 2 nodes")
     x, w = np.polynomial.hermite_e.hermegauss(n)
     return Measure(
-        "grid1d",
         x,
         w / math.sqrt(2.0 * math.pi),
         domain=(-math.inf, math.inf),
         rule="gauss_hermite",
-        mass_tol=FINITE_MASS_TOL,
     )
 
 
@@ -400,10 +395,8 @@ def coordinate(measure: Measure) -> RandomVariable:
 
 def values_on(base: Measure, u) -> np.ndarray:
     """Coerce a random variable, tangent/cotangent vector, array or scalar to values on base."""
-    if isinstance(u, TangentVector):
-        u = u.rv
-    if isinstance(u, RandomVariable):
-        require_same_base(base, u, "values_on")
+    if isinstance(u, (RandomVariable, TangentVector)):
+        require_same_base(base, u.at if isinstance(u, TangentVector) else u, "values_on")
         return u.values
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 0:
@@ -419,10 +412,13 @@ def expect(p: Density, u) -> float:
 
 
 def covariance(p: Density, u, v) -> float:
-    """Cov_p(u, v) = E_p[uv] - E_p[u] E_p[v]."""
-    uv = values_on(p.base, u)
-    vv = values_on(p.base, v)
-    return _dot(p.prob, uv * vv) - _dot(p.prob, uv) * _dot(p.prob, vv)
+    """Cov_p(u, v) = E_p[(u - E_p u)(v - E_p v)], each function first shifted by its value at the mode of p.
+
+    The shift changes no covariance but removes a large common offset exactly, which
+    E_p[uv] - E_p[u] E_p[v] would cancel away."""
+    mode = p.prob.argmax()
+    uc, vc = (w - w[mode] for w in (values_on(p.base, u), values_on(p.base, v)))
+    return _dot(p.prob, (uc - _dot(p.prob, uc)) * (vc - _dot(p.prob, vc)))
 
 
 def lp_norm(p: Density, u, alpha: float) -> float:
@@ -445,45 +441,45 @@ def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """Random variable centered under its base density (exponential-side coordinate).
+    """Function centered under its base density (exponential-side coordinate).
 
-    The second field accepts a random variable or a raw value array on the
-    base of ``at``.
+    ``values`` accepts a random variable, a tangent vector or a raw value array
+    on the base of ``at``; it is stored as one read-only array.
     """
 
     at: Density
-    rv: RandomVariable
+    values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.rv, RandomVariable):
-            object.__setattr__(self, "rv", RandomVariable(self.at.base, self.rv))
-        require_same_base(self.at, self.rv, type(self).__name__)
-        require_centered(self.at, self.rv.values, type(self).__name__)
+        vals = _frozen_array(values_on(self.at.base, self.values))
+        object.__setattr__(self, "values", require_centered(self.at, vals, type(self).__name__))
 
     @property
-    def values(self) -> np.ndarray:
-        return self.rv.values
+    def rv(self) -> RandomVariable:
+        """The values as a random variable on the base of ``at``."""
+        return RandomVariable(self.at.base, self.values)
 
 
 class CotangentVector(TangentVector):
-    """Random variable centered under its base density (mixture-side coordinate)."""
+    """Function centered under its base density (mixture-side coordinate)."""
 
 
-def _centered_rv(p: Density, u) -> RandomVariable:
+def _centered(p: Density, u) -> np.ndarray:
+    """u - E_p[u] as a fresh read-only array, which a tangent vector adopts uncopied."""
     vals = values_on(p.base, u)
     centered = vals - _dot(p.prob, vals)
-    centered.setflags(write=False)  # a fresh array, so the random variable adopts it uncopied
-    return RandomVariable(p.base, centered)
+    centered.setflags(write=False)
+    return centered
 
 
 def tangent(p: Density, u) -> TangentVector:
     """Center u under p and wrap it as a tangent vector at p."""
-    return TangentVector(p, _centered_rv(p, u))
+    return TangentVector(p, _centered(p, u))
 
 
 def cotangent(p: Density, v) -> CotangentVector:
     """Center v under p and wrap it as a cotangent vector at p."""
-    return CotangentVector(p, _centered_rv(p, v))
+    return CotangentVector(p, _centered(p, v))
 
 
 def upper_incomplete_gamma_half(x: float) -> float:

@@ -42,7 +42,7 @@ _HALVES = igc.Density.uniform(igc.finite_measure([0.0, 1.0]))
 
 GUARDS = [
     # measures
-    ("measure-shapes", lambda: igc.Measure("finite", np.arange(3.0), np.ones(2)), InvariantError,
+    ("measure-shapes", lambda: igc.Measure(np.arange(3.0), np.ones(2)), InvariantError,
      "1-D arrays of equal length"),
     ("measure-empty", lambda: igc.finite_measure([]), InvariantError, "empty support"),
     ("spacing-not-periodic", lambda: M.spacing, InvariantError, "periodic uniform grids only"),
@@ -133,6 +133,18 @@ def test_cli_reports_the_guard_with_exit_code_2(argv, message):
     record = json.loads(out.getvalue())
     assert record == {"schema_version": 1, "command": argv[0], "error": record["error"], "pass": False}
     assert message in record["error"]
+
+
+def test_pyth_on_two_points_reports_a_degenerate_draw_for_every_seed():
+    # on 2 points s_p(q) spans every centred draw and only rounding survives the projection; a guard
+    # against exactly 0 catches 24 of these seeds, and the other 176 fail later on "density mass ... is not 1"
+    for seed in range(200):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["pyth", "--n", "2", "--seed", str(seed)])
+        record = json.loads(out.getvalue())
+        assert (code, record["pass"]) == (2, False), seed
+        assert "degenerate direction draw" in record["error"], seed
 
 
 def test_the_branches_no_other_test_takes():

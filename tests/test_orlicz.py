@@ -401,7 +401,7 @@ def test_walsh_dense_and_sparse_paths_match_concatenating_butterfly_bitwise():
 
 
 def test_walsh_round_trip_on_a_single_state():
-    m = Measure("finite", [0], [1.0], n_sites=0)
+    m = Measure([0], [1.0], n_sites=0)
     spec = walsh_transform(RandomVariable(m, [2.5]))
     assert spec.masks.tolist() == [0] and spec.values.tolist() == [2.5]
     assert inverse_walsh(spec, m).values.tolist() == [2.5]
