@@ -247,7 +247,9 @@ def metric_derivative(p: Density, f0: HilbertVector, f0_dot, w: TangentVector) -
 
 
 def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial of degree n via the three-term recurrence."""
+    """Probabilists' Hermite polynomial of degree n >= 0 via the three-term recurrence."""
+    if n < 0:
+        raise InvariantError(f"Hermite degree must be at least 0, got {n!r}")
     x = np.asarray(x, dtype=float)
     if n == 0:
         return np.ones_like(x)

@@ -402,8 +402,7 @@ def heat_flow(p0: Density, t_final: float, dt: float) -> HeatFlowResult:
     final = record.densities[-1]
     max_gap = float(np.max(np.abs(final.values - reference)))
 
-    a, b = p0.base.domain
-    length = b - a
+    length = p0.base.size * h
     xs = p0.base.points
     dp_frame = record.velocities[-1]
     ext = _wrap(final.values)

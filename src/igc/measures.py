@@ -120,24 +120,32 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+_RULES = (None, "boolean", "gauss_legendre", "periodic", "gauss_hermite")
+
+
 @dataclass(frozen=True, eq=False)
 class Measure:
     """Weighted support points, either a finite set or a 1-D quadrature grid.
 
-    With no ``rule`` the weights are counting weights on distinct points; with a
-    ``rule`` ("gauss_legendre", "periodic", "gauss_hermite") they are quadrature
-    weights on increasing nodes.  Boolean state spaces store their points as
-    integer state codes with ``n_sites`` declared; all other supports use real points.
+    With ``rule`` None the weights are counting weights on distinct points;
+    "boolean" stores the integer state codes 0 .. 2**n - 1 in order, n being
+    ``n_sites``; the grid rules "gauss_legendre", "periodic" and "gauss_hermite"
+    put quadrature weights on increasing nodes, and the equal weights of a
+    periodic grid are its ``spacing``.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float] | None = None
     rule: str | None = None
-    n_sites: int | None = None
 
     def __post_init__(self):
-        dtype = np.int64 if self.n_sites is not None else float
+        if self.rule not in _RULES:
+            raise InvariantError(f"rule must be one of {_RULES}, got {self.rule!r}")
+        if self.rule == "boolean":  # compared before the integer cast, which would floor 0.5 to 0
+            codes = np.asarray(self.points)
+            if codes.size & (codes.size - 1) or not np.array_equal(codes, np.arange(codes.size)):
+                raise InvariantError("boolean state codes must be 0 .. 2**n - 1 in order")
+        dtype = np.int64 if self.rule == "boolean" else float
         object.__setattr__(self, "points", _frozen_array(self.points, dtype))
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         if self.points.ndim != 1 or self.weights.shape != self.points.shape:
@@ -152,20 +160,26 @@ class Measure:
             pts = np.sort(self.points)
             if (pts[1:] == pts[:-1]).any() or np.isnan(pts[-2:]).sum() > 1:
                 raise InvariantError("finite support points must be pairwise distinct")
-        else:
-            if not np.all(np.diff(self.points) > 0):
-                raise InvariantError("grid nodes must be strictly increasing")
+        elif self.rule != "boolean" and not np.all(np.diff(self.points) > 0):
+            raise InvariantError("grid nodes must be strictly increasing")
+        if self.rule == "periodic" and not np.all(self.weights == self.weights[0]):
+            raise InvariantError("periodic grid weights must all be equal")
 
     @property
     def size(self) -> int:
         return int(self.points.size)
 
     @property
+    def n_sites(self) -> int | None:
+        """The number of sites n of a boolean measure, whose size is 2**n; None on every other measure."""
+        return self.size.bit_length() - 1 if self.rule == "boolean" else None
+
+    @property
     def spacing(self) -> float:
-        """Node spacing of a uniform periodic grid."""
-        if self.rule != "periodic" or self.domain is None:
+        """Node spacing of a uniform periodic grid: its common weight."""
+        if self.rule != "periodic":
             raise InvariantError("spacing is defined for periodic uniform grids only")
-        return (self.domain[1] - self.domain[0]) / self.size
+        return float(self.weights[0])
 
     @cached_property
     def mass_tol(self) -> float:
@@ -180,7 +194,6 @@ class Measure:
     def same_base(self, other: "Measure") -> bool:
         return self is other or (
             self.rule == other.rule
-            and self.n_sites == other.n_sites
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.weights, other.weights)
         )
@@ -209,7 +222,7 @@ def boolean_measure(n_sites: int) -> Measure:
     if not 1 <= n_sites <= 20:
         raise InvariantError("n_sites must be between 1 and 20")
     n = 1 << n_sites
-    return Measure(np.arange(n), np.ones(n), n_sites=n_sites)
+    return Measure(np.arange(n), np.ones(n), rule="boolean")
 
 
 def boolean_signs(measure: Measure) -> np.ndarray:
@@ -222,8 +235,11 @@ def boolean_signs(measure: Measure) -> np.ndarray:
 
 
 def boolean_site(measure: Measure, k: int) -> "RandomVariable":
-    """The k-th coordinate function on a boolean measure."""
-    return RandomVariable(measure, boolean_signs(measure)[:, k])
+    """The k-th coordinate function on a boolean measure, 0 <= k < n_sites."""
+    signs = boolean_signs(measure)
+    if not 0 <= k < measure.n_sites:
+        raise InvariantError(f"site index {k!r} is not in 0 .. {measure.n_sites - 1}")
+    return RandomVariable(measure, signs[:, k])
 
 
 def gauss_legendre_measure(a: float, b: float, n_panels: int) -> Measure:
@@ -238,7 +254,6 @@ def gauss_legendre_measure(a: float, b: float, n_panels: int) -> Measure:
     return Measure(
         ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x01).ravel(),
         (half * w01).ravel(),
-        domain=(float(a), float(b)),
         rule="gauss_legendre",
     )
 
@@ -270,12 +285,7 @@ def periodic_grid_measure(a: float, b: float, n: int) -> Measure:
     if not (b > a) or n < 3:
         raise InvariantError("need b > a and n >= 3")
     h = (b - a) / n
-    return Measure(
-        a + h * np.arange(n),
-        np.full(n, h),
-        domain=(float(a), float(b)),
-        rule="periodic",
-    )
+    return Measure(a + h * np.arange(n), np.full(n, h), rule="periodic")
 
 
 def gauss_hermite_measure(n: int) -> Measure:
@@ -283,12 +293,7 @@ def gauss_hermite_measure(n: int) -> Measure:
     if n < 2:
         raise InvariantError("need at least 2 nodes")
     x, w = np.polynomial.hermite_e.hermegauss(n)
-    return Measure(
-        x,
-        w / math.sqrt(2.0 * math.pi),
-        domain=(-math.inf, math.inf),
-        rule="gauss_hermite",
-    )
+    return Measure(x, w / math.sqrt(2.0 * math.pi), rule="gauss_hermite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,11 +427,17 @@ def covariance(p: Density, u, v) -> float:
 
 
 def lp_norm(p: Density, u, alpha: float) -> float:
-    """The L^alpha(p) norm (E_p|u|^alpha)^(1/alpha)."""
-    if alpha <= 0:
-        raise InvariantError("alpha must be positive")
+    """The L^alpha(p) norm (E_p|u|^alpha)^(1/alpha), for a finite alpha > 0.
+
+    It is formed as s * (E_p (|u|/s)^alpha)^(1/alpha) with s = max|u|, so that |u|^alpha
+    neither overflows nor underflows where the norm itself is a normal number."""
+    if not 0.0 < alpha < math.inf:
+        raise InvariantError(f"alpha must be positive and finite, got {alpha!r}")
     vals = np.abs(values_on(p.base, u))
-    return _dot(p.prob, vals**alpha) ** (1.0 / alpha)
+    s = _max(vals)
+    if not 0.0 < s < math.inf:  # u = 0, or an infinite or NaN value
+        return s
+    return s * _dot(p.prob, (vals / s) ** alpha) ** (1.0 / alpha)
 
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:

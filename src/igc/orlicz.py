@@ -362,7 +362,7 @@ def walsh_transform(u: RandomVariable) -> WalshSpectrum:
 
 def inverse_walsh(spec: WalshSpectrum, measure: Measure) -> RandomVariable:
     """Reconstruct u(x) as the sum of coeff * monomial over the spectrum."""
-    if measure.n_sites != spec.n or measure.size != (1 << spec.n):
+    if measure.n_sites != spec.n:
         raise InvariantError("measure does not match the spectrum size")
     if spec.masks.size == measure.size:  # every mask present, in order: copy instead of scattering
         dense = spec.values.copy()
@@ -524,10 +524,13 @@ def steepness_profile(
     Non-finite sums are reported as divergent points.  On a quadrature grid
     the table is only as trustworthy as the grid resolves the integrand; the
     half-line family with closed form lives in :func:`nonsteep_profile`.
+    Every alpha must be finite.
     """
     vals = values_on(p.base, u)
     out = []
     for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise InvariantError(f"alpha must be finite, got {alpha}")
         with np.errstate(over="ignore"):
             ev = Phi.Phi(alpha * vals)
         out.append(ProfilePoint(float(alpha), _finite_sum(p.prob, ev)))

@@ -111,6 +111,19 @@ def test_sphere_chart_patch_roundtrip(space):
     assert np.max(np.abs(sphere_chart(x, x).values)) < 1e-14
 
 
+def test_sphere_patch_takes_a_vector_from_another_base_point_object_to_x():
+    m = finite_measure(np.arange(4.0))
+    x = sphere_point(m, np.ones(4))
+    twin = sphere_point(m, np.ones(4))  # equal values, a distinct object
+    u = sphere_tangent(twin, [0.6, -0.6, 0.0, 0.0])
+    patched = sphere_patch(x, u)  # u is re-tangented at x, where it is orthogonal too
+    assert sphere_dot(patched, patched) == pytest.approx(1.0, abs=1e-15)
+    assert patched.values.tobytes() == sphere_patch(x, sphere_tangent(x, u.values)).values.tobytes()
+    # a sphere point, not a tangent, is re-tangented at x as well, and one that is not orthogonal to x is refused
+    with pytest.raises(InvariantError, match="tangent vector is not orthogonal to its base point"):
+        sphere_patch(x, sphere_point(m, [1.0, 0.0, 0.0, 0.0]))
+
+
 def test_sphere_transport_isometry_and_inverse(space):
     rng, m = space
     for _ in range(10):

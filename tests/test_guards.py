@@ -48,6 +48,10 @@ GUARDS = [
     ("spacing-not-periodic", lambda: M.spacing, InvariantError, "periodic uniform grids only"),
     ("boolean-sites", lambda: igc.boolean_measure(21), InvariantError, "n_sites must be between 1 and 20"),
     ("boolean-signs", lambda: igc.boolean_signs(M), InvariantError, "not a boolean measure"),
+    ("boolean-site-negative", lambda: igc.boolean_site(igc.boolean_measure(2), -1), InvariantError,
+     "site index -1 is not in 0 .. 1"),
+    ("boolean-site-past-last", lambda: igc.boolean_site(igc.boolean_measure(2), 5), InvariantError,
+     "site index 5 is not in 0 .. 1"),
     ("legendre-interval", lambda: igc.gauss_legendre_measure(1.0, 0.0, 2), InvariantError, "need b > a"),
     ("legendre-panels", lambda: igc.gauss_legendre_measure(0.0, 1.0, 0), InvariantError, "need n_panels >= 1"),
     ("periodic-nodes", lambda: igc.periodic_grid_measure(0.0, 1.0, 2), InvariantError, "need b > a and n >= 3"),
@@ -73,6 +77,8 @@ GUARDS = [
      lambda: igc.inverse_walsh(igc.walsh_transform(igc.boolean_site(igc.boolean_measure(2), 0)),
                                igc.boolean_measure(3)),
      InvariantError, "measure does not match the spectrum size"),
+    ("steepness-alpha", lambda: igc.steepness_profile(P, np.arange(4.0), TWO, [1.0, np.nan]), InvariantError,
+     "alpha must be finite, got nan"),
     ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
     # manifold
     ("chart-m-mass", lambda: igc.chart_m(P, np.full(4, 0.5)), InvariantError, "chart_m: argument has mass 2.0"),
@@ -95,6 +101,8 @@ GUARDS = [
      "needs a Gauss-Hermite base measure"),
     ("hermite-degree", lambda: igc.hermite_transport_demo(igc.RandomVariable(GH, GH.points), 0), InvariantError,
      "n_max must be at least 1"),
+    ("hermite-values-degree", lambda: igc.hermite_values(-1, GH.points), InvariantError,
+     "Hermite degree must be at least 0, got -1"),
     # flows
     ("field-value-overflow", lambda: _overflowing(igc.one_sided_lipschitz_probe, _BIG, P, trials=1), FlowError,
      "non-finite vector field value"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -46,11 +47,43 @@ def test_measure_validation():
         with pytest.raises(InvariantError, match="pairwise distinct"):
             finite_measure(repeated)
     assert finite_measure([np.nan, 1.0, -np.inf]).size == 3
-    with pytest.raises(InvariantError, match="pairwise distinct"):
-        Measure([3, 1, 3], [1.0, 1.0, 1.0], n_sites=2)
-    assert Measure([3, 0, 2, 1], np.ones(4), n_sites=2).size == 4
+    with pytest.raises(InvariantError, match="boolean state codes"):
+        Measure([3, 1, 3], [1.0, 1.0, 1.0], rule="boolean")
+    # codes out of order would give wrong Walsh coefficients: site 0 of [3, 0, 2, 1] transformed to {3: -1.0}
+    with pytest.raises(InvariantError, match="boolean state codes"):
+        Measure([3, 0, 2, 1], np.ones(4), rule="boolean")
     with pytest.raises(InvariantError):
         Measure([0.0, 0.5, 0.4], [1.0, 1.0, 1.0], rule="gauss_legendre")
+
+
+@pytest.mark.parametrize(
+    "points, weights, rule, message",
+    [
+        ([0.0, 1.0], [1.0, 1.0], "simpson", "rule must be one of"),
+        ([0, 1, 2], np.ones(3), "boolean", "boolean state codes"),
+        ([0.5, 1.7], np.ones(2), "boolean", "boolean state codes"),  # not floored to [0, 1]
+        ([0.0, 1.0, 2.0], [1.0, 1.0, 1.5], "periodic", "periodic grid weights must all be equal"),
+    ],
+    ids=["unknown-rule", "boolean-size-3", "boolean-fractional-codes", "periodic-unequal-weights"],
+)
+def test_measure_checks_the_support_of_its_rule(points, weights, rule, message):
+    with pytest.raises(InvariantError, match=message):
+        Measure(points, weights, rule)
+
+
+def test_measure_stores_points_weights_and_rule_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(Measure)] == ["points", "weights", "rule"]
+    for n in (1, 2, 5):
+        m = boolean_measure(n)
+        assert (m.rule, m.n_sites, m.points.dtype, m.points.tolist()) == ("boolean", n, np.int64, list(range(1 << n)))
+    assert Measure([0], [1.0], "boolean").n_sites == 0
+    for a, b, n in ((0.0, 1.0, 32), (0.0, 1.0, 64), (-1.0, 2.0, 7), (0.0, 2.0 * math.pi, 50)):
+        grid = periodic_grid_measure(a, b, n)
+        assert grid.spacing == (b - a) / n and grid.n_sites is None
+    for m in (finite_measure([0.0, 1.0]), gauss_legendre_measure(0.0, 1.0, 2), gauss_hermite_measure(4)):
+        assert m.n_sites is None
+        with pytest.raises(InvariantError, match="periodic uniform grids only"):
+            m.spacing
 
 
 def test_measure_immutable():
@@ -219,7 +252,7 @@ def test_halfline_measure_takes_the_logs_apart():
     # T = (log 2 - log(5e-324)) / 0.5 = 1490.3 is a small grid
     m = halfline_measure(rate=0.5, tail_tol=5e-324)
     upper = (math.log(2.0) - math.log(5e-324)) / 0.5
-    assert m.domain == (0.0, upper) and m.size == 16 * math.ceil(upper / 2.0)
+    assert m.weights.sum() == pytest.approx(upper, rel=1e-13) and m.size == 16 * math.ceil(upper / 2.0)
     with pytest.raises(InvariantError, match="HALFLINE_MAX_NODES"):
         halfline_measure(rate=1e-200, tail_tol=1e-200)
     assert halfline_measure(rate=2.8e-4).size <= HALFLINE_MAX_NODES
@@ -318,6 +351,33 @@ def test_lp_norm():
     assert lp_norm(p, u, 2.0) == pytest.approx(math.sqrt(expect(p, u * u)), rel=1e-12)
     with pytest.raises(InvariantError):
         lp_norm(p, u, 0.0)
+
+
+UNIFORM4 = Density.uniform(finite_measure(np.arange(4.0)))
+U4 = np.array([0.5, -3.0, 2.0, 0.0])
+
+
+def test_lp_norm_at_a_large_alpha():
+    # |u|**1000 overflows; the norm itself is max|u| * (E_p (|u|/max|u|)**1000)**(1/1000), about 2.996
+    expected = 3.0 * math.exp(math.log(0.25 * (1.0 + (2.0 / 3.0) ** 1000)) / 1000.0)
+    assert lp_norm(UNIFORM4, U4, 1000.0) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_lp_norm_of_a_huge_or_tiny_function(scale):
+    # u**2 overflows to inf at 1e200 and underflows to 0 at 1e-200
+    assert lp_norm(UNIFORM4, scale * U4, 2.0) == pytest.approx(scale * math.sqrt(13.25 / 4.0), rel=1e-15)
+
+
+def test_lp_norm_of_zero_is_zero():
+    assert lp_norm(UNIFORM4, np.zeros(4), 2.0) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+def test_lp_norm_rejects_an_alpha_that_is_not_positive_and_finite(alpha):
+    # alpha = inf used to return 1.0 here, and NaN a NaN
+    with pytest.raises(InvariantError, match="alpha must be positive and finite"):
+        lp_norm(UNIFORM4, U4, alpha)
 
 
 @pytest.mark.parametrize("n", [1, _DOT_BLOCK, _DOT_BLOCK + 1, 3 * _DOT_BLOCK, 3 * _DOT_BLOCK + 5])
