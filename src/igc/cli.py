@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bundle import hilbert_transport, hilbert_vector
+from .bundle import hilbert_transport
 from .deformed import (
     escort_expect,
     make_deformed,
@@ -150,7 +150,7 @@ def cmd_transport(args, rng):
     for _ in range(args.trials):
         n = int(rng.integers(2, args.max_size + 1))
         p, q = _density_pair(n, rng)
-        u = hilbert_vector(p, rng.standard_normal(n))
+        u = tangent(p, rng.standard_normal(n))
         moved = hilbert_transport(p, q, u)
         iso = abs(_dot(q.prob, moved.values**2) - _dot(p.prob, u.values**2))
         back = hilbert_transport(q, p, moved)

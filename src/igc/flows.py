@@ -21,7 +21,6 @@ import numpy as np
 
 from .manifold import patch_e
 from .measures import (
-    CotangentVector,
     Density,
     InvariantError,
     RandomVariable,
@@ -210,7 +209,7 @@ class MixtureGeodesic(NamedTuple):
     positive: bool
 
 
-def m_geodesic(p: Density, f: CotangentVector, t: float) -> MixtureGeodesic:
+def m_geodesic(p: Density, f: TangentVector, t: float) -> MixtureGeodesic:
     """Mixture geodesic p * (1 + t f); unit mass for every t, signed when 1 + t f <= 0.
 
     The positivity boundary in forward time is t* = -1 / min(f) when f takes
@@ -241,14 +240,20 @@ def natural_gradient_ascent(
     projection onto span(V), obtained from the Gram system
     Cov_q(v_i, v_j) c = Cov_q(v_i, objective).  A Gram matrix that fails its
     Cholesky factorization gets 1e-10 added to its diagonal, and the result
-    reports ``regularized``.
+    reports ``regularized``.  Any other string and an empty basis raise.
     """
     if iters < 0:
         raise InvariantError(f"need iters >= 0, got {iters}")
     f = values_on(p0.base, objective)
     basis = None
-    if not (isinstance(directions, str) and directions == "full"):
-        basis = np.stack([values_on(p0.base, v) for v in directions])
+    if isinstance(directions, str):
+        if directions != "full":
+            raise InvariantError(f'directions must be "full" or a sequence of directions, got {directions!r}')
+    else:
+        rows = [values_on(p0.base, v) for v in directions]
+        if not rows:
+            raise InvariantError("directions must hold at least one direction")
+        basis = np.stack(rows)
     u = np.zeros(p0.base.size)
     regularized = False
     times = [0.0]

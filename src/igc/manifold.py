@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .measures import (
-    CotangentVector,
     Density,
     InvariantError,
     RandomVariable,
@@ -119,10 +118,10 @@ def cumulant_derivatives(
     return means, hess
 
 
-def cumulant_gradient(p: Density, u) -> CotangentVector:
+def cumulant_gradient(p: Density, u) -> TangentVector:
     """The gradient of K_p at u as the mixture coordinate q/p - 1."""
     q = patch_e(p, u)
-    return CotangentVector(p, q.values / p.values - 1.0)
+    return TangentVector(p, q.values / p.values - 1.0)
 
 
 def cumulant_gradient_derivative(p: Density, u, w) -> RandomVariable:
@@ -145,14 +144,14 @@ def transport_e(p: Density, q: Density, u) -> TangentVector:
     return tangent(q, values_on(p.base, u))
 
 
-def transport_m(p: Density, q: Density, v) -> CotangentVector:
+def transport_m(p: Density, q: Density, v) -> TangentVector:
     """Mixture transport (p/q) * v; stays centered since E_q[(p/q)v] = E_p[v]."""
     require_same_base(p, q, "transport_m")
     vals = values_on(p.base, v)
-    return CotangentVector(q, vals * p.values / q.values)
+    return TangentVector(q, vals * p.values / q.values)
 
 
-def chart_m(p: Density, q) -> CotangentVector:
+def chart_m(p: Density, q) -> TangentVector:
     """Mixture chart q/p - 1 for a density or signed unit-mass function q."""
     if isinstance(q, Density):
         qv = q.values
@@ -162,7 +161,7 @@ def chart_m(p: Density, q) -> CotangentVector:
         mass = _dot(qv, p.base.weights)
         if abs(mass - 1.0) > max(p.base.mass_tol, 1e-10):
             raise InvariantError(f"chart_m: argument has mass {mass!r}, expected 1")
-    return CotangentVector(p, qv / p.values - 1.0)
+    return TangentVector(p, qv / p.values - 1.0)
 
 
 def patch_m(p: Density, v) -> RandomVariable:

@@ -4,8 +4,9 @@ A :class:`Measure` fixes support points and strictly positive integration
 weights, either as a plain finite weighted set (including counting measure on
 boolean state spaces) or as a 1-D quadrature grid.  A :class:`Density` is a
 strictly positive unit-mass function on a measure, a :class:`RandomVariable`
-is a plain value array tied to a base measure, and tangent/cotangent vectors
-are value arrays centered under a given density.
+is a plain value array tied to a base measure, and a :class:`TangentVector` is a
+value array centered under a given density.  On a finite support the exponential,
+mixture and Hilbert fibres at p are one space, told apart only by their norms.
 
 All objects are immutable after construction and every operation here is a
 pure function, so concurrent reads are safe.
@@ -14,6 +15,7 @@ pure function, so concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +32,6 @@ __all__ = [
     "Density",
     "RandomVariable",
     "TangentVector",
-    "CotangentVector",
     "finite_measure",
     "boolean_measure",
     "boolean_signs",
@@ -41,7 +42,6 @@ __all__ = [
     "gauss_hermite_measure",
     "coordinate",
     "tangent",
-    "cotangent",
     "expect",
     "covariance",
     "lp_norm",
@@ -235,8 +235,9 @@ def boolean_signs(measure: Measure) -> np.ndarray:
 
 
 def boolean_site(measure: Measure, k: int) -> "RandomVariable":
-    """The k-th coordinate function on a boolean measure, 0 <= k < n_sites."""
+    """The k-th coordinate function on a boolean measure, 0 <= k < n_sites; k must be an integer."""
     signs = boolean_signs(measure)
+    k = operator.index(k)  # a float raises TypeError; True reads as 1, as in Python's own indexing
     if not 0 <= k < measure.n_sites:
         raise InvariantError(f"site index {k!r} is not in 0 .. {measure.n_sites - 1}")
     return RandomVariable(measure, signs[:, k])
@@ -399,7 +400,7 @@ def coordinate(measure: Measure) -> RandomVariable:
 
 
 def values_on(base: Measure, u) -> np.ndarray:
-    """Coerce a random variable, tangent/cotangent vector, array or scalar to values on base."""
+    """Coerce a random variable, tangent vector, array or scalar to values on base."""
     if isinstance(u, (RandomVariable, TangentVector)):
         require_same_base(base, u.at if isinstance(u, TangentVector) else u, "values_on")
         return u.values
@@ -452,7 +453,7 @@ def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """Function centered under its base density (exponential-side coordinate).
+    """Function centered under its base density: a vector of the exponential, mixture or Hilbert fibre there.
 
     ``values`` accepts a random variable, a tangent vector or a raw value array
     on the base of ``at``; it is stored as one read-only array.
@@ -463,7 +464,7 @@ class TangentVector:
 
     def __post_init__(self):
         vals = _frozen_array(values_on(self.at.base, self.values))
-        object.__setattr__(self, "values", require_centered(self.at, vals, type(self).__name__))
+        object.__setattr__(self, "values", require_centered(self.at, vals, "TangentVector"))
 
     @property
     def rv(self) -> RandomVariable:
@@ -471,26 +472,12 @@ class TangentVector:
         return RandomVariable(self.at.base, self.values)
 
 
-class CotangentVector(TangentVector):
-    """Function centered under its base density (mixture-side coordinate)."""
-
-
-def _centered(p: Density, u) -> np.ndarray:
-    """u - E_p[u] as a fresh read-only array, which a tangent vector adopts uncopied."""
+def tangent(p: Density, u) -> TangentVector:
+    """Center u under p and wrap it as a tangent vector at p; the fresh array is adopted uncopied."""
     vals = values_on(p.base, u)
     centered = vals - _dot(p.prob, vals)
     centered.setflags(write=False)
-    return centered
-
-
-def tangent(p: Density, u) -> TangentVector:
-    """Center u under p and wrap it as a tangent vector at p."""
-    return TangentVector(p, _centered(p, u))
-
-
-def cotangent(p: Density, v) -> CotangentVector:
-    """Center v under p and wrap it as a cotangent vector at p."""
-    return CotangentVector(p, _centered(p, v))
+    return TangentVector(p, centered)
 
 
 def upper_incomplete_gamma_half(x: float) -> float:

@@ -6,9 +6,13 @@ command run in process through ``igc.cli.main``.  Beside them it stores the fing
 bitwise equality depends on: the Python version, the numpy version and the CPU features numpy
 enabled (numpy picks its ``exp`` and ``log`` loops per CPU).
 
-A change that moves numbers on purpose reruns this script and lists the moved entries::
+A change that moves numbers on purpose reruns this script::
 
     PYTHONPATH=src python3 tests/make_golden.py
+
+Before writing it prints each entry whose digest or command record differs from the file it
+replaces, and their count, for the change's notes.  It writes nothing and exits 1 when an
+operation's own check fails, or when a command exits non-zero or does not print ``"pass": true``.
 """
 
 import contextlib
@@ -52,19 +56,50 @@ def run_cli(argv) -> dict:
     return {"code": code, "stdout": out.getvalue()}
 
 
-def collect() -> dict:
+def collect() -> tuple[dict, list[str]]:
+    """The golden record, and one line for each operation or command that failed its check."""
     golden = {"fingerprint": fingerprint()}
+    failures = []
     for workload in ("flows", "kernels"):
-        golden[workload] = {
-            str(seed): {key: workloads.digest(op.run()) for key, op in ops(workload, seed).items()}
-            for seed in SEEDS
-        }
-    golden["cli-cold"] = {
-        str(seed): {key: run_cli(op.argv) for key, op in ops("cli-cold", seed).items()} for seed in SEEDS
-    }
-    return golden
+        golden[workload] = {}
+        for seed in SEEDS:
+            digests = golden[workload][str(seed)] = {}
+            for key, op in ops(workload, seed).items():
+                out = op.run()
+                if (why := op.check(out)) is not None:
+                    failures.append(f"{workload} {seed} {key}: {why}")
+                digests[key] = workloads.digest(out)
+    golden["cli-cold"] = {}
+    for seed in SEEDS:
+        records = golden["cli-cold"][str(seed)] = {}
+        for key, op in ops("cli-cold", seed).items():
+            rec = records[key] = run_cli(op.argv)
+            lines = rec["stdout"].splitlines()
+            if rec["code"] != 0 or not lines or json.loads(lines[-1]).get("pass") is not True:
+                failures.append(f"cli-cold {seed} {key}: exit code {rec['code']}, no \"pass\": true")
+    return golden, failures
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """The entries ("workload seed key") whose recorded value differs between two golden files, or is in one only."""
+    out = []
+    for workload in ("flows", "kernels", "cli-cold"):
+        a, b = old.get(workload, {}), new[workload]
+        for seed in sorted(set(a) | set(b)):
+            sa, sb = a.get(seed, {}), b.get(seed, {})
+            out += [f"{workload} {seed} {key}" for key in sorted(set(sa) | set(sb)) if sa.get(key) != sb.get(key)]
+    return out
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n")
+    golden, failures = collect()
+    if failures:
+        print("\n".join(failures) + f"\n{len(failures)} failed; {GOLDEN.relative_to(ROOT)} left as it is")
+        sys.exit(1)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if old.get("fingerprint") != golden["fingerprint"]:
+        print("fingerprint differs: every entry below may have moved with it")
+    changed = moved(old, golden)
+    print("\n".join(changed + [f"{len(changed)} moved"]))
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN.relative_to(ROOT)}")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from igc.bundle import hilbert_transport, hilbert_vector, metric_derivative
+from igc.bundle import hilbert_transport, metric_derivative
 from igc.deformed import make_deformed, phi_cumulant
 from igc.flows import (
     e_geodesic,
@@ -58,7 +58,7 @@ def test_criterion_02_transport_isometry():
         m = finite_measure(np.arange(float(n)))
         p = Density.random(m, rng)
         q = Density.random(m, rng)
-        u = hilbert_vector(p, rng.uniform(-1.0, 1.0, n))
+        u = tangent(p, rng.uniform(-1.0, 1.0, n))
         moved = hilbert_transport(p, q, u)
         worst_iso = max(worst_iso, abs(expect(q, moved.values**2) - expect(p, u.values**2)))
         back = hilbert_transport(q, p, moved)
@@ -166,7 +166,7 @@ def test_criterion_08_metric_derivative():
 
         def along(t, raw):
             pt = patch_e(p, tangent(p, t * w.values))
-            return hilbert_vector(pt, raw), pt
+            return tangent(pt, raw), pt
 
         f1, _ = along(0.0, h1)
         d1 = metric_derivative(p, f1, np.full(12, -covariance(p, h1, w.values)), w)

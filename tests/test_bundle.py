@@ -8,14 +8,12 @@ import pytest
 
 import igc
 from igc.bundle import (
-    HilbertVector,
     SphereVector,
     covariant_derivative_sphere,
     embed_sqrt,
     hermite_transport_demo,
     hermite_values,
     hilbert_transport,
-    hilbert_vector,
     metric_derivative,
     sphere_chart,
     sphere_dot,
@@ -196,7 +194,7 @@ def test_hilbert_transport(space):
     for _ in range(10):
         p = Density.random(m, rng)
         q = Density.random(m, rng)
-        u = hilbert_vector(p, rng.standard_normal(12))
+        u = tangent(p, rng.standard_normal(12))
         same = hilbert_transport(p, p, u)
         assert np.max(np.abs(same.values - u.values)) < 1e-14
         moved = hilbert_transport(p, q, u)
@@ -204,17 +202,28 @@ def test_hilbert_transport(space):
         assert expect(q, moved.values**2) == pytest.approx(expect(p, u.values**2), abs=1e-12)
         back = hilbert_transport(q, p, moved)
         assert np.max(np.abs(back.values - u.values)) < 1e-12
-        v = hilbert_vector(q, rng.standard_normal(12))
+        v = tangent(q, rng.standard_normal(12))
         lhs = expect(q, moved.values * v.values)
         rhs = expect(p, u.values * hilbert_transport(q, p, v).values)
         assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+def test_bundle_accepts_a_vector_at_an_equal_density(space):
+    # the fibre check compares densities by identity first; an equal twin passes the full check
+    rng, m = space
+    p, q = Density.random(m, rng), Density.random(m, rng)
+    twin = Density(m, p.values)
+    u = tangent(p, rng.standard_normal(12))
+    assert np.array_equal(hilbert_transport(twin, q, u).values, hilbert_transport(p, q, u).values)
+    f0_dot = rng.standard_normal(12)
+    assert np.array_equal(metric_derivative(twin, u, f0_dot, u).values, metric_derivative(p, u, f0_dot, u).values)
 
 
 def test_hilbert_transport_factors_through_sphere(space):
     rng, m = space
     p = Density.random(m, rng)
     q = Density.random(m, rng)
-    u = hilbert_vector(p, rng.standard_normal(12))
+    u = tangent(p, rng.standard_normal(12))
     x, y = embed_sqrt(p), embed_sqrt(q)
     lifted = SphereVector(m, np.sqrt(p.values) * u.values, at=x)
     via = sphere_transport(x, y, lifted).values / np.sqrt(q.values)
@@ -291,7 +300,7 @@ def _curve_setup(rng, m):
 
     def field_along(t):
         pt = patch_e(p, tangent(p, t * w.values))
-        return hilbert_vector(pt, h_rv), pt
+        return tangent(pt, h_rv), pt
 
     f0, _ = field_along(0.0)
     f0dot = np.full(m.size, -covariance(p, h_rv, w.values))
@@ -315,7 +324,7 @@ def test_metric_derivative_zero(space):
     rng, m = space
     p = Density.random(m, rng)
     w = tangent(p, rng.standard_normal(12))
-    out = metric_derivative(p, hilbert_vector(p, np.zeros(12)), np.zeros(12), w)
+    out = metric_derivative(p, tangent(p, np.zeros(12)), np.zeros(12), w)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -329,7 +338,7 @@ def test_metric_derivative_product_rule(space):
 
         def pair_along(t):
             pt = patch_e(p, tangent(p, t * w.values))
-            return hilbert_vector(pt, h1), hilbert_vector(pt, h2), pt
+            return tangent(pt, h1), tangent(pt, h2), pt
 
         f1, f2, _ = pair_along(0.0)
         d1 = metric_derivative(p, f1, np.full(12, -covariance(p, h1, w.values)), w)
@@ -393,13 +402,6 @@ def test_hermite_quadrature_guard():
     hermite_transport_demo(RandomVariable(gh, gh.points * np.sqrt(1 + 1e-12)), 3)
 
 
-def test_hilbert_vector_requires_centering(space):
-    rng, m = space
-    p = Density.random(m, rng)
-    with pytest.raises(InvariantError):
-        HilbertVector(p, np.ones(12))
-
-
 def test_sphere_domain_guards(space):
     rng, m = space
     x = sphere_point(m, rng.standard_normal(12))
@@ -421,8 +423,8 @@ def test_support_sums_do_not_depend_on_blas_threads():
         "from igc import bundle, deformed, measures, orlicz; "
         "rng = np.random.default_rng(5); m = measures.finite_measure(np.arange(3.0 * 8192 + 5)); "
         "p = measures.Density.random(m, rng); q = measures.Density.random(m, rng); "
-        "v = rng.standard_normal(m.size); fixed = bundle.HilbertVector(p, measures.tangent(p, v).values); "
-        "outs = {'hilbert_vector': bundle.hilbert_vector(p, v).values, "
+        "v = rng.standard_normal(m.size); fixed = measures.TangentVector(p, measures.tangent(p, v).values); "
+        "outs = {'tangent': measures.tangent(p, v).values, "
         "'hilbert_transport': bundle.hilbert_transport(p, q, fixed).values, "
         "'dual_norm': orlicz.dual_norm(p, v, orlicz.young_pair('a')), "
         "'phi_norm': deformed.phi_norm(p, v, deformed.make_deformed('classical'))}; "

@@ -33,7 +33,6 @@ from igc.measures import (
     boolean_measure,
     boolean_signs,
     covariance,
-    cotangent,
     expect,
     finite_measure,
     periodic_grid_measure,
@@ -115,7 +114,7 @@ def test_reanchoring_is_exact(space):
 def test_m_geodesic(space):
     rng, m = space
     p = Density.random(m, rng)
-    v = cotangent(p, rng.standard_normal(8))
+    v = tangent(p, rng.standard_normal(8))
     assert np.max(np.abs(m_geodesic(p, v, 0.0).function.values - p.values)) == 0.0
     for t in (-3.0, 0.4, 2.5):
         out = m_geodesic(p, v, t)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import igc
-from igc import FlowError, InvariantError
+from igc import BaseMismatchError, FlowError, InvariantError
 from igc.cli import main
 
 M = igc.finite_measure(np.arange(4.0))
@@ -23,6 +23,9 @@ Q = igc.Density(M, [0.4, 0.3, 0.2, 0.1])
 X = igc.sphere_point(M, np.ones(4))  # values 1/2: a sphere point
 T = igc.sphere_tangent(X, [1.0, -1.0, 0.0, 0.0])  # a tangent at X
 GH = igc.gauss_hermite_measure(8)
+U = igc.tangent(P, [1.0, 2.0, 3.0, 4.0])  # a vector of the fibre at P
+U_FAR = igc.tangent(igc.Density(igc.finite_measure(np.arange(10.0, 14.0)), P.values), [1.0, 2.0, 3.0, 4.0])
+U_AT_Q = igc.tangent(Q, [1.0, 2.0, 3.0, 4.0])  # E_P of it is 0.2
 TWO = igc.young_pair("two")  # Phi = Phi_conj = x**2 / 2
 
 
@@ -52,6 +55,8 @@ GUARDS = [
      "site index -1 is not in 0 .. 1"),
     ("boolean-site-past-last", lambda: igc.boolean_site(igc.boolean_measure(2), 5), InvariantError,
      "site index 5 is not in 0 .. 1"),
+    ("boolean-site-float", lambda: igc.boolean_site(igc.boolean_measure(2), 1.5), TypeError,
+     "cannot be interpreted as an integer"),
     ("legendre-interval", lambda: igc.gauss_legendre_measure(1.0, 0.0, 2), InvariantError, "need b > a"),
     ("legendre-panels", lambda: igc.gauss_legendre_measure(0.0, 1.0, 0), InvariantError, "need n_panels >= 1"),
     ("periodic-nodes", lambda: igc.periodic_grid_measure(0.0, 1.0, 2), InvariantError, "need b > a and n >= 3"),
@@ -103,12 +108,24 @@ GUARDS = [
      "n_max must be at least 1"),
     ("hermite-values-degree", lambda: igc.hermite_values(-1, GH.points), InvariantError,
      "Hermite degree must be at least 0, got -1"),
+    ("hilbert-transport-other-base", lambda: igc.hilbert_transport(P, Q, U_FAR), BaseMismatchError,
+     "hilbert_transport: operands live on different base measures"),
+    ("hilbert-transport-other-density", lambda: igc.hilbert_transport(P, Q, U_AT_Q), InvariantError,
+     "hilbert_transport: values are not centered under the base density"),
+    ("metric-derivative-other-base", lambda: igc.metric_derivative(P, U_FAR, np.zeros(4), U), BaseMismatchError,
+     "metric_derivative: operands live on different base measures"),
+    ("metric-derivative-other-density", lambda: igc.metric_derivative(P, U, np.zeros(4), U_AT_Q), InvariantError,
+     "metric_derivative: values are not centered under the base density"),
     # flows
     ("field-value-overflow", lambda: _overflowing(igc.one_sided_lipschitz_probe, _BIG, P, trials=1), FlowError,
      "non-finite vector field value"),
     ("chart-state-overflow", lambda: _overflowing(igc.integrate_e_chart, _STEEP, _HALVES, 1.0, 1.0), FlowError,
      "non-finite chart state"),
     ("heat-grid", lambda: igc.heat_flow(P, 0.1, 0.01), InvariantError, "needs a periodic uniform grid"),
+    ("ascent-directions-name", lambda: igc.natural_gradient_ascent(U.rv, P, "ful"), InvariantError,
+     'directions must be "full" or a sequence of directions, got \'ful\''),
+    ("ascent-directions-empty", lambda: igc.natural_gradient_ascent(U.rv, P, []), InvariantError,
+     "directions must hold at least one direction"),
     # deformed
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
     ("arc-diverges", lambda: igc.phi_arc(P, Q, igc.make_deformed("classical"), 1000.0), InvariantError,
@@ -158,3 +175,5 @@ def test_pyth_on_two_points_reports_a_degenerate_draw_for_every_seed():
 def test_the_branches_no_other_test_takes():
     assert igc.hermite_values(0, GH.points).tolist() == [1.0] * GH.size
     assert igc.values_on(M, 2.5).tolist() == [2.5] * 4
+    b2 = igc.boolean_measure(2)
+    assert igc.boolean_site(b2, True).values.tolist() == igc.boolean_site(b2, 1).values.tolist()  # True reads as 1

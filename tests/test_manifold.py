@@ -25,7 +25,6 @@ from igc.measures import (
     InvariantError,
     RandomVariable,
     coordinate,
-    cotangent,
     covariance,
     expect,
     finite_measure,
@@ -221,7 +220,7 @@ def test_transports(space):
     via = transport_e(q, r, transport_e(p, q, u))
     direct = transport_e(p, r, u)
     assert np.max(np.abs(via.values - direct.values)) < 1e-13
-    v = cotangent(p, rng.standard_normal(8))
+    v = tangent(p, rng.standard_normal(8))
     assert np.max(np.abs(transport_m(p, p, v).values - v.values)) < 1e-14
     mv = transport_m(p, q, v)
     assert abs(expect(q, mv.rv)) < 1e-14
@@ -243,7 +242,7 @@ def test_chart_m(space):
     assert float(back.values @ m.weights) == pytest.approx(1.0, abs=1e-13)
     assert np.max(np.abs(back.values - q.values)) < 1e-13
     # signed unit-mass functions are accepted
-    signed = RandomVariable(m, patch_m(p, cotangent(p, 4.0 * rng.standard_normal(8))).values)
+    signed = RandomVariable(m, patch_m(p, tangent(p, 4.0 * rng.standard_normal(8))).values)
     assert np.min(signed.values) < 0.0
     chart_m(p, signed)
     # mixture transition map

@@ -10,7 +10,6 @@ from scipy.special import erfcx
 
 from igc.measures import (
     BaseMismatchError,
-    CotangentVector,
     Density,
     InvariantError,
     Measure,
@@ -21,7 +20,6 @@ from igc.measures import (
     boolean_site,
     c_integral,
     coordinate,
-    cotangent,
     covariance,
     expect,
     finite_measure,
@@ -335,12 +333,8 @@ def test_tangent_cotangent_centering():
     raw = rng.standard_normal(6) + 2.0
     t = tangent(p, raw)
     assert abs(expect(p, t.rv)) < 1e-14
-    c = cotangent(p, raw)
-    assert abs(expect(p, c.rv)) < 1e-14
     with pytest.raises(InvariantError):
         TangentVector(p, RandomVariable(m, raw))
-    with pytest.raises(InvariantError):
-        CotangentVector(p, RandomVariable(m, raw))
 
 
 def test_lp_norm():

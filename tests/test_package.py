@@ -35,6 +35,29 @@ def test_every_public_function_and_class_is_declared(module):
     assert sorted(set(defined) - set(module.__all__)) == []
 
 
+def test_every_fibre_valued_function_returns_the_one_centred_vector_type():
+    # on a finite support the exponential, mixture and Hilbert fibres at p are one space
+    m = igc.finite_measure(np.arange(4.0))
+    p = igc.Density(m, [0.1, 0.7, 0.1, 0.1])
+    q = igc.Density(m, [0.4, 0.3, 0.2, 0.1])
+    u = igc.tangent(p, [1.0, -2.0, 0.5, 3.0])
+    results = {
+        "tangent": u,
+        "chart_s": igc.chart_s(p, q),
+        "transition_e": igc.transition_e(p, q, u),
+        "transport_e": igc.transport_e(p, q, u),
+        "transport_m": igc.transport_m(p, q, u),
+        "chart_m": igc.chart_m(p, q),
+        "cumulant_gradient": igc.cumulant_gradient(p, u),
+        "hilbert_transport": igc.hilbert_transport(p, q, u),
+        "metric_derivative": igc.metric_derivative(p, u, np.zeros(4), u),
+        "VectorField.__call__": igc.VectorField(lambda r: r.values)(p),
+    }
+    for name, v in results.items():
+        assert type(v) is igc.TangentVector, name
+    assert not {"CotangentVector", "HilbertVector", "cotangent", "hilbert_vector"} & set(igc.__all__)
+
+
 def test_integrate_e_chart_raises_the_exported_flow_error():
     p = igc.Density.uniform(igc.finite_measure(np.arange(3.0)))
     field = igc.VectorField(lambda q: np.array([np.inf, 0.0, 0.0]))
