@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .measures import (
     RandomVariable,
     TangentVector,
     _dot,
+    _fibre_values,
     _frozen_array,
     _max,
-    require_centered,
     require_same_base,
     tangent,
     values_on,
@@ -192,14 +192,6 @@ def tangent_bundle_patch(
 hilbert_vector = tangent
 
 
-def _fibre_values(p: Density, v: TangentVector, what: str) -> np.ndarray:
-    """v's values, checked to be a vector of the fibre at p: at p itself, or on p's base and centered under p."""
-    if v.at is not p:
-        require_same_base(p, v.at, what)
-        require_centered(p, v.values, what)
-    return v.values
-
-
 def hilbert_transport(p: Density, q: Density, u: TangentVector) -> TangentVector:
     """Isometry of the centered-L2 fiber at p onto the fiber at q.
 
@@ -262,8 +254,7 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-@dataclass(frozen=True)
-class HermiteTransportReport:
+class HermiteTransportReport(NamedTuple):
     gram: np.ndarray
     max_offdiag: float
     max_diag_defect: float

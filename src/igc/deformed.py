@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -214,8 +214,7 @@ def escort_density(p: Density, d: DeformedLogarithm) -> Density:
     return Density.from_unnormalized(p.base, d.phi(p.values))
 
 
-@dataclass(frozen=True)
-class PhiArcMassPoint:
+class PhiArcMassPoint(NamedTuple):
     t: float
     mass: float
     finite: bool
@@ -228,7 +227,7 @@ def phi_connected(
 
     On [0, 1] convexity of the deformed exponential keeps the mass at or below
     one; outside that interval the arc may leave the domain of the deformed
-    exponential, which is reported as a non-finite point.
+    exponential, which is reported as a non-finite point.  Every t must be finite.
     """
     require_same_base(p, q, "phi_connected")
     lp = d.log(p.values)
@@ -242,6 +241,8 @@ def phi_connected(
 
 def _arc_at(p: Density, lp: np.ndarray, lq: np.ndarray, d: DeformedLogarithm, t: float) -> tuple[np.ndarray, float]:
     """exp_phi((1 - t) lp + t lq) and its mass: finite exactly when every value is (exp_phi >= 0 or NaN)."""
+    if not math.isfinite(t):
+        raise InvariantError(f"t must be finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         vals = d.exp((1.0 - t) * lp + t * lq)
     return vals, _finite_sum(p.base.weights, vals)
@@ -313,8 +314,7 @@ def phi_patch(p: Density, u, d: DeformedLogarithm) -> Density:
     return Density.from_unnormalized(p.base, _patch_values(u_vals, k, log_p, d))
 
 
-@dataclass(frozen=True)
-class PhiChartResult:
+class PhiChartResult(NamedTuple):
     u: RandomVariable
     k: float
 
@@ -347,8 +347,7 @@ def _chart(
     return PhiChartResult(u, k)
 
 
-@dataclass(frozen=True)
-class PhiArcResult:
+class PhiArcResult(NamedTuple):
     density: Density
     psi: float
     family_density: Density

@@ -14,7 +14,6 @@ to machine precision at every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from .measures import (
     TangentVector,
     _all_finite,
     _dot,
+    _fibre_values,
     _max,
     _min,
     covariance,
@@ -83,8 +83,7 @@ class VectorField:
         return tangent(p, self.raw(p))
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple):
     """Sampled integral curve: densities and moving-frame velocities, each centered under its density."""
 
     times: np.ndarray
@@ -213,14 +212,13 @@ def m_geodesic(p: Density, f: TangentVector, t: float) -> MixtureGeodesic:
     """Mixture geodesic p * (1 + t f); unit mass for every t, signed when 1 + t f <= 0.
 
     The positivity boundary in forward time is t* = -1 / min(f) when f takes
-    negative values.
+    negative values.  f must be a vector of the fibre at p.
     """
-    vals = p.values * (1.0 + t * f.values)
+    vals = p.values * (1.0 + t * _fibre_values(p, f, "m_geodesic"))
     return MixtureGeodesic(RandomVariable(p.base, vals), bool(np.all(vals > 0)))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     record: CurveRecord
     objective: np.ndarray
     regularized: bool
@@ -373,8 +371,7 @@ def reference_heat_solution(
     return p
 
 
-@dataclass(frozen=True)
-class HeatFlowResult:
+class HeatFlowResult(NamedTuple):
     record: CurveRecord
     reference: np.ndarray
     max_gap: float

@@ -10,7 +10,6 @@ signed unit-mass functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -21,10 +20,10 @@ from .measures import (
     RandomVariable,
     TangentVector,
     _dot,
+    _fibre_values,
     _max,
     _min,
     lp_norm,
-    require_centered,
     require_same_base,
     tangent,
     values_on,
@@ -52,10 +51,6 @@ __all__ = [
 ]
 
 
-def _centered_values(p: Density, u, what: str) -> np.ndarray:
-    return require_centered(p, values_on(p.base, u), what)
-
-
 def _log_partition(vals: np.ndarray, prob: np.ndarray) -> float:
     """log sum(prob * exp(vals)), shifted by max(vals) so no exponential overflows."""
     top = _max(vals)
@@ -64,7 +59,7 @@ def _log_partition(vals: np.ndarray, prob: np.ndarray) -> float:
 
 def cumulant(p: Density, u) -> float:
     """K_p(u) = log E_p[exp u] for u centered under p; overflow-safe."""
-    return _log_partition(_centered_values(p, u, "cumulant"), p.prob)
+    return _log_partition(_fibre_values(p, u, "cumulant"), p.prob)
 
 
 _FLOOR = math.exp(-700.0)  # in the normal range; only bites below ~1e-304
@@ -80,7 +75,7 @@ def patch_e(p: Density, u) -> Density:
     exp(-700), far below any resolvable probability, are raised to it and the
     patch renormalized, so strict positivity survives extreme concentration.
     """
-    vals = _centered_values(p, u, "patch_e")
+    vals = _fibre_values(p, u, "patch_e")
     weights = p.base.weights
     q = vals + p.log_values
     top = q.argmax()
@@ -145,10 +140,9 @@ def transport_e(p: Density, q: Density, u) -> TangentVector:
 
 
 def transport_m(p: Density, q: Density, v) -> TangentVector:
-    """Mixture transport (p/q) * v; stays centered since E_q[(p/q)v] = E_p[v]."""
+    """Mixture transport (p/q) * v of a vector v at p; stays centered since E_q[(p/q)v] = E_p[v]."""
     require_same_base(p, q, "transport_m")
-    vals = values_on(p.base, v)
-    return TangentVector(q, vals * p.values / q.values)
+    return TangentVector(q, _fibre_values(p, v, "transport_m") * p.values / q.values)
 
 
 def chart_m(p: Density, q) -> TangentVector:
@@ -166,7 +160,7 @@ def chart_m(p: Density, q) -> TangentVector:
 
 def patch_m(p: Density, v) -> RandomVariable:
     """Inverse mixture chart (v + 1) * p; unit mass, possibly signed."""
-    vals = _centered_values(p, v, "patch_m")
+    vals = _fibre_values(p, v, "patch_m")
     return RandomVariable(p.base, (vals + 1.0) * p.values)
 
 
@@ -244,8 +238,7 @@ def orthogonal_mixture_third(p: Density, q: Density, rng: np.random.Generator) -
     return Density(p.base, p.values * (1.0 + t * w))
 
 
-@dataclass(frozen=True)
-class EConvergenceRow:
+class EConvergenceRow(NamedTuple):
     index: int
     alpha: float
     forward: float

@@ -480,6 +480,17 @@ def tangent(p: Density, u) -> TangentVector:
     return TangentVector(p, centered)
 
 
+def _fibre_values(p: Density, v, what: str) -> np.ndarray:
+    """v's values, checked to lie in the fibre at p: a tangent vector at p itself passes on one identity
+    test; any other vector, random variable, array or scalar must live on p's base and be centred under p."""
+    if not isinstance(v, TangentVector):
+        return require_centered(p, values_on(p.base, v), what)
+    if v.at is not p:
+        require_same_base(p, v.at, what)
+        require_centered(p, v.values, what)
+    return v.values
+
+
 def upper_incomplete_gamma_half(x: float) -> float:
     """The tail integral Gamma(-1/2, x) of s**(-3/2) * exp(-s) from x to infinity, x > 0.
 

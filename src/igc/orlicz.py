@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -461,12 +461,15 @@ def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> t
 
 
 def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
-    """E[exp(t*u)], or E[cosh(t*u) - 1] when ``phi``, under the uniform density.
+    """E[exp(t*u)], or E[cosh(t*u) - 1] when ``phi``, under the uniform density, for a finite t.
 
     If the m support masks have GF(2) rank r < m - r, average over the 2**r equally likely classes
     of u: a kernel element's top bit is a dependent mask, its character the product of its other bits'.
     cosh(x) - 1 is taken as 2*sinh(x/2)**2, which keeps its relative accuracy as x goes to 0.
+    An overflow is reported as the divergent value inf.
     """
+    if not math.isfinite(t):
+        raise InvariantError(f"t must be finite, got {t}")
     keep = spec.values != 0.0
     coefs, masks = spec.values[keep], spec.masks[keep]
     # m <= 24 bounds the parity path; past it r <= 12 < m - r, so the class path is taken.
@@ -477,20 +480,24 @@ def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
             f" and its rank the class enumeration guard {_MAX_CLASS_RANK}"
         )
     kernel = _gf2_kernel_basis(masks.tolist())
-    if 2 * len(kernel) <= coefs.size:
-        terms, n_even = _parity_class_terms(coefs, kernel, t)
-        if not phi:
-            return float(terms[:n_even].sum()) + float(terms[n_even:].sum())
-        # the empty subset's term less 1: prod(1 + 2*sinh(t*c/2)**2) - 1
-        head = math.expm1(float(np.sum(np.log1p(2.0 * np.sinh(0.5 * t * coefs) ** 2))))
-        return head + float(terms[1:n_even].sum())
-    combos = {e.bit_length() - 1: e for e in kernel}
-    free = [j for j in range(coefs.size) if j not in combos]
-    where = [sum(1 << b for b, i in enumerate(free) if combos.get(j, 1 << j) >> i & 1) for j in range(coefs.size)]
-    classes = np.zeros(1 << len(free))
-    classes[where] = coefs
-    tu = t * _fwht(classes)
-    return float(np.mean(2.0 * np.sinh(0.5 * tu) ** 2 if phi else np.exp(tu)))
+    with np.errstate(over="ignore"):
+        if 2 * len(kernel) <= coefs.size:
+            terms, n_even = _parity_class_terms(coefs, kernel, t)
+            if not phi:
+                mean = float(terms[:n_even].sum()) + float(terms[n_even:].sum())
+            else:  # the empty subset's term less 1: prod(1 + 2*sinh(t*c/2)**2) - 1
+                head = float(np.expm1(np.sum(np.log1p(2.0 * np.sinh(0.5 * t * coefs) ** 2))))
+                mean = head + float(terms[1:n_even].sum())
+            if math.isnan(mean):  # terms of both signs overflowed
+                raise InvariantError(f"parity-class terms overflow with both signs at t = {t}")
+            return mean
+        combos = {e.bit_length() - 1: e for e in kernel}
+        free = [j for j in range(coefs.size) if j not in combos]
+        where = [sum(1 << b for b, i in enumerate(free) if combos.get(j, 1 << j) >> i & 1) for j in range(coefs.size)]
+        classes = np.zeros(1 << len(free))
+        classes[where] = coefs
+        tu = t * _fwht(classes)
+        return float(np.mean(2.0 * np.sinh(0.5 * tu) ** 2 if phi else np.exp(tu)))
 
 
 def boolean_mgf(spec: WalshSpectrum, t: float) -> float:
@@ -503,8 +510,7 @@ def boolean_phi_moment(spec: WalshSpectrum, t: float) -> float:
     return _uniform_mean(spec, t, phi=True)
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(NamedTuple):
     alpha: float
     value: float
 

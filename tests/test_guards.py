@@ -84,9 +84,16 @@ GUARDS = [
      InvariantError, "measure does not match the spectrum size"),
     ("steepness-alpha", lambda: igc.steepness_profile(P, np.arange(4.0), TWO, [1.0, np.nan]), InvariantError,
      "alpha must be finite, got nan"),
+    ("boolean-mgf-t", lambda: igc.boolean_mgf(igc.WalshSpectrum(2, {1: 1.0}), np.nan), InvariantError,
+     "t must be finite, got nan"),
+    ("boolean-mgf-cancelling-overflow",  # u = x_0 - 1 is at most 0, but cosh(800) and sinh(800) overflow
+     lambda: igc.boolean_mgf(igc.WalshSpectrum(1, {0: -1.0, 1: 1.0}), 800.0), InvariantError,
+     "parity-class terms overflow with both signs at t = 800.0"),
     ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
     # manifold
     ("chart-m-mass", lambda: igc.chart_m(P, np.full(4, 0.5)), InvariantError, "chart_m: argument has mass 2.0"),
+    ("transport-m-other-density", lambda: igc.transport_m(P, Q, U_AT_Q), InvariantError,
+     "transport_m: values are not centered under the base density"),
     ("third-equal", lambda: igc.orthogonal_mixture_third(P, P, np.random.default_rng(0)), InvariantError,
      "q equals p"),
     ("third-degenerate",  # on 2 points the centred directions form one line; this draw projects to exactly 0
@@ -122,6 +129,10 @@ GUARDS = [
     ("chart-state-overflow", lambda: _overflowing(igc.integrate_e_chart, _STEEP, _HALVES, 1.0, 1.0), FlowError,
      "non-finite chart state"),
     ("heat-grid", lambda: igc.heat_flow(P, 0.1, 0.01), InvariantError, "needs a periodic uniform grid"),
+    ("m-geodesic-other-base", lambda: igc.m_geodesic(P, U_FAR, 1.0), BaseMismatchError,
+     "m_geodesic: operands live on different base measures"),
+    ("m-geodesic-other-density", lambda: igc.m_geodesic(P, U_AT_Q, 1.0), InvariantError,
+     "m_geodesic: values are not centered under the base density"),
     ("ascent-directions-name", lambda: igc.natural_gradient_ascent(U.rv, P, "ful"), InvariantError,
      'directions must be "full" or a sequence of directions, got \'ful\''),
     ("ascent-directions-empty", lambda: igc.natural_gradient_ascent(U.rv, P, []), InvariantError,
@@ -130,6 +141,10 @@ GUARDS = [
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
     ("arc-diverges", lambda: igc.phi_arc(P, Q, igc.make_deformed("classical"), 1000.0), InvariantError,
      "arc mass diverges at t = 1000.0"),
+    ("phi-connected-t", lambda: igc.phi_connected(P, Q, igc.make_deformed("tsallis", 0.5), [0.5, np.nan]),
+     InvariantError, "t must be finite, got nan"),
+    ("phi-arc-t", lambda: igc.phi_arc(P, Q, igc.make_deformed("classical"), np.nan), InvariantError,
+     "t must be finite, got nan"),
 ]
 
 

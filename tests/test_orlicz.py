@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -319,6 +320,25 @@ def test_boolean_phi_moment_keeps_relative_accuracy_at_small_t(n, coeffs, t):
         assert abs(boolean_phi_moment(spec, s) - reference(s)) <= 1e-12 * reference(s)
     if n == 1:
         assert abs(boolean_phi_moment(spec, t) - 2.0 * math.sinh(t / 2) ** 2) <= 1e-12 * 2.0 * math.sinh(t / 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "n, coeffs, parity, t",
+    [
+        (2, {1: 1.0, 2: 1.0}, True, 1e308),  # 2 masks of rank 2: no kernel, parity classes
+        (3, {mask: 1.0 for mask in range(1, 8)}, False, 1e308),  # 7 masks of rank 3: 2**3 classes
+        # no single factor overflows, but the moment's log-sum, 10 * 99.3, passes math.expm1's limit of 709.78
+        (10, {1 << j: 1.0 for j in range(10)}, True, 100.0),
+    ],
+)
+def test_boolean_mgf_reports_overflow_as_inf(n, coeffs, parity, t):
+    spec = WalshSpectrum(n, coeffs)
+    assert (2 * len(_gf2_kernel_basis(spec.masks.tolist())) <= spec.masks.size) == parity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (t, -t):
+            assert boolean_mgf(spec, t) == math.inf, t
+            assert boolean_phi_moment(spec, t) == math.inf, t
 
 
 

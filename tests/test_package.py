@@ -1,5 +1,6 @@
 """The package surface: each module's ``__all__`` is its public API, and ``igc`` re-exports all of them."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -56,6 +57,34 @@ def test_every_fibre_valued_function_returns_the_one_centred_vector_type():
     for name, v in results.items():
         assert type(v) is igc.TangentVector, name
     assert not {"CotangentVector", "HilbertVector", "cotangent", "hilbert_vector"} & set(igc.__all__)
+
+
+# plain results, with their fields in order; the validated objects and the replaceable function bundles
+RESULT_FIELDS = {
+    "DivergenceResult": ("direct", "bregman"),
+    "PythagoreanResult": ("pairing", "defect", "d_r_q", "d_r_p", "d_p_q"),
+    "EConvergenceRow": ("index", "alpha", "forward", "backward"),
+    "MixtureGeodesic": ("function", "positive"),
+    "CurveRecord": ("times", "densities", "velocities"),
+    "OptimizationResult": ("record", "objective", "regularized"),
+    "HeatFlowResult": ("record", "reference", "max_gap", "mass_drift", "weak_residuals"),
+    "ProfilePoint": ("alpha", "value"),
+    "HermiteTransportReport": ("gram", "max_offdiag", "max_diag_defect"),
+    "PhiArcMassPoint": ("t", "mass", "finite"),
+    "PhiChartResult": ("u", "k"),
+    "PhiArcResult": ("density", "psi", "family_density", "pairing_unnormalized", "pairing_normalized"),
+}
+DATACLASSES = {
+    "Measure", "Density", "RandomVariable", "TangentVector", "SphereVector",
+    "YoungFunction", "WalshSpectrum", "DeformedLogarithm",
+}
+
+
+def test_plain_results_are_named_tuples_and_only_validated_objects_are_dataclasses():
+    for name, fields in RESULT_FIELDS.items():
+        cls = getattr(igc, name)
+        assert issubclass(cls, tuple) and cls._fields == fields, name
+    assert {name for name in igc.__all__ if dataclasses.is_dataclass(getattr(igc, name))} == DATACLASSES
 
 
 def test_integrate_e_chart_raises_the_exported_flow_error():
