@@ -16,7 +16,7 @@ p in every pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -65,8 +65,9 @@ class DeformedLogarithm:
     exponential is defined on arguments above it); -inf when the range is the
     whole line.  ``log`` and ``exp`` are vectorized; ``exp`` returns 0 at the
     domain edge and NaN below it as a divergence flag rather than raising.
-    ``exp_slope(u, exp(u))``, when given, is a cheaper form of the slope
-    phi(exp(u)) of ``exp`` at u.
+    ``exp_slope(u, exp(u))`` is the slope phi(exp(u)) of ``exp`` at u, in a
+    form that reuses e = exp(u), for ``phi_norm``'s gauge: e, e**q,
+    e / sqrt(1 + (kappa u)**2) (without phi's two powers) and e / (e + 1).
     """
 
     tag: str
@@ -74,7 +75,7 @@ class DeformedLogarithm:
     log: Callable[[np.ndarray], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     lower_bound: float
-    exp_slope: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    exp_slope: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _classical() -> DeformedLogarithm:
@@ -84,6 +85,7 @@ def _classical() -> DeformedLogarithm:
         lambda v: np.log(v),
         lambda u: np.exp(np.asarray(u, dtype=float)),
         -math.inf,
+        lambda u, e: e,
     )
 
 
@@ -91,8 +93,7 @@ def _tsallis(q: float) -> DeformedLogarithm:
     if not 0.0 < q <= 1.0:
         raise InvariantError("power-family parameter must lie in (0, 1]")
     if q == 1.0:
-        d = _classical()
-        return DeformedLogarithm("tsallis", d.phi, d.log, d.exp, -math.inf)
+        return replace(_classical(), tag="tsallis")
     eps = 1.0 - q
     edge = -1.0 / eps
 
@@ -105,15 +106,14 @@ def _tsallis(q: float) -> DeformedLogarithm:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.exp(np.log1p(eps * np.asarray(u, dtype=float)) / eps)
 
-    return DeformedLogarithm("tsallis", lambda x: np.asarray(x, dtype=float) ** q, log_q, exp_q, edge)
+    return DeformedLogarithm("tsallis", lambda x: np.asarray(x, dtype=float) ** q, log_q, exp_q, edge, lambda u, e: e**q)
 
 
 def _kaniadakis(kappa: float) -> DeformedLogarithm:
     if not 0.0 <= kappa < 1.0:
         raise InvariantError("symmetric-power parameter must lie in [0, 1)")
     if kappa == 0.0:
-        d = _classical()
-        return DeformedLogarithm("kaniadakis", d.phi, d.log, d.exp, -math.inf)
+        return replace(_classical(), tag="kaniadakis")
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -126,7 +126,6 @@ def _kaniadakis(kappa: float) -> DeformedLogarithm:
     def exp_k(u):
         return np.exp(np.arcsinh(kappa * np.asarray(u, dtype=float)) / kappa)
 
-    # exp_slope: phi(exp_k(u)) = exp_k(u) / cosh(arcsinh(ku)), without phi's two powers
     return DeformedLogarithm("kaniadakis", phi, log_k, exp_k, -math.inf, lambda u, e: e / np.sqrt(1.0 + (kappa * u) ** 2))
 
 
@@ -145,7 +144,7 @@ def _newton() -> DeformedLogarithm:
 
         return wrightomega(np.asarray(u, dtype=float) + 1.0)
 
-    return DeformedLogarithm("newton", phi, log_n, exp_n, -math.inf)
+    return DeformedLogarithm("newton", phi, log_n, exp_n, -math.inf, lambda u, e: e / (e + 1.0))
 
 
 def make_deformed(tag: str, param: float | None = None) -> DeformedLogarithm:
@@ -191,11 +190,12 @@ def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
         raise InvariantError(f"{what}: a value is not finite")
     w = p.base.weights
     log_p = d.log(p.values)
-    slope = d.exp_slope or (lambda x, e: d.phi(e))
-    sloped = lambda y: (e := d.exp(x := y + log_p), slope(x, e))  # noqa: E731
+    sloped = lambda y: (e := d.exp(x := y + log_p), d.exp_slope(x, e))  # noqa: E731
     level = math.log1p(1.0 / (1.0 + float(w.sum())))
-    start = 1.0 / _dot(w * slope(log_p, p.values), abs_vals / sup * level)
-    return _gauge(w, lambda y: d.exp(y + log_p), sloped, abs_vals, 2.0, level, start, what, base=1.0)
+    start = 1.0 / max(_dot(w * d.exp_slope(log_p, p.values), abs_vals / sup * level), math.ulp(0.0))
+    if not start < math.inf:  # the tangent sum underflows
+        raise InvariantError(f"deformed norm for tag {d.tag!r}: the gauge bracket overflows double precision")
+    return _gauge(w, sloped, abs_vals, 2.0, level, start, what, base=1.0)
 
 
 def escort_mass(p: Density, d: DeformedLogarithm) -> float:

@@ -61,10 +61,10 @@ __all__ = [
 _REL_TOL, _NEWTON_TOL, _RUNS = 1e-14, 1e-7, 8
 
 
-def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, level: float, start: float, what: str, base=0.0):
+def _gauge(weights, sloped: Callable, vals, target: float, level: float, start: float, what: str, base=0.0):
     """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, not all 0, a non-finite sum counting as +inf.
 
-    F is convex and increasing, sloped(y) = (F(y), F'(y)), and M(s) = sum(weights * F(s * vals)), s = 1/r, has
+    sloped(y) = (F(y), F'(y)) with F convex and increasing, and M(s) = sum(weights * F(s * vals)), s = 1/r, has
     M(lo) <= target <= M(start * lo), lo = level / max(vals), and M(0) = base.  M is convex in log s too: Newton
     solves M - base = target - base in k = -1 - log(s / lo) from -1 - log(start), inside [-1 - log(start), -1],
     with slope -sum(weights * y * F'(y)), y = s * vals, and stops at a step below 1e-7, which it takes: by
@@ -93,7 +93,7 @@ def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, level: f
             if math.isfinite(value) and -math.inf < slope < 0.0:
                 k += (target - base - value) / slope
             r = max((1.0 + 0.5 * _REL_TOL) * math.exp(1.0 + k) * sup / level, math.ulp(0.0))
-            if _finite_sum(weights, F(vals / r)) <= target:
+            if _finite_sum(weights, sloped(vals / r)[0]) <= target:
                 return r
             k, tol = math.log(r / sup * level) - 1.0, _REL_TOL / -lower
     raise InvariantError(f"{what}: no radius brings the modular down to {target}")
@@ -101,58 +101,52 @@ def _gauge(weights, F: Callable, sloped: Callable, vals, target: float, level: f
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """A conjugate pair (Phi, Phi_conj) with its generating derivative pair.
+    """A conjugate pair (Phi, Phi_conj) with the forms its two gauges evaluate.
 
-    ``phi`` is the right derivative of Phi on the nonnegative axis,
-    ``phi_inv`` its inverse and ``dphi_inv`` the derivative of ``phi_inv``
-    (the dual-norm slope); ``strict`` records whether phi is strictly
-    increasing, which the dual-norm stationarity solve requires.
+    ``sloped(x)`` = (Phi(x), phi(x)) for x >= 0, phi the right derivative of Phi, is the Luxemburg gauge's.
+    ``dual_sloped(y)`` = (Phi(phi_inv(y)), y * phi_inv'(y)) for y >= 0 is the dual gauge's, or None where phi
+    is not strictly increasing, as the dual norm's stationarity solve needs.  ``unit_level`` is the c > 0
+    with Phi(c) = 1, rounded so that Phi(c) <= 1 holds in floating point: it scales both Jensen brackets.
     """
 
     tag: str
     Phi: Callable[[np.ndarray], np.ndarray]
     Phi_conj: Callable[[np.ndarray], np.ndarray]
-    phi: Callable[[np.ndarray], np.ndarray]
+    sloped: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     phi_inv: Callable[[np.ndarray], np.ndarray]
-    dphi_inv: Callable[[np.ndarray], np.ndarray]
-    strict: bool = True
-
-    def __post_init__(self) -> None:
-        """Solve ``_unit_level``, the c > 0 with Phi(c) = 1 or 0.0 when there is none: the reciprocal gauge of the
-        constant 1 under a point mass, bracketed by the powers of two from 2**-1074 to 2**1023, read at once."""
-        ys = np.ldexp(1.0, np.arange(-1074, 1024))
-        with np.errstate(over="ignore", invalid="ignore"):
-            reach = ~(self.Phi(ys) < 1.0)
-        level, one, sloped = 0.0, np.ones(1), lambda y: (self.Phi(y), self.phi(y))
-        if reach[-1] and not reach[0]:
-            level = 1.0 / _gauge(one, self.Phi, sloped, one, 1.0, ys[np.argmax(reach) - 1], 2.0, self.tag)
-        object.__setattr__(self, "_unit_level", level)
+    dual_sloped: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
+    unit_level: float
 
 
-def _phi_a_sloped(x):  # Phi_a(x) and its slope log1p(x) for x >= 0 from one log1p, for the Luxemburg gauge
+def _even(sloped: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """The even Young function x -> sloped(|x|)[0]."""
+    return lambda x: sloped(np.abs(np.asarray(x, dtype=float)))[0]
+
+
+def _sloped_a(x):  # (1 + x) log1p(x) - x, log1p(x)
     log1p = np.log1p(x)
     return (1.0 + x) * log1p - x, log1p
 
 
-def _phi_a(x):
-    return _phi_a_sloped(np.abs(np.asarray(x, dtype=float)))[0]
-
-
-def _phi_a_conj(y):
-    y = np.abs(np.asarray(y, dtype=float))
-    return np.expm1(y) - y
-
-
-def _phi_b_sloped(x):  # Phi_b(x) and its slope arcsinh(x) for x >= 0 from one arcsinh
+def _sloped_b(x):  # x arcsinh(x) - sqrt(1 + x**2) + 1, arcsinh(x)
     asinh = np.arcsinh(x)
     return x * asinh - np.sqrt(1.0 + x * x) + 1.0, asinh
 
 
-def _phi_b(x):
-    return _phi_b_sloped(np.abs(np.asarray(x, dtype=float)))[0]
+def _sloped_c(x):  # x log+(x) - (x - 1)+, log+(x)
+    log_plus = np.log(np.maximum(x, 1.0))
+    return x * log_plus - np.maximum(x - 1.0, 0.0), log_plus
 
 
-# The dual gauges' F(y) = Phi(phi_inv(y)) and slope y * dphi_inv(y) for y >= 0, each from one expm1 z = e**y - 1
+def _sloped_two(x):  # x**2 / 2, x: also its own dual form, phi_inv being the identity
+    return 0.5 * x * x, x
+
+
+def _sloped_cosh(x):  # cosh(x) - 1, sinh(x)
+    return np.cosh(x) - 1.0, np.sinh(x)
+
+
+# (Phi(phi_inv(y)), y * phi_inv'(y)) for y >= 0; for a and b from one expm1 z = e**y - 1
 def _dual_a_sloped(y):  # Phi_a(expm1(y)) = (1 + z) * y - z, slope y * e**y
     z = np.expm1(y)
     e = 1.0 + z
@@ -166,38 +160,31 @@ def _dual_b_sloped(y):  # Phi_b(sinh(y)) = y * sinh(y) - (cosh(y) - 1), slope y 
     return z / (2.0 * e) * (y * (1.0 + e) - z), 0.5 * y * (e + 1.0 / e)
 
 
-def _cosh_minus_one(y):
-    return np.cosh(np.asarray(y, dtype=float)) - 1.0
+def _dual_cosh(y):  # cosh(arcsinh(y)) - 1 = y**2 / (1 + h), slope y / h, h = sqrt(1 + y**2): no cancellation near 0
+    h = np.minimum(np.sqrt(1.0 + y * y), 1.0 + y)  # = y where y**2 overflows; np.hypot costs twice as much
+    return y * (y / (1.0 + h)), y / h
 
 
-def _phi_c(x):
-    x = np.abs(np.asarray(x, dtype=float))
-    return x * np.log(np.maximum(x, 1.0)) - np.maximum(x - 1.0, 0.0)
+def _phi_a_conj(y):
+    y = np.abs(np.asarray(y, dtype=float))
+    return np.expm1(y) - y
 
 
 def _phi_c_conj(y):
     return np.expm1(np.abs(np.asarray(y, dtype=float)))
 
 
-def _half_square(x):
-    x = np.asarray(x, dtype=float)
-    return 0.5 * x * x
-
-
-def _identity(u):
-    return np.asarray(u, dtype=float)
-
-
+# unit levels: e - 1, e and arccosh 2 in closed form; for two math.nextafter(math.sqrt(2), 0), as Phi(sqrt(2))
+# rounds to 1 + 2**-52; for b the root of c * arcsinh(c) = sqrt(1 + c**2), 1.50887956153831992893...
 _PAIRS: dict[str, YoungFunction] = {
-    "a": YoungFunction("a", _phi_a, _phi_a_conj, np.log1p, np.expm1, np.exp),
-    "b": YoungFunction("b", _phi_b, _cosh_minus_one, np.arcsinh, np.sinh, np.cosh),
-    "c": YoungFunction(
-        "c", _phi_c, _phi_c_conj, lambda u: np.log(np.maximum(np.asarray(u, dtype=float), 1.0)), np.exp, np.exp, strict=False
-    ),
-    "two": YoungFunction("two", _half_square, _half_square, _identity, _identity, np.ones_like),
-    "cosh_minus_one": YoungFunction(
-        "cosh_minus_one", _cosh_minus_one, _phi_b, np.sinh, np.arcsinh, lambda y: 1.0 / np.sqrt(1.0 + np.square(y))
-    ),
+    tag: YoungFunction(tag, *forms)
+    for tag, forms in {
+        "a": (_even(_sloped_a), _phi_a_conj, _sloped_a, np.expm1, _dual_a_sloped, math.e - 1.0),
+        "b": (_even(_sloped_b), _even(_sloped_cosh), _sloped_b, np.sinh, _dual_b_sloped, 1.50887956153832),
+        "c": (_even(_sloped_c), _phi_c_conj, _sloped_c, np.exp, None, math.e),
+        "two": (_even(_sloped_two), _even(_sloped_two), _sloped_two, np.positive, _sloped_two, 1.414213562373095),
+        "cosh_minus_one": (_even(_sloped_cosh), _even(_sloped_b), _sloped_cosh, np.arcsinh, _dual_cosh, math.acosh(2)),
+    }.items()
 }
 
 YOUNG_TAGS = tuple(_PAIRS)
@@ -213,9 +200,9 @@ def young_pair(tag: str) -> YoungFunction:
 def validate_young_pair(yf: YoungFunction) -> None:
     """Spot-check the Young-function contract on 49 points of [-6, 6] and on -30 and 30.
 
-    Verifies Phi(0) = 0, evenness, midpoint convexity of both conjugates and
-    the Young inequality |xy| <= Phi(x) + Phi_conj(y), to 1e-12, and ``dphi_inv``
-    against a central difference of ``phi_inv`` at x >= 0, to 1e-6; raises on violation.
+    Verifies Phi(0) = 0, evenness, midpoint convexity of both conjugates and the Young inequality |xy| <= Phi(x) +
+    Phi_conj(y), to 1e-12, the slope of ``dual_sloped`` against y times a central difference of ``phi_inv``, to 1e-6,
+    and that ``dual_sloped(y)`` and ``sloped(|x|)`` give Phi(phi_inv(y)) and Phi(x), to 1e-12; raises on violation.
     """
     xs = np.concatenate([np.linspace(-6.0, 6.0, 49), [-30.0, 30.0]])
     tol = 1e-12
@@ -234,18 +221,28 @@ def validate_young_pair(yf: YoungFunction) -> None:
     if np.any(lhs > rhs * (1.0 + 1e-12) + 1e-10):
         raise InvariantError(f"pair {yf.tag!r}: Young inequality fails on the grid")
     ys = xs[xs >= 0.0]
-    h = 1e-5 * np.maximum(1.0, ys)
-    central = (yf.phi_inv(ys + h) - yf.phi_inv(ys - h)) / (2.0 * h)
-    if np.any(np.abs(yf.dphi_inv(ys) - central) > 1e-6 * np.maximum(1.0, np.abs(central))):
-        raise InvariantError(f"pair {yf.tag!r}: dphi_inv is not the derivative of phi_inv")
+    if yf.dual_sloped is not None:
+        F, slope = yf.dual_sloped(ys)
+        h = 1e-5 * np.maximum(1.0, ys)
+        central = ys * (yf.phi_inv(ys + h) - yf.phi_inv(ys - h)) / (2.0 * h)
+        if np.any(np.abs(slope - central) > 1e-6 * np.maximum(1.0, np.abs(central))):
+            raise InvariantError(f"pair {yf.tag!r}: the slope of dual_sloped is not y times the derivative of phi_inv")
+        if np.any(np.abs(F - yf.Phi(yf.phi_inv(ys))) > tol * np.abs(yf.Phi(yf.phi_inv(ys)))):
+            raise InvariantError(f"pair {yf.tag!r}: dual_sloped does not give Phi(phi_inv)")
+    if np.any(np.abs(yf.sloped(np.abs(xs))[0] - yf.Phi(xs)) > tol * np.abs(yf.Phi(xs))):
+        raise InvariantError(f"pair {yf.tag!r}: sloped does not give Phi")
 
 
-def _jensen_gauge(p: Density, F: Callable, sloped: Callable, abs_vals: np.ndarray, level: float, what: str) -> float:
+def _jensen_gauge(p: Density, sloped: Callable, abs_vals: np.ndarray, level: float, norm: str, tag: str) -> float:
     """The gauge of E_p[F(|v|/r)] <= 1, F(level) = 1: by Jensen, at most 1 at s = level / max|v|, at least at level / E_p|v|."""
+    what = f"{norm} diverges for tag {tag!r}"
     sup = _max(abs_vals)
     if not (0.0 < level < math.inf and sup < math.inf):
         raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf), or a value is not finite")
-    return _gauge(p.prob, F, sloped, abs_vals, 1.0, level, 1.0 / _dot(p.prob, abs_vals / sup), what)
+    start = 1.0 / _dot(p.prob, abs_vals / sup)  # the sum is positive, but it can be subnormal
+    if not start < math.inf:
+        raise InvariantError(f"{norm} for tag {tag!r}: the gauge bracket overflows double precision")
+    return _gauge(p.prob, sloped, abs_vals, 1.0, level, start, what)
 
 
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
@@ -253,8 +250,7 @@ def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
     abs_vals = np.abs(values_on(p.base, u))
     if _max(abs_vals) == 0.0:
         return 0.0
-    sloped = {_phi_a: _phi_a_sloped, _phi_b: _phi_b_sloped}.get(Phi.Phi, lambda y: (Phi.Phi(y), Phi.phi(y)))
-    return _jensen_gauge(p, Phi.Phi, sloped, abs_vals, Phi._unit_level, f"Luxemburg norm diverges for tag {Phi.tag!r}")
+    return _jensen_gauge(p, Phi.sloped, abs_vals, Phi.unit_level, "Luxemburg norm", Phi.tag)
 
 
 def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
@@ -262,19 +258,15 @@ def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
 
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
     and the constraint E_p[Phi(phi_inv(|v|/lam))] = 1 is active; lam is its
-    gauge, with slope y * dphi_inv(y) and unit level phi(c), Phi(c) = 1.
+    gauge, evaluated by ``dual_sloped``, with unit level phi(c), Phi(c) = 1.
     """
-    if not Phi.strict:
+    if Phi.dual_sloped is None:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
     abs_vals = np.abs(values_on(p.base, v))
     if _max(abs_vals) == 0.0:
         return 0.0
-    level = float(Phi.phi(np.array([Phi._unit_level]))[0])
-    sloped = {(_phi_a, np.expm1): _dual_a_sloped, (_phi_b, np.sinh): _dual_b_sloped}.get(
-        (Phi.Phi, Phi.phi_inv), lambda y: (Phi.Phi(Phi.phi_inv(y)), y * Phi.dphi_inv(y))
-    )
-    F = lambda y: sloped(y)[0]  # noqa: E731
-    lam = _jensen_gauge(p, F, sloped, abs_vals, level, f"dual norm diverges for tag {Phi.tag!r}")
+    level = float(Phi.sloped(np.array([Phi.unit_level]))[1][0])
+    lam = _jensen_gauge(p, Phi.dual_sloped, abs_vals, level, "dual norm", Phi.tag)
     return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam))  # E_p[u v], u = sign(v) phi_inv(|v| / lam)
 
 
@@ -460,8 +452,8 @@ def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> t
     return terms, int(np.count_nonzero(~odd))
 
 
-def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
-    """E[exp(t*u)], or E[cosh(t*u) - 1] when ``phi``, under the uniform density, for a finite t.
+def _uniform_mean(masks: np.ndarray, values: np.ndarray, t: float, phi: bool) -> float:
+    """E[exp(t*u)], or E[cosh(t*u) - 1] when ``phi``, under the uniform density, u's spectrum given, t finite.
 
     If the m support masks have GF(2) rank r < m - r, average over the 2**r equally likely classes
     of u: a kernel element's top bit is a dependent mask, its character the product of its other bits'.
@@ -470,8 +462,8 @@ def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
     """
     if not math.isfinite(t):
         raise InvariantError(f"t must be finite, got {t}")
-    keep = spec.values != 0.0
-    coefs, masks = spec.values[keep], spec.masks[keep]
+    keep = values != 0.0
+    coefs, masks = values[keep], masks[keep]
     # m <= 24 bounds the parity path; past it r <= 12 < m - r, so the class path is taken.
     # Checked on the pivots alone, before the kernel's m-bit combinations are built.
     if coefs.size > _MAX_SUPPORT and _gf2_rank_above(masks, _MAX_CLASS_RANK):
@@ -501,13 +493,19 @@ def _uniform_mean(spec: WalshSpectrum, t: float, phi: bool) -> float:
 
 
 def boolean_mgf(spec: WalshSpectrum, t: float) -> float:
-    """Moment generating function E[exp(t*u)] under the uniform density, by parity classes."""
-    return _uniform_mean(spec, t, phi=False)
+    """E[exp(t*u)] under the uniform density, by parity classes, mask 0's coefficient c_0 taken out as exp(t*c_0)."""
+    head = int(spec.masks.size > 0 and spec.masks[0] == 0)  # the masks increase: mask 0 comes first
+    mean = _uniform_mean(spec.masks[head:], spec.values[head:], t, phi=False)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(t * spec.values[:head].sum())) * mean  # times exp(0) = 1 without mask 0
+    if math.isnan(value):
+        raise InvariantError(f"exp(t * c_0) and the MGF of the other characters over- and underflow at t = {t}")
+    return value
 
 
 def boolean_phi_moment(spec: WalshSpectrum, t: float) -> float:
     """E_p[cosh(t*u) - 1] under the uniform density: the symmetrized MGF, sinh being odd."""
-    return _uniform_mean(spec, t, phi=True)
+    return _uniform_mean(spec.masks, spec.values, t, phi=True)
 
 
 class ProfilePoint(NamedTuple):

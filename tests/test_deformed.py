@@ -54,10 +54,9 @@ def test_family_contract():
         assert np.all(np.diff(slopes) < 1e-12)
         # affine bound phi(x) <= x + 1 certified on the grid
         assert affine_bound_defect(d) <= 0.0
-        # exp_slope, where a family gives it, is the slope phi(exp(u)) of exp
-        if d.exp_slope is not None:
-            e = d.exp(lg)
-            assert np.max(np.abs(d.exp_slope(lg, e) / d.phi(e) - 1.0)) < 1e-13
+        # exp_slope is the slope phi(exp(u)) of exp
+        e = d.exp(lg)
+        assert np.max(np.abs(d.exp_slope(lg, e) / d.phi(e) - 1.0)) < 1e-13
 
 
 def test_make_deformed_validation():

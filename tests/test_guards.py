@@ -27,6 +27,9 @@ U = igc.tangent(P, [1.0, 2.0, 3.0, 4.0])  # a vector of the fibre at P
 U_FAR = igc.tangent(igc.Density(igc.finite_measure(np.arange(10.0, 14.0)), P.values), [1.0, 2.0, 3.0, 4.0])
 U_AT_Q = igc.tangent(Q, [1.0, 2.0, 3.0, 4.0])  # E_P of it is 0.2
 TWO = igc.young_pair("two")  # Phi = Phi_conj = x**2 / 2
+# E_p|u| / max|u| = 3e-310 (with u = 0 where p is not tiny): the gauges' Jensen or tangent start overflows
+P_TINY = igc.Density.from_unnormalized(M, [1.0, 1e-310, 1e-310, 1e-310])
+U_TINY = np.array([0.0, 1.0, 1.0, 1.0])
 
 
 def _pair(**fields):
@@ -76,6 +79,10 @@ GUARDS = [
     ("young-inequality",
      lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.25 * x * x, Phi_conj=lambda x: 0.25 * x * x)),
      InvariantError, "Young inequality fails"),
+    ("young-sloped", lambda: igc.validate_young_pair(_pair(sloped=lambda x: (0.25 * x * x, x))), InvariantError,
+     "sloped does not give Phi"),
+    ("young-dual-sloped", lambda: igc.validate_young_pair(_pair(dual_sloped=lambda y: (0.25 * y * y, y))),
+     InvariantError, "dual_sloped does not give Phi\\(phi_inv\\)"),
     ("walsh-base", lambda: igc.walsh_transform(igc.RandomVariable(M, np.ones(4))), InvariantError,
      "needs a boolean base measure"),
     ("inverse-walsh-size",
@@ -86,9 +93,16 @@ GUARDS = [
      "alpha must be finite, got nan"),
     ("boolean-mgf-t", lambda: igc.boolean_mgf(igc.WalshSpectrum(2, {1: 1.0}), np.nan), InvariantError,
      "t must be finite, got nan"),
-    ("boolean-mgf-cancelling-overflow",  # u = x_0 - 1 is at most 0, but cosh(800) and sinh(800) overflow
-     lambda: igc.boolean_mgf(igc.WalshSpectrum(1, {0: -1.0, 1: 1.0}), 800.0), InvariantError,
+    ("boolean-mgf-cancelling-overflow",  # u is at most 0.8, so the MGF is finite, but products of cosh(640) overflow
+     lambda: igc.boolean_mgf(igc.WalshSpectrum(2, {1: -0.8, 2: -0.8, 3: -0.8}), 800.0), InvariantError,
      "parity-class terms overflow with both signs at t = 800.0"),
+    ("boolean-mgf-constant-underflow",  # u = x_0 - 1: exp(-800) underflows, while cosh(800) overflows
+     lambda: igc.boolean_mgf(igc.WalshSpectrum(1, {0: -1.0, 1: 1.0}), 800.0), InvariantError,
+     "exp\\(t \\* c_0\\) and the MGF of the other characters over- and underflow at t = 800.0"),
+    ("luxemburg-bracket", lambda: igc.luxemburg_norm(P_TINY, U_TINY, igc.young_pair("a")), InvariantError,
+     "Luxemburg norm for tag 'a': the gauge bracket overflows double precision"),
+    ("dual-bracket", lambda: igc.dual_norm(P_TINY, U_TINY, igc.young_pair("a")), InvariantError,
+     "dual norm for tag 'a': the gauge bracket overflows double precision"),
     ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
     # manifold
     ("chart-m-mass", lambda: igc.chart_m(P, np.full(4, 0.5)), InvariantError, "chart_m: argument has mass 2.0"),
@@ -139,6 +153,11 @@ GUARDS = [
      "directions must hold at least one direction"),
     # deformed
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
+    ("phi-norm-classical-bracket", lambda: igc.phi_norm(P_TINY, U_TINY, igc.make_deformed("classical")),
+     InvariantError, "deformed norm for tag 'classical': the gauge bracket overflows double precision"),
+    ("phi-norm-kaniadakis-bracket",  # exp_slope(log_kappa p, p) underflows to 0 on the tiny entries
+     lambda: igc.phi_norm(P_TINY, U_TINY, igc.make_deformed("kaniadakis", 0.3)),
+     InvariantError, "deformed norm for tag 'kaniadakis': the gauge bracket overflows double precision"),
     ("arc-diverges", lambda: igc.phi_arc(P, Q, igc.make_deformed("classical"), 1000.0), InvariantError,
      "arc mass diverges at t = 1000.0"),
     ("phi-connected-t", lambda: igc.phi_connected(P, Q, igc.make_deformed("tsallis", 0.5), [0.5, np.nan]),

@@ -25,8 +25,6 @@ from igc.orlicz import (
     WalshSpectrum,
     YOUNG_TAGS,
     YoungFunction,
-    _dual_a_sloped,
-    _dual_b_sloped,
     _fwht,
     _gf2_kernel_basis,
     boolean_mgf,
@@ -52,6 +50,49 @@ def _two_point():
 def test_young_pairs_contract():
     for tag in YOUNG_TAGS:
         validate_young_pair(young_pair(tag))
+
+
+def _unit_root_b() -> Decimal:
+    """The root of c * arcsinh(c) = sqrt(1 + c**2), arcsinh(c) = ln(c + sqrt(1 + c**2)), by 50-digit bisection."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal("1.4"), Decimal("1.6")
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            h = (1 + mid * mid).sqrt()
+            lo, hi = (mid, hi) if mid * (mid + h).ln() < h else (lo, mid)
+        return lo
+
+
+def test_unit_levels_are_the_unit_roots_rounded_down():
+    # Phi(c) <= 1 in floating point, which the gauges' bracket needs, and c within 4e-16 of the exact root
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = {
+            "a": Decimal(1).exp() - 1,
+            "b": _unit_root_b(),
+            "c": Decimal(1).exp(),
+            "two": Decimal(2).sqrt(),
+            "cosh_minus_one": (2 + Decimal(3).sqrt()).ln(),
+        }
+        for tag in YOUNG_TAGS:
+            yf = young_pair(tag)
+            assert float(yf.Phi(np.array([yf.unit_level]))[0]) <= 1.0, tag
+            assert abs(Decimal(yf.unit_level) - exact[tag]) <= Decimal("4e-16") * exact[tag], tag
+
+
+def test_a_rebuilt_pair_takes_the_same_path_as_the_built_in_one():
+    # the gauges read the pair's own forms, so wrapping Phi and phi_inv changes no bit of either norm
+    rng = np.random.default_rng(27)
+    for tag in ("a", "b", "two", "cosh_minus_one"):
+        yf = young_pair(tag)
+        rebuilt = dataclasses.replace(yf, Phi=lambda x, f=yf.Phi: f(x), phi_inv=lambda y, f=yf.phi_inv: f(y))
+        for _ in range(50):
+            m = finite_measure(np.arange(float(rng.choice([1, 4, 16, 64]))))
+            p = Density.random(m, rng)
+            u = rng.standard_normal(m.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert luxemburg_norm(p, u, rebuilt) == luxemburg_norm(p, u, yf), tag
+            assert dual_norm(p, u, rebuilt) == dual_norm(p, u, yf), tag
 
 
 def test_pairs_a_b_equivalent():
@@ -125,10 +166,15 @@ def test_dual_norm_examples():
 
 
 def _dual_reference(tag: str, y: float) -> tuple[float, float]:
-    """Phi(phi_inv(y)) and its slope y * dphi_inv(y) for pairs a and b, from a 60-digit decimal exp."""
+    """Phi(phi_inv(y)) and its slope y * phi_inv'(y) for the four strict pairs, in 60-digit decimal."""
     with localcontext() as ctx:
         ctx.prec = 60
         y = Decimal(y)
+        if tag == "two":  # y**2 / 2, y
+            return float(y * y / 2), float(y)
+        if tag == "cosh_minus_one":  # cosh(arcsinh(y)) - 1 = sqrt(1 + y**2) - 1, y / sqrt(1 + y**2)
+            h = (1 + y * y).sqrt()
+            return float(y * y / (1 + h)), float(y / h)
         e = y.exp()
         if tag == "a":  # (1 + z) y - z with z = e**y - 1
             return float(1 + (y - 1) * e), float(y * e)
@@ -136,15 +182,15 @@ def _dual_reference(tag: str, y: float) -> tuple[float, float]:
         return float(y * sinh - (cosh - 1)), float(y * cosh)
 
 
-@pytest.mark.parametrize("tag,sloped", [("a", _dual_a_sloped), ("b", _dual_b_sloped)])
-def test_dual_gauge_terms_are_no_less_accurate_than_the_composition(tag, sloped):
-    # per decade of a log grid on [1e-9, 700], the worst relative error of the one-expm1 form is at most
-    # that of Phi(phi_inv(y)); both cancel near 0 for pair a, while for pair b the composition loses
-    # everything below 1e-7 and overflows past y = 355, and the one-expm1 form keeps full precision
+@pytest.mark.parametrize("tag", ["a", "b", "two", "cosh_minus_one"])
+def test_dual_gauge_terms_are_no_less_accurate_than_the_composition(tag):
+    # per decade of a log grid on [1e-9, 700], the worst relative error of dual_sloped is at most that of
+    # Phi(phi_inv(y)); both cancel near 0 for pair a, while the composition loses everything below 1e-7 for
+    # pair b (and overflows past y = 355) and below 1e-8 for cosh_minus_one, where dual_sloped keeps full precision
     yf = young_pair(tag)
     ys = np.geomspace(1e-9, 700.0, 600)
     ref = np.array([_dual_reference(tag, y) for y in ys])
-    F, slope = sloped(ys)
+    F, slope = yf.dual_sloped(ys)
     with np.errstate(over="ignore", invalid="ignore"):
         composed = yf.Phi(yf.phi_inv(ys))
     err = np.abs(F - ref[:, 0]) / ref[:, 0]
@@ -152,7 +198,7 @@ def test_dual_gauge_terms_are_no_less_accurate_than_the_composition(tag, sloped)
     for d in range(-9, 3):
         decade = (ys >= 10.0**d) & (ys < 10.0 ** (d + 1))
         assert err[decade].max() <= err_composed[decade].max()
-    if tag == "b":
+    if tag in ("b", "two", "cosh_minus_one"):
         assert err.max() <= 1e-15
     assert np.all(np.abs(slope - ref[:, 1]) <= 1e-15 * ref[:, 1])
 
@@ -170,7 +216,9 @@ def test_divergent_gauges_raise_invariant_error():
     def infinite(x):
         return np.full(np.shape(x), np.inf)
 
-    yf = YoungFunction("inf", infinite, infinite, np.log1p, np.expm1, np.exp)
+    yf = YoungFunction(
+        "inf", infinite, infinite, lambda x: (infinite(x), np.log1p(x)), np.expm1, lambda y: (infinite(y), y * np.exp(y)), 0.0
+    )
     for norm, name in ((luxemburg_norm, "Luxemburg"), (dual_norm, "dual")):
         with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'inf'"):
             norm(p, coordinate(m), yf)
@@ -608,11 +656,13 @@ def test_gauges_report_divergence():
     def jump(x):
         return np.where(np.asarray(x) == 0.0, 0.0, np.inf)
 
-    yf = YoungFunction("jump", jump, jump, np.log1p, np.expm1, np.exp)
+    yf = YoungFunction("jump", jump, jump, lambda x: (jump(x), np.log1p(x)), np.expm1, lambda y: (jump(y), y * np.exp(y)), 0.0)
     for norm, name in ((luxemburg_norm, "Luxemburg"), (dual_norm, "dual")):
         with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'jump'"):
             norm(p, coordinate(m), yf)
-    d = DeformedLogarithm("inf", lambda x: np.asarray(x, dtype=float), np.log, lambda x: np.full(np.shape(x), np.inf), -math.inf)
+    d = DeformedLogarithm(
+        "inf", lambda x: np.asarray(x, dtype=float), np.log, lambda x: np.full(np.shape(x), np.inf), -math.inf, lambda u, e: e
+    )
     with pytest.raises(InvariantError, match="deformed norm diverges for tag 'inf'"):
         phi_norm(p, coordinate(m), d)
 
@@ -620,8 +670,9 @@ def test_gauges_report_divergence():
 def test_validate_young_pair_checks_dphi_inv():
     b = young_pair("b")
     validate_young_pair(b)
-    wrong = YoungFunction("b", b.Phi, b.Phi_conj, b.phi, b.phi_inv, np.exp)  # exp, not cosh, the derivative of sinh
-    with pytest.raises(InvariantError, match="dphi_inv"):
+    # slope y * exp(y): exp, not cosh, taken for the derivative of sinh
+    wrong = dataclasses.replace(b, dual_sloped=lambda y: (b.dual_sloped(y)[0], y * np.exp(y)))
+    with pytest.raises(InvariantError, match="slope of dual_sloped is not y times the derivative of phi_inv"):
         validate_young_pair(wrong)
 
 
@@ -694,10 +745,13 @@ def test_gauges_find_a_spike_far_below_the_jensen_start():
     for tag in ("a", "b", "two", "cosh_minus_one"):
         base = young_pair(tag)
         calls = []
-        yf = dataclasses.replace(base, Phi=lambda x, F=base.Phi: calls.append(1) or F(x))
+        yf = dataclasses.replace(
+            base,
+            sloped=lambda x, f=base.sloped: calls.append(1) or f(x),
+            dual_sloped=lambda y, f=base.dual_sloped: calls.append(1) or f(y),
+        )
         dual_F = lambda y: base.Phi(base.phi_inv(y))  # noqa: E731
         for norm, F in ((luxemburg_norm, base.Phi), (dual_norm, dual_F)):
-            yf._unit_level
             calls.clear()
             got = norm(p, v, yf)
             r = bisection_root(lambda s: _modular(p.prob, F, v, s), 1.0, 1e3)

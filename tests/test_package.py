@@ -2,6 +2,9 @@
 
 import dataclasses
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,3 +95,20 @@ def test_integrate_e_chart_raises_the_exported_flow_error():
     field = igc.VectorField(lambda q: np.array([np.inf, 0.0, 0.0]))
     with pytest.raises(igc.FlowError, match="non-finite"):
         igc.integrate_e_chart(field, p, 0.1, 0.1)
+
+
+def test_import_runs_no_gauge_or_root_find():
+    # every Young pair carries its unit level as a constant: a fresh `import igc` solves nothing
+    src = str(Path(igc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); calls = []\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in ('_gauge', 'decreasing_root'):\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(profile)\n"
+        "import igc\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls), 'igc.orlicz' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "True"]

@@ -41,6 +41,7 @@ from igc.orlicz import (
     dual_norm,
     inverse_walsh,
     luxemburg_norm,
+    YOUNG_TAGS,
     walsh_transform,
     young_pair,
 )
@@ -373,6 +374,20 @@ def test_orlicz_norms_are_homogeneous_and_subadditive(tag, n, lam, scale, seed):
     assert luxemburg_norm(p, u + v, yf) <= (nu + nv) * (1.0 + 1e-12)
     du = dual_norm(p, u, yf)
     assert abs(dual_norm(p, lam * u, yf) - lam * du) <= 1e-12 * lam * du
+
+
+@PROPERTY_SETTINGS
+@given(
+    tag=st.sampled_from(YOUNG_TAGS),
+    xs=st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]), min_size=1),
+)
+@example(tag="b", xs=[-3.0, 0.0, 1e-300, 1e300])
+def test_young_function_is_its_sloped_form_at_the_absolute_value(tag, xs):
+    # the gauge evaluates sloped on |u| / r, validate_young_pair and the profiles evaluate Phi: bitwise one function
+    yf = young_pair(tag)
+    xs = np.array(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert yf.Phi(xs).tobytes() == yf.sloped(np.abs(xs))[0].tobytes()
 
 
 @PROPERTY_SETTINGS
