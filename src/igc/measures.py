@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-FINITE_MASS_TOL = 1e-12
-GRID_MASS_TOL = 1e-8
-CENTER_TOL = 1e-12
+TOL = 1e-12  # unit mass and centering: |mass - 1| of a density, and |E_p[v]| relative to max(1, max|v|)
 
 __all__ = [
     "BaseMismatchError",
@@ -131,7 +130,8 @@ class Measure:
     "boolean" stores the integer state codes 0 .. 2**n - 1 in order, n being
     ``n_sites``; the grid rules "gauss_legendre", "periodic" and "gauss_hermite"
     put quadrature weights on increasing nodes, and the equal weights of a
-    periodic grid are its ``spacing``.
+    periodic grid are its ``spacing``.  Every rule holds a density to the one tolerance
+    ``TOL`` of unit mass, the same ``TOL`` that bounds centering under it.
     """
 
     points: np.ndarray
@@ -180,11 +180,6 @@ class Measure:
         if self.rule != "periodic":
             raise InvariantError("spacing is defined for periodic uniform grids only")
         return float(self.weights[0])
-
-    @cached_property
-    def mass_tol(self) -> float:
-        """How far a density's mass may be from 1: GRID_MASS_TOL on Gauss-Legendre and periodic grids."""
-        return GRID_MASS_TOL if self.rule in ("gauss_legendre", "periodic") else FINITE_MASS_TOL
 
     @cached_property
     def unit_weights(self) -> bool:
@@ -299,7 +294,7 @@ def gauss_hermite_measure(n: int) -> Measure:
 
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Strictly positive unit-mass function on a measure."""
+    """Strictly positive function on a measure with |mass - 1| <= TOL, on every rule; see ``from_unnormalized``."""
 
     base: Measure
     values: np.ndarray
@@ -312,8 +307,8 @@ class Density:
         mass = _dot(self.values, self.base.weights)
         if not _min(self.values) > 0 or not math.isfinite(mass):
             raise InvariantError("density values must be strictly positive and finite")
-        if abs(mass - 1.0) > self.base.mass_tol:
-            raise InvariantError(f"density mass {mass!r} is not 1 within {self.base.mass_tol}")
+        if abs(mass - 1.0) > TOL:
+            raise InvariantError(f"density mass {mass!r} is not 1 within {TOL}; rescale with Density.from_unnormalized")
 
     @cached_property
     def prob(self) -> np.ndarray:
@@ -341,12 +336,19 @@ class Density:
 
     @classmethod
     def from_unnormalized(cls, base: Measure, values) -> "Density":
+        """values / sum(weights * values) for positive finite values; a sum that overflows or is subnormal is
+        taken after dividing the values by their maximum, and every other input keeps the plain quotient's bits."""
         vals = np.asarray(values, dtype=float)
         if vals.shape != base.points.shape:
             raise InvariantError("density values must match the support size")
         if not (_min(vals) > 0 and _max(vals) < math.inf):
             raise InvariantError("unnormalized density values must be positive and finite")
-        return cls(base, vals / _dot(vals, base.weights))
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf
+            mass = _dot(vals, base.weights)
+            if not sys.float_info.min <= mass < math.inf:
+                vals = vals / _max(vals)
+                mass = _dot(vals, base.weights)
+        return cls(base, vals / mass)
 
     @classmethod
     def random(cls, base: Measure, rng: np.random.Generator, spread: float = 0.5) -> "Density":
@@ -442,11 +444,11 @@ def lp_norm(p: Density, u, alpha: float) -> float:
 
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
-    """Raise unless vals are finite and |E_p[vals]| <= CENTER_TOL * max(1, max|vals|); return vals."""
+    """Raise unless vals are finite and |E_p[vals]| <= TOL * max(1, max|vals|); return vals."""
     sup = max(_max(vals), -_min(vals))
     if not math.isfinite(sup):
         raise InvariantError(f"{what}: values are not finite")
-    if abs(_dot(p.prob, vals)) > CENTER_TOL * max(1.0, sup):
+    if abs(_dot(p.prob, vals)) > TOL * max(1.0, sup):
         raise InvariantError(f"{what}: values are not centered under the base density")
     return vals
 

@@ -15,6 +15,7 @@ evaluation at the returned radius.  Divergent integrals are reported as values
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -276,7 +277,8 @@ class WalshSpectrum:
 
     ``masks`` (int64, increasing; bit k set: site k is in the monomial) and ``values`` (float64,
     zeros kept) hold the monomials and coefficients; ``coeffs``, the read-only mapping built on
-    first access, is also what the constructor takes: integer masks in [0, 2**n), finite values.
+    first access, is also what the constructor takes: an integer n in 0 .. 63, integer masks in
+    [0, 2**n), finite values.
     """
 
     n: int
@@ -284,6 +286,9 @@ class WalshSpectrum:
     values: np.ndarray
 
     def __init__(self, n: int, coeffs: Mapping[int, float]):
+        n = operator.index(n)  # a float raises TypeError, as in boolean_site
+        if not 0 <= n <= 63:
+            raise InvariantError(f"n = {n} is not in 0 .. 63: the masks are int64")
         for mask, c in coeffs.items():
             if not isinstance(mask, (int, np.integer)) or not math.isfinite(c):
                 raise InvariantError(f"mask {mask!r} with coefficient {c!r}: masks must be integers, coefficients finite")

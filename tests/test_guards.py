@@ -103,6 +103,13 @@ GUARDS = [
      "Luxemburg norm for tag 'a': the gauge bracket overflows double precision"),
     ("dual-bracket", lambda: igc.dual_norm(P_TINY, U_TINY, igc.young_pair("a")), InvariantError,
      "dual norm for tag 'a': the gauge bracket overflows double precision"),
+    ("walsh-sites-float", lambda: igc.WalshSpectrum(2.5, {}), TypeError, "cannot be interpreted as an integer"),
+    ("walsh-sites-negative", lambda: igc.WalshSpectrum(-1, {}), InvariantError,
+     "n = -1 is not in 0 .. 63: the masks are int64"),
+    ("walsh-sites-negative-mask", lambda: igc.WalshSpectrum(-1, {0: 1.0}), InvariantError,
+     "n = -1 is not in 0 .. 63: the masks are int64"),
+    ("walsh-sites-past-int64", lambda: igc.WalshSpectrum(64, {1 << 63: 1.0}), InvariantError,
+     "n = 64 is not in 0 .. 63: the masks are int64"),
     ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
     # manifold
     ("chart-m-mass", lambda: igc.chart_m(P, np.full(4, 0.5)), InvariantError, "chart_m: argument has mass 2.0"),

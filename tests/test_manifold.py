@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from igc.bundle import embed_sqrt
 from igc.manifold import (
     chart_m,
     chart_s,
@@ -28,6 +29,7 @@ from igc.measures import (
     covariance,
     expect,
     finite_measure,
+    gauss_legendre_measure,
     periodic_grid_measure,
     tangent,
 )
@@ -251,6 +253,24 @@ def test_chart_m(space):
     lhs = chart_m(p2, q).values
     rhs = u * p.values / p2.values + p.values / p2.values - 1.0
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_a_density_off_unit_mass_is_refused_before_a_chart_refuses_it():
+    # centring under p is only as exact as p's unit mass, so a quadrature density is held to the same
+    # tolerance; at 1 + 5e-9 every chart below would reject the vector built at p, not the density
+    base = gauss_legendre_measure(0.0, 1.0, 2)
+    shape = 1.0 + 0.5 * np.sin(3.0 * base.points)
+    v = (1.0 + 5e-9) * shape / float(shape @ base.weights)
+    with pytest.raises(InvariantError, match="from_unnormalized"):
+        Density(base, v)
+    p = Density.from_unnormalized(base, v)
+    q = Density.from_unnormalized(base, 1.0 + base.points)
+    u = tangent(p, coordinate(base))
+    chart_s(p, q)
+    cumulant_gradient(p, u)
+    chart_m(p, q)
+    chart_m(p, q.values)
+    embed_sqrt(p)
 
 
 def test_mixture_arc_stays_in_model(space):

@@ -26,6 +26,7 @@ from igc.measures import (
     gauss_hermite_measure,
     gauss_legendre_measure,
     HALFLINE_MAX_NODES,
+    TOL,
     halfline_measure,
     lp_norm,
     periodic_grid_measure,
@@ -155,6 +156,10 @@ def test_base_mismatch():
     p = Density.uniform(m1)
     with pytest.raises(BaseMismatchError):
         expect(p, RandomVariable(m2, np.zeros(2)))
+    # the same points with other weights are another base
+    m3, m4 = finite_measure(np.arange(3.0)), finite_measure(np.arange(3.0), [1.0, 2.0, 1.0])
+    with pytest.raises(BaseMismatchError):
+        expect(Density.uniform(m3), RandomVariable(m4, np.zeros(3)))
 
 
 def test_density_validation():
@@ -172,7 +177,13 @@ def test_density_validation():
         gauss_hermite_measure(24),
     ):
         for p in (Density.uniform(base), Density.random(base, rng)):
-            assert abs(p.mass() - 1.0) <= base.mass_tol
+            assert abs(p.mass() - 1.0) <= TOL
+    # a sum past the largest double, and one below the normal doubles on weights that are not 1,
+    # are first scaled by the maximum (neither leaks an overflow warning)
+    huge = Density.from_unnormalized(finite_measure(np.arange(3.0)), [1e308, 1e308, 1.0])
+    assert huge.values.tolist() == [0.5, 0.5, 5e-309]
+    grid = gauss_legendre_measure(0.0, 1.0, 1)
+    assert abs(Density.from_unnormalized(grid, 1e-320 * np.linspace(1.0, 2.0, grid.size)).mass() - 1.0) <= TOL
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25])

@@ -23,7 +23,7 @@ from igc.bundle import (
 from igc.deformed import make_deformed, phi_norm
 from igc.manifold import _log_partition, chart_s, divergence, patch_e, pythagorean_check, transport_e, transport_m
 from igc.measures import (
-    CENTER_TOL,
+    TOL,
     Density,
     RandomVariable,
     boolean_measure,
@@ -52,7 +52,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 def assert_centered(vec):
     vals = vec.values
-    assert abs(float(vec.at.prob @ vals)) <= CENTER_TOL * max(1.0, float(np.max(np.abs(vals))))
+    assert abs(float(vec.at.prob @ vals)) <= TOL * max(1.0, float(np.max(np.abs(vals))))
 
 
 @PROPERTY_SETTINGS
