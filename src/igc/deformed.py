@@ -179,23 +179,14 @@ def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
 
     In s = 1/r the tangent of exp_phi at log_phi p gives M(s) >= 1 + s * sum(w * phi(p) * |u|), and
     phi(x) <= x + 1 (every family here) gives M(s) <= 1 + (1 + sum(w)) (e**(s max|u|) - 1), at most 2
-    for s max|u| <= log1p(1 / (1 + sum(w))).
+    for s max|u| <= log1p(1 / (1 + sum(w))): the gauge starts from the tangent weights w * phi(p) * level.
     """
-    abs_vals = np.abs(values_on(p.base, u))
-    sup = _max(abs_vals)
-    if sup == 0.0:
-        return 0.0
-    what = f"deformed norm diverges for tag {d.tag!r}"
-    if not sup < math.inf:
-        raise InvariantError(f"{what}: a value is not finite")
     w = p.base.weights
     log_p = d.log(p.values)
     sloped = lambda y: (e := d.exp(x := y + log_p), d.exp_slope(x, e))  # noqa: E731
     level = math.log1p(1.0 / (1.0 + float(w.sum())))
-    start = 1.0 / max(_dot(w * d.exp_slope(log_p, p.values), abs_vals / sup * level), math.ulp(0.0))
-    if not start < math.inf:  # the tangent sum underflows
-        raise InvariantError(f"deformed norm for tag {d.tag!r}: the gauge bracket overflows double precision")
-    return _gauge(w, sloped, abs_vals, 2.0, level, start, what, base=1.0)
+    tangent = w * d.phi(p.values) * level
+    return _gauge(w, sloped, np.abs(values_on(p.base, u)), 2.0, level, tangent, "deformed norm", d.tag, base=1.0)
 
 
 def escort_mass(p: Density, d: DeformedLogarithm) -> float:

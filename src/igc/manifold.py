@@ -92,7 +92,7 @@ def patch_e(p: Density, u) -> Density:
 def chart_s(p: Density, q: Density) -> TangentVector:
     """The centered log-likelihood log(q/p) - E_p[log(q/p)]."""
     require_same_base(p, q, "chart_s")
-    return tangent(p, np.log(q.values) - p.log_values)
+    return tangent(p, q.log_values - p.log_values)
 
 
 def cumulant_derivatives(
@@ -103,12 +103,17 @@ def cumulant_derivatives(
     """First and second derivatives of K_p at u along the given directions.
 
     Returns (grad, hess) with grad[i] = E_q[v_i] and hess[i, j] = Cov_q(v_i, v_j)
-    where q is the patched density at u.
+    where q is the patched density at u.  As in ``covariance``, each direction is
+    first shifted by its value at the mode of q, which keeps a large common offset.
     """
     q = patch_e(p, u)
-    mats = np.stack([values_on(p.base, v) for v in dirs])
+    rows = [values_on(p.base, v) for v in dirs]
+    if not rows:
+        raise InvariantError("cumulant_derivatives needs at least one direction")
+    mats = np.stack(rows)
     means = mats @ q.prob
-    centered = mats - means[:, None]
+    shifted = mats - mats[:, [q.prob.argmax()]]
+    centered = shifted - (shifted @ q.prob)[:, None]
     hess = (centered * q.prob) @ centered.T
     return means, hess
 
@@ -120,9 +125,10 @@ def cumulant_gradient(p: Density, u) -> TangentVector:
 
 
 def cumulant_gradient_derivative(p: Density, u, w) -> RandomVariable:
-    """Directional derivative of the gradient map: (q/p) * (w - E_q[w])."""
+    """Directional derivative of the gradient map: (q/p) * (w - E_q[w]), w shifted first by its value at q's mode."""
     q = patch_e(p, u)
     wv = values_on(p.base, w)
+    wv = wv - wv[q.prob.argmax()]
     return RandomVariable(p.base, (q.values / p.values) * (wv - _dot(q.prob, wv)))
 
 
@@ -130,7 +136,7 @@ def transition_e(p1: Density, p2: Density, u) -> TangentVector:
     """Chart transition: u + log(p1/p2), recentered under p2."""
     require_same_base(p1, p2, "transition_e")
     vals = values_on(p1.base, u)
-    return tangent(p2, vals + np.log(p1.values) - np.log(p2.values))
+    return tangent(p2, vals + p1.log_values - p2.log_values)
 
 
 def transport_e(p: Density, q: Density, u) -> TangentVector:
@@ -166,7 +172,7 @@ def patch_m(p: Density, v) -> RandomVariable:
 
 def _kl(q: Density, r: Density) -> float:
     """E_q[log(q/r)] for densities on one base."""
-    return _dot(q.prob, np.log(q.values) - np.log(r.values))
+    return _dot(q.prob, q.log_values - r.log_values)
 
 
 class DivergenceResult(NamedTuple):

@@ -62,9 +62,11 @@ __all__ = [
 _REL_TOL, _NEWTON_TOL, _RUNS = 1e-14, 1e-7, 8
 
 
-def _gauge(weights, sloped: Callable, vals, target: float, level: float, start: float, what: str, base=0.0):
-    """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, not all 0, a non-finite sum counting as +inf.
+def _gauge(weights, sloped: Callable, vals, target: float, level: float, start_weights, norm: str, tag: str, base=0.0):
+    """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, a non-finite sum counting as +inf.
 
+    The one front end of the three norms: 0.0 when every value is 0, ``InvariantError`` when ``level`` is not in
+    (0, inf), a value is not finite or start = 1 / sum(start_weights * vals / max(vals)) overflows (the bracket).
     sloped(y) = (F(y), F'(y)) with F convex and increasing, and M(s) = sum(weights * F(s * vals)), s = 1/r, has
     M(lo) <= target <= M(start * lo), lo = level / max(vals), and M(0) = base.  M is convex in log s too: Newton
     solves M - base = target - base in k = -1 - log(s / lo) from -1 - log(start), inside [-1 - log(start), -1],
@@ -72,10 +74,19 @@ def _gauge(weights, sloped: Callable, vals, target: float, level: float, start: 
     convexity that lands on or below the root.  The result is r there times 1 + rel_tol / 2, rel_tol = 1e-14,
     once one evaluation shows modular(result) <= target; otherwise Newton runs on from it to rel_tol.  So
     modular(result) <= target, and it is above the target at some r >= result * (1 - rel_tol).  Raises
-    ``InvariantError(f"{what}: ...")`` when 8 runs do not bring it down.
+    ``InvariantError(f"{norm} diverges for tag {tag!r}: ...")`` when 8 runs do not bring it down.
     """
     sup = _max(vals)
-    a = vals / sup * level  # s * vals at s = lo, formed without lo, which can overflow
+    if sup == 0.0:
+        return 0.0
+    what = f"{norm} diverges for tag {tag!r}"
+    if not (0.0 < level < math.inf and sup < math.inf):
+        raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf), or a value is not finite")
+    y = vals / sup
+    start = 1.0 / max(_dot(start_weights, y), math.ulp(0.0))  # the sum is positive, but it can underflow
+    if not start < math.inf:
+        raise InvariantError(f"{norm} for tag {tag!r}: the gauge bracket overflows double precision")
+    a = y * level  # s * vals at s = lo, formed without lo, which can overflow
     wa = weights * a
     seen = {}
 
@@ -234,24 +245,10 @@ def validate_young_pair(yf: YoungFunction) -> None:
         raise InvariantError(f"pair {yf.tag!r}: sloped does not give Phi")
 
 
-def _jensen_gauge(p: Density, sloped: Callable, abs_vals: np.ndarray, level: float, norm: str, tag: str) -> float:
-    """The gauge of E_p[F(|v|/r)] <= 1, F(level) = 1: by Jensen, at most 1 at s = level / max|v|, at least at level / E_p|v|."""
-    what = f"{norm} diverges for tag {tag!r}"
-    sup = _max(abs_vals)
-    if not (0.0 < level < math.inf and sup < math.inf):
-        raise InvariantError(f"{what}: Phi does not cross 1 on (0, inf), or a value is not finite")
-    start = 1.0 / _dot(p.prob, abs_vals / sup)  # the sum is positive, but it can be subnormal
-    if not start < math.inf:
-        raise InvariantError(f"{norm} for tag {tag!r}: the gauge bracket overflows double precision")
-    return _gauge(p.prob, sloped, abs_vals, 1.0, level, start, what)
-
-
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
-    """Gauge of the unit ball {E_p[Phi(u)] <= 1}; zero for u identically zero."""
-    abs_vals = np.abs(values_on(p.base, u))
-    if _max(abs_vals) == 0.0:
-        return 0.0
-    return _jensen_gauge(p, Phi.sloped, abs_vals, Phi.unit_level, "Luxemburg norm", Phi.tag)
+    """Gauge of the unit ball {E_p[Phi(u)] <= 1}, zero for u = 0; by Jensen 1/r is in [c / max|u|, c / E_p|u|]."""
+    vals = np.abs(values_on(p.base, u))
+    return _gauge(p.prob, Phi.sloped, vals, 1.0, Phi.unit_level, p.prob, "Luxemburg norm", Phi.tag)
 
 
 def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
@@ -259,16 +256,16 @@ def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
 
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
     and the constraint E_p[Phi(phi_inv(|v|/lam))] = 1 is active; lam is its
-    gauge, evaluated by ``dual_sloped``, with unit level phi(c), Phi(c) = 1.
+    gauge, evaluated by ``dual_sloped``, with unit level phi(c), Phi(c) = 1, in
+    the Luxemburg norm's Jensen bracket.
     """
     if Phi.dual_sloped is None:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
     abs_vals = np.abs(values_on(p.base, v))
-    if _max(abs_vals) == 0.0:
-        return 0.0
     level = float(Phi.sloped(np.array([Phi.unit_level]))[1][0])
-    lam = _jensen_gauge(p, Phi.dual_sloped, abs_vals, level, "dual norm", Phi.tag)
-    return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam))  # E_p[u v], u = sign(v) phi_inv(|v| / lam)
+    lam = _gauge(p.prob, Phi.dual_sloped, abs_vals, 1.0, level, p.prob, "dual norm", Phi.tag)
+    # E_p[u v], u = sign(v) phi_inv(|v| / lam); lam = 0 for v = 0
+    return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam)) if lam else 0.0
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -435,16 +432,16 @@ def _factor_table(ch: np.ndarray, sh: np.ndarray) -> np.ndarray:
     return table
 
 
-def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> tuple[np.ndarray, int]:
-    """The parity-class terms of E[exp(t*u)], one per kernel subset, and how many subsets are even.
+def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The parity-class terms of E[exp(t*u)], one per kernel subset: those of the even subsets, then the odd.
 
     Expanding exp(t*u) factorwise over the spectrum support leaves exactly the
     subsets whose monomial product is constant, which are the solutions of an
     XOR system over the support masks.  Each such subset contributes the
     product of sinh(t*c) over its members and cosh(t*c) over the rest; that
-    product is read from two tables, one per half of the support.  The 2**k
-    subsets of the k-dimensional kernel (k <= 12 on this path) come even-sized
-    first, the empty subset, whose term is the product of every cosh(t*c), at 0.
+    product is read from two tables, one per half of the support.  Of the 2**k
+    subsets of the k-dimensional kernel (k <= 12 on this path) the empty one,
+    whose term is the product of every cosh(t*c), comes first among the even.
     """
     tc = t * coefs
     ch, sh = np.cosh(tc), np.sinh(tc)
@@ -452,9 +449,8 @@ def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> t
     low_table = _factor_table(ch[:half], sh[:half])
     high_table = _factor_table(ch[half:], sh[half:])
     subsets, odd = _xor_span(kernel)
-    subsets = subsets[np.argsort(odd, kind="stable")]
     terms = low_table[subsets & ((1 << half) - 1)] * high_table[subsets >> half]
-    return terms, int(np.count_nonzero(~odd))
+    return terms[~odd], terms[odd]
 
 
 def _uniform_mean(masks: np.ndarray, values: np.ndarray, t: float, phi: bool) -> float:
@@ -479,12 +475,12 @@ def _uniform_mean(masks: np.ndarray, values: np.ndarray, t: float, phi: bool) ->
     kernel = _gf2_kernel_basis(masks.tolist())
     with np.errstate(over="ignore"):
         if 2 * len(kernel) <= coefs.size:
-            terms, n_even = _parity_class_terms(coefs, kernel, t)
+            even, odd = _parity_class_terms(coefs, kernel, t)
             if not phi:
-                mean = float(terms[:n_even].sum()) + float(terms[n_even:].sum())
+                mean = float(even.sum()) + float(odd.sum())
             else:  # the empty subset's term less 1: prod(1 + 2*sinh(t*c/2)**2) - 1
                 head = float(np.expm1(np.sum(np.log1p(2.0 * np.sinh(0.5 * t * coefs) ** 2))))
-                mean = head + float(terms[1:n_even].sum())
+                mean = head + float(even[1:].sum())
             if math.isnan(mean):  # terms of both signs overflowed
                 raise InvariantError(f"parity-class terms overflow with both signs at t = {t}")
             return mean

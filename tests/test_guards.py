@@ -112,6 +112,8 @@ GUARDS = [
      "n = 64 is not in 0 .. 63: the masks are int64"),
     ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
     # manifold
+    ("cumulant-derivatives-no-directions", lambda: igc.cumulant_derivatives(P, U, []), InvariantError,
+     "cumulant_derivatives needs at least one direction"),
     ("chart-m-mass", lambda: igc.chart_m(P, np.full(4, 0.5)), InvariantError, "chart_m: argument has mass 2.0"),
     ("transport-m-other-density", lambda: igc.transport_m(P, Q, U_AT_Q), InvariantError,
      "transport_m: values are not centered under the base density"),

@@ -33,6 +33,7 @@ from igc.measures import (
     tangent,
     upper_incomplete_gamma_half,
 )
+from igc.manifold import cumulant_derivatives, cumulant_gradient_derivative, patch_e
 from igc.measures import _DOT_BLOCK, _dot
 from oracles import gamma_minus_half_reference
 
@@ -114,11 +115,17 @@ def test_covariance_examples():
     assert covariance(p8, w, w) >= 0.0
 
 
-def _exact_covariance(u, v):
-    """Cov(u, v) under the uniform probability, in exact rational arithmetic on the float entries."""
-    fu, fv = [Fraction(x) for x in u], [Fraction(x) for x in v]
-    mu, mv = sum(fu) / len(fu), sum(fv) / len(fv)
-    return float(sum((a - mu) * (b - mv) for a, b in zip(fu, fv)) / len(fu))
+def _exact_mean(prob, u):
+    """sum(prob * u) / sum(prob) in exact rational arithmetic on the float (or rational) entries."""
+    fp = [Fraction(c) for c in prob]
+    return sum(c * Fraction(x) for c, x in zip(fp, u)) / sum(fp)
+
+
+def _exact_covariance(u, v, prob=None):
+    """Cov(u, v) under the probability prob / sum(prob), uniform by default, in exact rational arithmetic."""
+    prob = np.ones(len(u)) if prob is None else prob
+    mu, mv = _exact_mean(prob, u), _exact_mean(prob, v)
+    return float(_exact_mean(prob, [(Fraction(a) - mu) * (Fraction(b) - mv) for a, b in zip(u, v)]))
 
 
 def test_covariance_keeps_a_large_offset():
@@ -133,6 +140,31 @@ def test_covariance_keeps_a_large_offset():
         for a, b in ((u, u), (u, v)):
             exact = _exact_covariance(a, b)
             assert abs(covariance(p, a, b) - exact) <= 1e-14 * abs(exact), offset
+
+
+def test_cumulant_hessian_and_gradient_derivative_keep_a_large_offset():
+    # both centre under the patched density q, which shifts each function by its value at the mode
+    # of q first; without that shift a Hessian entry is 3.1e-9 off at 1e12, and the gradient
+    # derivative 1.4e-12 off at 1e4, 2.7e-9 at 1e8 and 1.9e-4 at 1e12 (relative to its largest value)
+    rng = np.random.default_rng(7)
+    m = finite_measure(np.arange(8.0))
+    p = Density.random(m, rng)
+    u = tangent(p, 0.5 * rng.standard_normal(8))
+    q = patch_e(p, u)
+    x, y = rng.standard_normal(8), rng.standard_normal(8)
+    for offset in (0.0, 1e4, 1e8, 1e12):
+        a = offset + x
+        b = 0.5 * offset + x + y
+        _, hess = cumulant_derivatives(p, u, [a, b])
+        for i, s in enumerate((a, b)):
+            for j, t in enumerate((a, b)):
+                exact = _exact_covariance(s, t, q.prob)
+                assert abs(hess[i, j] - exact) <= 1e-14 * abs(exact), offset
+        mean = _exact_mean(q.prob, a)
+        ratio = [Fraction(qv) / Fraction(pv) for qv, pv in zip(q.values, p.values)]
+        exact = np.array([float(r * (Fraction(v) - mean)) for r, v in zip(ratio, a)])
+        got = cumulant_gradient_derivative(p, u, a).values
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact)), offset
 
 
 def test_expect_covariance_algebra():

@@ -731,6 +731,42 @@ def test_gauges_reject_values_that_are_not_finite(bad):
         phi_norm(p, u, make_deformed("classical"))
 
 
+# every norm that enters the one gauge; tsallis at q = 0.999, as the tangent start of the tiny density
+# below overflows only for q near 1 (at q = 0.99, (1e-310)**q is 1.3e-307 and the norm is finite)
+_GAUGE_NORMS = (
+    [(luxemburg_norm, "Luxemburg norm", young_pair(tag)) for tag in YOUNG_TAGS]
+    + [(dual_norm, "dual norm", young_pair(tag)) for tag in YOUNG_TAGS if young_pair(tag).dual_sloped is not None]
+    + [(phi_norm, "deformed norm", make_deformed(tag, param))
+       for tag, param in (("classical", None), ("tsallis", 0.999), ("kaniadakis", 0.3), ("newton", None))]
+)
+
+
+@pytest.mark.parametrize("norm, name, family", _GAUGE_NORMS, ids=[f"{n} {f.tag}" for _, n, f in _GAUGE_NORMS])
+def test_each_norm_takes_the_one_gauge_entry(norm, name, family):
+    # the zero vector, a value that is not finite and a start bound that overflows: one front end for all
+    m = finite_measure(np.arange(4.0))
+    p = Density.from_unnormalized(m, [1.0, 1e-310, 1e-310, 1e-310])
+    zero = norm(p, np.zeros(4), family)
+    assert zero == 0.0 and type(zero) is float
+    with pytest.raises(InvariantError, match=f"^{name} diverges for tag '{family.tag}': .*not finite$"):
+        norm(p, np.array([math.inf, 1.0, 1.0, 1.0]), family)
+    # E_p|u| / max|u| = 3e-310, with u = 0 where p is not tiny
+    with pytest.raises(InvariantError, match=f"^{name} for tag '{family.tag}': the gauge bracket overflows double"):
+        norm(p, np.array([0.0, 1.0, 1.0, 1.0]), family)
+
+
+def test_phi_norm_of_an_extreme_kaniadakis_density_keeps_its_contract():
+    # rebuilding phi(p) as exp_slope(log_kappa p, p) squared kappa * log_kappa(1e-300 / 3.0), about -1.3e270,
+    # and leaked an overflow warning; the tangent weights take phi(p) itself
+    m = finite_measure(np.arange(4.0))
+    p = Density.from_unnormalized(m, [1e-300, 1.0, 1.0, 1.0])
+    d = make_deformed("kaniadakis", 0.9)
+    u = np.array([0.0, 1.0, -1.0, 0.5])
+    r = phi_norm(p, u, d)
+    F = lambda x: d.exp(x + d.log(p.values))  # noqa: E731
+    assert _modular(m.weights, F, np.abs(u), r) <= 2.0 < _modular(m.weights, F, np.abs(u), r * (1.0 - 1e-14))
+
+
 def test_gauges_find_a_spike_far_below_the_jensen_start():
     # p puts 1e-12 on the one point where |v| = 1e3, and |v| = 1e-3 elsewhere: the Jensen start
     # level / E_p|v| lies about 1e3 times above the root.  Newton runs in log s, with steps on log M
