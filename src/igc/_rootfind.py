@@ -25,8 +25,8 @@ def decreasing_root(
     lower: float,
     upper: float,
     rel_tol: float,
-) -> float:
-    """Largest x with computed f(x) >= target, for a convex nonincreasing f, by Newton from x.
+) -> tuple[float, tuple[float, float] | None]:
+    """Largest x with computed f(x) >= target, and f(x), for a convex nonincreasing f, by Newton from x.
 
     ``f`` returns (value, slope), or None past the edge of its domain (counted as below the target);
     ``fx`` is f at the start.  The root lies in [lower, upper]; each trial is clipped to [lower, upper -
@@ -38,9 +38,10 @@ def decreasing_root(
     bracket is wider than bisection would leave it after 0.8 * (j - 8) steps, j the trials since.  It
     stops at a point with f >= target once the step is at most ``rel_tol * |x|``, or no shorter than the
     last while f - target <= 64 eps * f (the rounding floor of a sum of positive terms), or when no
-    bisection point lies inside the bracket, and returns the largest evaluated x with f(x) >= target.
+    bisection point lies inside the bracket, and returns (x, f(x)) for the largest evaluated x with f(x) >=
+    target, or (-inf, None) when no evaluated point reaches the target.
     """
-    lo, hi = -math.inf, math.inf  # evaluated: f(lo) >= target > f(hi), or f(hi) is None
+    lo, flo, hi = -math.inf, None, math.inf  # evaluated: flo = f(lo) >= target > f(hi), or f(hi) is None
     cap = upper - 0.5 * rel_tol * max(1.0, abs(upper))
     prev = math.inf  # length of the last step taken from the f >= target side
     budget = math.inf  # widest bracket allowed; finite once both ends are evaluated
@@ -52,15 +53,15 @@ def decreasing_root(
                 step = (target - fx[0]) / fx[1]
         else:
             value, slope = fx
-            lo = x
+            lo, flo = x, fx
             if math.isfinite(value) and -math.inf < slope < 0.0:
                 step = (target - value) / slope
                 if value > 2.0 * target > 0.0:
                     step = value * math.log(target / value) / slope  # the Newton step of log f
                 if abs(step) <= rel_tol * abs(x):
-                    return x
+                    return x, fx
                 if abs(step) >= prev and value - target <= _ROUNDING * value:
-                    return x  # the value sits on its rounding floor
+                    return x, fx  # the value sits on its rounding floor
                 prev = abs(step)
         x_next = x + step
         if x_next == x:
@@ -76,6 +77,6 @@ def decreasing_root(
         if not lo < x_next < hi or hi - lo > budget:
             x_next = 0.5 * (max(lo, lower) + min(hi, cap))
             if not lo < x_next < hi:
-                return lo
+                return lo, flo
         x = x_next
         fx = f(x)

@@ -88,6 +88,8 @@ def _density_pair(n: int, rng) -> tuple[Density, Density]:
 
 def _profile(args) -> tuple[list, dict, list[dict]]:
     """The half-line profile rows, written as the CSV table, with the inputs and the rows' JSON form."""
+    if not args.alphas:
+        raise InvariantError("--alphas lists no alpha; give at least one")
     rows = nonsteep_profile(args.a, args.alphas)
     _write_csv(args, PROFILE_CSV_HEADER, [(r.alpha, r.value, r.divergent) for r in rows])
     json_rows = [{"alpha": r.alpha, "value": None if r.divergent else r.value, "divergent": r.divergent} for r in rows]

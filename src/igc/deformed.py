@@ -65,9 +65,8 @@ class DeformedLogarithm:
     exponential is defined on arguments above it); -inf when the range is the
     whole line.  ``log`` and ``exp`` are vectorized; ``exp`` returns 0 at the
     domain edge and NaN below it as a divergence flag rather than raising.
-    ``exp_slope(u, exp(u))`` is the slope phi(exp(u)) of ``exp`` at u, in a
-    form that reuses e = exp(u), for ``phi_norm``'s gauge: e, e**q,
-    e / sqrt(1 + (kappa u)**2) (without phi's two powers) and e / (e + 1).
+    These five fields are the whole deformation: the slope of ``exp`` at u is
+    phi(exp(u)), which both root-finds (``phi_norm``, ``phi_cumulant``) read.
     """
 
     tag: str
@@ -75,7 +74,6 @@ class DeformedLogarithm:
     log: Callable[[np.ndarray], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     lower_bound: float
-    exp_slope: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _classical() -> DeformedLogarithm:
@@ -85,7 +83,6 @@ def _classical() -> DeformedLogarithm:
         lambda v: np.log(v),
         lambda u: np.exp(np.asarray(u, dtype=float)),
         -math.inf,
-        lambda u, e: e,
     )
 
 
@@ -106,7 +103,7 @@ def _tsallis(q: float) -> DeformedLogarithm:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.exp(np.log1p(eps * np.asarray(u, dtype=float)) / eps)
 
-    return DeformedLogarithm("tsallis", lambda x: np.asarray(x, dtype=float) ** q, log_q, exp_q, edge, lambda u, e: e**q)
+    return DeformedLogarithm("tsallis", lambda x: np.asarray(x, dtype=float) ** q, log_q, exp_q, edge)
 
 
 def _kaniadakis(kappa: float) -> DeformedLogarithm:
@@ -126,7 +123,7 @@ def _kaniadakis(kappa: float) -> DeformedLogarithm:
     def exp_k(u):
         return np.exp(np.arcsinh(kappa * np.asarray(u, dtype=float)) / kappa)
 
-    return DeformedLogarithm("kaniadakis", phi, log_k, exp_k, -math.inf, lambda u, e: e / np.sqrt(1.0 + (kappa * u) ** 2))
+    return DeformedLogarithm("kaniadakis", phi, log_k, exp_k, -math.inf)
 
 
 def _newton() -> DeformedLogarithm:
@@ -144,7 +141,7 @@ def _newton() -> DeformedLogarithm:
 
         return wrightomega(np.asarray(u, dtype=float) + 1.0)
 
-    return DeformedLogarithm("newton", phi, log_n, exp_n, -math.inf, lambda u, e: e / (e + 1.0))
+    return DeformedLogarithm("newton", phi, log_n, exp_n, -math.inf)
 
 
 def make_deformed(tag: str, param: float | None = None) -> DeformedLogarithm:
@@ -183,10 +180,10 @@ def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
     """
     w = p.base.weights
     log_p = d.log(p.values)
-    sloped = lambda y: (e := d.exp(x := y + log_p), d.exp_slope(x, e))  # noqa: E731
+    sloped = lambda y: (e := d.exp(y + log_p), d.phi(e))  # noqa: E731
     level = math.log1p(1.0 / (1.0 + float(w.sum())))
     tangent = w * d.phi(p.values) * level
-    return _gauge(w, sloped, np.abs(values_on(p.base, u)), 2.0, level, tangent, "deformed norm", d.tag, base=1.0)
+    return _gauge(w, sloped, np.abs(values_on(p.base, u)), level, tangent, "deformed norm", d.tag, base=1.0)
 
 
 def escort_mass(p: Density, d: DeformedLogarithm) -> float:
@@ -234,15 +231,14 @@ def _arc_at(p: Density, lp: np.ndarray, lq: np.ndarray, d: DeformedLogarithm, t:
     """exp_phi((1 - t) lp + t lq) and its mass: finite exactly when every value is (exp_phi >= 0 or NaN)."""
     if not math.isfinite(t):
         raise InvariantError(f"t must be finite, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = d.exp((1.0 - t) * lp + t * lq)
+    vals = _exp_phi(d, (1.0 - t) * lp + t * lq)
     return vals, _finite_sum(p.base.weights, vals)
 
 
-def _patch_values(u_vals: np.ndarray, k: float, log_p: np.ndarray, d: DeformedLogarithm) -> np.ndarray:
-    """exp_phi(u - k + log_phi p), NaN past the domain edge."""
+def _exp_phi(d: DeformedLogarithm, x: np.ndarray) -> np.ndarray:
+    """exp_phi(x), NaN past the domain edge, without the overflow and edge warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return d.exp(u_vals - k + log_p)
+        return d.exp(x)
 
 
 def phi_cumulant(p: Density, u, d: DeformedLogarithm) -> float:
@@ -272,37 +268,36 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
     if s == 0.0:
         return 0.0
     w = p.base.weights
+
+    def at(k: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
+        """The patch's argument and values at k, with its mass and slope, or None when a value leaves the
+        domain: a NaN, or a 0 at or below the edge (above it a 0 is an underflow)."""
+        x = u_vals - k + log_p
+        vals = d.exp(x)
+        inside = _min(vals) > 0.0 or np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound)))
+        return x, vals, (_dot(w, vals), -_dot(w, d.phi(vals))) if inside else None
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x0 = u_vals + log_p
-        at_zero = d.exp(x0)
+        x0, at_zero, at_start = at(0.0)
         if math.isnan(_max(at_zero)):
             raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
-        mass0 = _dot(w, at_zero)
-        if not math.isfinite(mass0):
+        if not math.isfinite(_dot(w, at_zero)):
             raise InvariantError("mass integral diverges at k = 0")
-
-        def inside(x: np.ndarray, vals: np.ndarray) -> bool:  # no NaN, and a 0 only above the edge (an underflow)
-            return bool(np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound))))
-
-        def mass_and_slope(k: float) -> tuple[float, float] | None:
-            """Mass and slope at k, or None when a patch value leaves the domain."""
-            x = u_vals - k + log_p
-            vals = d.exp(x)
-            return (_dot(w, vals), -_dot(w, d.phi(vals))) if _min(vals) > 0.0 or inside(x, vals) else None
-
-        at_start = (mass0, -_dot(w, d.phi(at_zero))) if _min(at_zero) > 0.0 or inside(x0, at_zero) else None
         upper = s if d.lower_bound == -math.inf else min(s, _min(x0) - d.lower_bound)
-        k = decreasing_root(mass_and_slope, 1.0, 0.0, at_start, -s, upper, _REL_TOL)
+        k = decreasing_root(lambda k: at(k)[2], 1.0, 0.0, at_start, -s, upper, _REL_TOL)[0]
     # snap roundoff-level negatives so centered coordinates keep k >= 0 exactly
     return 0.0 if -1e-13 < k < 0.0 else k
 
 
 def phi_patch(p: Density, u, d: DeformedLogarithm) -> Density:
     """The unit-mass density exp_phi(u - K + log_phi p)."""
-    u_vals = values_on(p.base, u)
-    log_p = d.log(p.values)
+    return _patch(p, values_on(p.base, u), d.log(p.values), d)[1]
+
+
+def _patch(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLogarithm) -> tuple[float, Density]:
+    """The cumulant k of u_vals, given log_phi p, and the unit-mass density exp_phi(u - k + log_phi p)."""
     k = _cumulant(p, u_vals, log_p, d)
-    return Density.from_unnormalized(p.base, _patch_values(u_vals, k, log_p, d))
+    return k, Density.from_unnormalized(p.base, _exp_phi(d, u_vals - k + log_p))
 
 
 class PhiChartResult(NamedTuple):
@@ -331,7 +326,7 @@ def _chart(
     pairing = _dot(p.base.weights, phi_p * delta)
     u = RandomVariable(p.base, delta - pairing)
     k = -pairing
-    recon = _patch_values(u.values, k, log_p, d)
+    recon = _exp_phi(d, u.values - k + log_p)
     defect = _max(np.abs(recon - q.values))
     if not math.isfinite(defect) or defect > 1e-9 * max(1.0, _max(q.values)):
         raise InvariantError(f"chart reconstruction defect {defect!r} exceeds 1e-9")
@@ -371,12 +366,7 @@ def phi_arc(p0: Density, p1: Density, d: DeformedLogarithm, t: float) -> PhiArcR
     density = Density.from_unnormalized(p0.base, raw)
     phi_p0 = d.phi(p0.values)
     u = _chart(p0, p1, d, lp0, lp1, phi_p0).u
-    if t != 0.0:
-        tu = t * u.values
-        psi = _cumulant(p0, tu, lp0, d)
-        family = Density.from_unnormalized(p0.base, _patch_values(tu, psi, lp0, d))
-    else:
-        psi, family = 0.0, p0
+    psi, family = _patch(p0, t * u.values, lp0, d) if t != 0.0 else (0.0, p0)
     diff = d.log(density.values) - lp0
     pairing_un = _dot(p0.base.weights, phi_p0 * diff)
     pairing_norm = pairing_un / _dot(p0.base.weights, phi_p0)

@@ -30,6 +30,7 @@ from .measures import (
     InvariantError,
     Measure,
     RandomVariable,
+    _all_finite,
     _dot,
     _finite_sum,
     _frozen_array,
@@ -62,15 +63,15 @@ __all__ = [
 _REL_TOL, _NEWTON_TOL, _RUNS = 1e-14, 1e-7, 8
 
 
-def _gauge(weights, sloped: Callable, vals, target: float, level: float, start_weights, norm: str, tag: str, base=0.0):
-    """inf { r > 0 : sum(weights * F(vals / r)) <= target } for vals >= 0, a non-finite sum counting as +inf.
+def _gauge(weights, sloped: Callable, vals, level: float, start_weights, norm: str, tag: str, base=0.0):
+    """inf { r > 0 : sum(weights * F(vals / r)) <= base + 1 } for vals >= 0, a non-finite sum counting as +inf.
 
     The one front end of the three norms: 0.0 when every value is 0, ``InvariantError`` when ``level`` is not in
     (0, inf), a value is not finite or start = 1 / sum(start_weights * vals / max(vals)) overflows (the bracket).
     sloped(y) = (F(y), F'(y)) with F convex and increasing, and M(s) = sum(weights * F(s * vals)), s = 1/r, has
-    M(lo) <= target <= M(start * lo), lo = level / max(vals), and M(0) = base.  M is convex in log s too: Newton
-    solves M - base = target - base in k = -1 - log(s / lo) from -1 - log(start), inside [-1 - log(start), -1],
-    with slope -sum(weights * y * F'(y)), y = s * vals, and stops at a step below 1e-7, which it takes: by
+    M(lo) <= target <= M(start * lo), target = base + 1, lo = level / max(vals), and M(0) = base.  M is convex in
+    log s too: Newton solves M - base = 1 in k = -1 - log(s / lo) from -1 - log(start), inside [-1 - log(start),
+    -1], with slope -sum(weights * y * F'(y)), y = s * vals, and stops at a step below 1e-7, which it takes: by
     convexity that lands on or below the root.  The result is r there times 1 + rel_tol / 2, rel_tol = 1e-14,
     once one evaluation shows modular(result) <= target; otherwise Newton runs on from it to rel_tol.  So
     modular(result) <= target, and it is above the target at some r >= result * (1 - rel_tol).  Raises
@@ -88,22 +89,20 @@ def _gauge(weights, sloped: Callable, vals, target: float, level: float, start_w
         raise InvariantError(f"{norm} for tag {tag!r}: the gauge bracket overflows double precision")
     a = y * level  # s * vals at s = lo, formed without lo, which can overflow
     wa = weights * a
-    seen = {}
+    target = base + 1.0
 
     def modular_and_slope(k: float) -> tuple[float, float]:
         s = math.exp(-1.0 - k)
         fy, dfy = sloped(a * s)
-        seen[k] = out = (_finite_sum(weights, fy) - base, -s * _dot(wa, dfy))
-        return out
+        return _finite_sum(weights, fy) - base, -s * _dot(wa, dfy)
 
     k = lower = -1.0 - math.log(max(start, 1.0))
     tol = _NEWTON_TOL / -lower
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_RUNS):
-            k = decreasing_root(modular_and_slope, target - base, k, modular_and_slope(k), lower, -1.0, tol)
-            value, slope = seen[k]
+            k, (value, slope) = decreasing_root(modular_and_slope, 1.0, k, modular_and_slope(k), lower, -1.0, tol)
             if math.isfinite(value) and -math.inf < slope < 0.0:
-                k += (target - base - value) / slope
+                k += (1.0 - value) / slope
             r = max((1.0 + 0.5 * _REL_TOL) * math.exp(1.0 + k) * sup / level, math.ulp(0.0))
             if _finite_sum(weights, sloped(vals / r)[0]) <= target:
                 return r
@@ -248,7 +247,7 @@ def validate_young_pair(yf: YoungFunction) -> None:
 def luxemburg_norm(p: Density, u, Phi: YoungFunction) -> float:
     """Gauge of the unit ball {E_p[Phi(u)] <= 1}, zero for u = 0; by Jensen 1/r is in [c / max|u|, c / E_p|u|]."""
     vals = np.abs(values_on(p.base, u))
-    return _gauge(p.prob, Phi.sloped, vals, 1.0, Phi.unit_level, p.prob, "Luxemburg norm", Phi.tag)
+    return _gauge(p.prob, Phi.sloped, vals, Phi.unit_level, p.prob, "Luxemburg norm", Phi.tag)
 
 
 def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
@@ -263,7 +262,7 @@ def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
     abs_vals = np.abs(values_on(p.base, v))
     level = float(Phi.sloped(np.array([Phi.unit_level]))[1][0])
-    lam = _gauge(p.prob, Phi.dual_sloped, abs_vals, 1.0, level, p.prob, "dual norm", Phi.tag)
+    lam = _gauge(p.prob, Phi.dual_sloped, abs_vals, level, p.prob, "dual norm", Phi.tag)
     # E_p[u v], u = sign(v) phi_inv(|v| / lam); lam = 0 for v = 0
     return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam)) if lam else 0.0
 
@@ -529,9 +528,11 @@ def steepness_profile(
     Non-finite sums are reported as divergent points.  On a quadrature grid
     the table is only as trustworthy as the grid resolves the integrand; the
     half-line family with closed form lives in :func:`nonsteep_profile`.
-    Every alpha must be finite.
+    Every alpha and every value of u must be finite.
     """
     vals = values_on(p.base, u)
+    if not _all_finite(vals):
+        raise InvariantError("steepness profile: a value of u is not finite")
     out = []
     for alpha in alphas:
         if not math.isfinite(alpha):

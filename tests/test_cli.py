@@ -125,6 +125,8 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
         ["flow", "heat", "--dt", "nan"],
         ["orlicz", "profile", "--alphas", "nan"],
         ["steepness", "--alphas", "1,nan"],
+        ["steepness", "--alphas", ","],
+        ["orlicz", "profile", "--alphas", ","],
         ["orlicz", "profile", "--a", "nan"],
         ["steepness", "--a", "inf"],
         ["transport", "--trials", "0"],

@@ -6,6 +6,7 @@ import pytest
 
 from igc.deformed import (
     DEFORMED_TAGS,
+    DeformedLogarithm,
     affine_bound_defect,
     escort_density,
     escort_expect,
@@ -54,9 +55,6 @@ def test_family_contract():
         assert np.all(np.diff(slopes) < 1e-12)
         # affine bound phi(x) <= x + 1 certified on the grid
         assert affine_bound_defect(d) <= 0.0
-        # exp_slope is the slope phi(exp(u)) of exp
-        e = d.exp(lg)
-        assert np.max(np.abs(d.exp_slope(lg, e) / d.phi(e) - 1.0)) < 1e-13
 
 
 def test_make_deformed_validation():
@@ -69,6 +67,25 @@ def test_make_deformed_validation():
     with pytest.raises(InvariantError):
         make_deformed("unknown")
     assert set(DEFORMED_TAGS) == {"classical", "tsallis", "kaniadakis", "newton"}
+
+
+@pytest.mark.parametrize("tag,param", ALL_FAMILIES)
+def test_a_deformation_rebuilt_from_its_five_fields_takes_the_same_path(space, tag, param):
+    # tag, phi, log, exp and lower_bound are the whole deformation: the root-finds read phi o exp_phi
+    rng, m = space
+    p0, p1 = Density.random(m, rng), Density.random(m, rng)
+    d = make_deformed(tag, param)
+    rebuilt = DeformedLogarithm(d.tag, d.phi, d.log, d.exp, d.lower_bound)
+    raw = 0.7 * rng.standard_normal(8)
+    u = RandomVariable(m, raw - escort_expect(p0, raw, d))
+    assert phi_norm(p0, u, rebuilt) == phi_norm(p0, u, d)
+    assert phi_cumulant(p0, u, rebuilt) == phi_cumulant(p0, u, d)
+    assert np.array_equal(phi_patch(p0, u, rebuilt).values, phi_patch(p0, u, d).values)
+    arc, expected = phi_arc(p0, p1, rebuilt, 0.4), phi_arc(p0, p1, d, 0.4)
+    for field in ("density", "family_density"):
+        assert np.array_equal(getattr(arc, field).values, getattr(expected, field).values)
+    for field in ("psi", "pairing_unnormalized", "pairing_normalized"):
+        assert getattr(arc, field) == getattr(expected, field)
 
 
 def test_tsallis_limit_scaling():

@@ -91,6 +91,11 @@ GUARDS = [
      InvariantError, "measure does not match the spectrum size"),
     ("steepness-alpha", lambda: igc.steepness_profile(P, np.arange(4.0), TWO, [1.0, np.nan]), InvariantError,
      "alpha must be finite, got nan"),
+    # at alpha 0 the profile is 0 by definition: a NaN read as a divergence there, and an inf warned in 0 * inf
+    ("steepness-u-nan", lambda: igc.steepness_profile(P, [np.nan, 0.0, 0.0, 0.0], igc.young_pair("cosh_minus_one"),
+                                                     [0.0, 1.0]), InvariantError, "a value of u is not finite"),
+    ("steepness-u-inf", lambda: igc.steepness_profile(P, [np.inf, 0.0, 0.0, 0.0], igc.young_pair("cosh_minus_one"),
+                                                     [0.0]), InvariantError, "a value of u is not finite"),
     ("boolean-mgf-t", lambda: igc.boolean_mgf(igc.WalshSpectrum(2, {1: 1.0}), np.nan), InvariantError,
      "t must be finite, got nan"),
     ("boolean-mgf-cancelling-overflow",  # u is at most 0.8, so the MGF is finite, but products of cosh(640) overflow
@@ -164,7 +169,7 @@ GUARDS = [
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
     ("phi-norm-classical-bracket", lambda: igc.phi_norm(P_TINY, U_TINY, igc.make_deformed("classical")),
      InvariantError, "deformed norm for tag 'classical': the gauge bracket overflows double precision"),
-    ("phi-norm-kaniadakis-bracket",  # exp_slope(log_kappa p, p) underflows to 0 on the tiny entries
+    ("phi-norm-kaniadakis-bracket",  # phi(p), the tangent weight, underflows to 0 on the tiny entries
      lambda: igc.phi_norm(P_TINY, U_TINY, igc.make_deformed("kaniadakis", 0.3)),
      InvariantError, "deformed norm for tag 'kaniadakis': the gauge bracket overflows double precision"),
     ("arc-diverges", lambda: igc.phi_arc(P, Q, igc.make_deformed("classical"), 1000.0), InvariantError,

@@ -661,7 +661,7 @@ def test_gauges_report_divergence():
         with pytest.raises(InvariantError, match=f"{name} norm diverges for tag 'jump'"):
             norm(p, coordinate(m), yf)
     d = DeformedLogarithm(
-        "inf", lambda x: np.asarray(x, dtype=float), np.log, lambda x: np.full(np.shape(x), np.inf), -math.inf, lambda u, e: e
+        "inf", lambda x: np.asarray(x, dtype=float), np.log, lambda x: np.full(np.shape(x), np.inf), -math.inf
     )
     with pytest.raises(InvariantError, match="deformed norm diverges for tag 'inf'"):
         phi_norm(p, coordinate(m), d)
@@ -756,7 +756,7 @@ def test_each_norm_takes_the_one_gauge_entry(norm, name, family):
 
 
 def test_phi_norm_of_an_extreme_kaniadakis_density_keeps_its_contract():
-    # rebuilding phi(p) as exp_slope(log_kappa p, p) squared kappa * log_kappa(1e-300 / 3.0), about -1.3e270,
+    # rebuilding phi(p) as p / sqrt(1 + (kappa log_kappa p)**2) squared kappa * log_kappa(1e-300 / 3.0), about -1.3e270,
     # and leaked an overflow warning; the tangent weights take phi(p) itself
     m = finite_measure(np.arange(4.0))
     p = Density.from_unnormalized(m, [1e-300, 1.0, 1.0, 1.0])

@@ -321,10 +321,10 @@ def test_decreasing_root_contract(case):
     g, lower, upper, start = case
     rel_tol = 1e-14
     fn, calls = counted(g)
-    x = decreasing_root(fn, g.target, start, g(start), lower, upper, rel_tol)
-    # the returned side: the map is defined and at or above the target there
-    fx = g(x)
+    x, fx = decreasing_root(fn, g.target, start, g(start), lower, upper, rel_tol)
+    # the returned side: the map is defined and at or above the target there, and its value is g's there
     assert fx is not None and fx[0] >= g.target
+    assert fx == g(x)
     # within rel_tol of the crossing, or of its rounding floor: near the root the value is known
     # to about 64 eps * target, which moves the crossing by that over the slope
     slope = abs(g(g.root)[1]) if g.kind != "jump" else math.inf
