@@ -231,27 +231,34 @@ def natural_gradient_ascent(
     gamma: float = 0.1,
     iters: int = 100,
 ) -> OptimizationResult:
-    """Steepest ascent of E_q[objective] in the exponential chart at p0.
+    """Steepest ascent of E_q[objective] in the exponential chart at p0, with step size ``gamma``.
 
     With ``directions="full"`` the ascent direction at q is
     objective - E_q[objective]; with a basis V it is the covariance-orthogonal
     projection onto span(V), obtained from the Gram system
-    Cov_q(v_i, v_j) c = Cov_q(v_i, objective).  A Gram matrix that fails its
-    Cholesky factorization gets 1e-10 added to its diagonal, and the result
-    reports ``regularized``.  Any other string and an empty basis raise.
+    Cov_q(v_i, v_j) c = Cov_q(v_i, objective).  The objective is stacked under
+    the basis once per call, so each step centres all rows in one buffer and
+    forms the Gram matrix and the right-hand side in one product.  Cholesky only
+    tests that the Gram matrix is positive definite; one solve gives c.  A Gram
+    matrix that fails the test gets 1e-10 added to its diagonal, and the result
+    reports ``regularized``.  Negative ``iters``, a ``gamma`` that is not finite
+    and positive, any other string and an empty basis raise.
     """
     if iters < 0:
         raise InvariantError(f"need iters >= 0, got {iters}")
+    if not 0.0 < gamma < math.inf:
+        raise InvariantError(f"need a finite gamma > 0, got {gamma!r}")
     f = values_on(p0.base, objective)
-    basis = None
+    rows = None
     if isinstance(directions, str):
         if directions != "full":
             raise InvariantError(f'directions must be "full" or a sequence of directions, got {directions!r}')
     else:
-        rows = [values_on(p0.base, v) for v in directions]
-        if not rows:
+        basis = [values_on(p0.base, v) for v in directions]
+        if not basis:
             raise InvariantError("directions must hold at least one direction")
-        basis = np.stack(rows)
+        rows = np.stack(basis + [f])  # the basis, then the objective as the last row
+        centered = np.empty_like(rows)
     u = np.zeros(p0.base.size)
     regularized = False
     times = [0.0]
@@ -264,23 +271,21 @@ def natural_gradient_ascent(
         # shifting each function by its value at the mode of q leaves every covariance as it is,
         # but keeps the centered values exact once q concentrates there
         mode = q.prob.argmax()
-        fq = f - f[mode]
-        fq -= _dot(q.prob, fq)
-        if basis is None:
-            direction = fq
+        if rows is None:
+            direction = f - f[mode]
+            direction -= _dot(q.prob, direction)
         else:
-            centered = basis - basis[:, mode, None]
+            np.subtract(rows, rows[:, mode, None], out=centered)
             centered -= (centered @ q.prob)[:, None]
-            weighted = centered * q.prob
-            gram = weighted @ centered.T
-            rhs = weighted @ fq
+            covs = (centered[:-1] * q.prob) @ centered.T  # the Gram matrix, then the right-hand side
+            gram, rhs = covs[:, :-1], covs[:, -1]
             try:
-                chol = np.linalg.cholesky(gram)
-                coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+                np.linalg.cholesky(gram)  # raises unless gram is positive definite
+                coef = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
                 regularized = True
-                coef = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
-            direction = coef @ centered
+                coef = np.linalg.solve(gram + 1e-10 * np.eye(len(gram)), rhs)
+            direction = coef @ centered[:-1]
         velocities.append(direction)
         if k == iters:
             break

@@ -117,7 +117,8 @@ class YoungFunction:
     ``sloped(x)`` = (Phi(x), phi(x)) for x >= 0, phi the right derivative of Phi, is the Luxemburg gauge's.
     ``dual_sloped(y)`` = (Phi(phi_inv(y)), y * phi_inv'(y)) for y >= 0 is the dual gauge's, or None where phi
     is not strictly increasing, as the dual norm's stationarity solve needs.  ``unit_level`` is the c > 0
-    with Phi(c) = 1, rounded so that Phi(c) <= 1 holds in floating point: it scales both Jensen brackets.
+    with Phi(c) = 1, rounded so that Phi(c) <= 1 holds in floating point: it scales the Luxemburg norm's
+    Jensen bracket, and ``unit_slope`` = phi(c), evaluated on first use and kept with the pair, the dual's.
     """
 
     tag: str
@@ -127,6 +128,11 @@ class YoungFunction:
     phi_inv: Callable[[np.ndarray], np.ndarray]
     dual_sloped: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     unit_level: float
+
+    @cached_property
+    def unit_slope(self) -> float:
+        """phi(unit_level), the dual gauge's level: a constant of the pair, so it is evaluated once."""
+        return float(self.sloped(np.array([self.unit_level]))[1][0])
 
 
 def _even(sloped: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -256,13 +262,12 @@ def dual_norm(p: Density, v, Phi: YoungFunction) -> float:
     At the optimum the multiplier lam > 0 satisfies u = phi_inv(|v|/lam) signwise
     and the constraint E_p[Phi(phi_inv(|v|/lam))] = 1 is active; lam is its
     gauge, evaluated by ``dual_sloped``, with unit level phi(c), Phi(c) = 1, in
-    the Luxemburg norm's Jensen bracket.
+    the Luxemburg norm's Jensen bracket (the pair's ``unit_slope``).
     """
     if Phi.dual_sloped is None:
         raise InvariantError(f"dual norm needs a strictly increasing phi; tag {Phi.tag!r} is flat near zero")
     abs_vals = np.abs(values_on(p.base, v))
-    level = float(Phi.sloped(np.array([Phi.unit_level]))[1][0])
-    lam = _gauge(p.prob, Phi.dual_sloped, abs_vals, level, p.prob, "dual norm", Phi.tag)
+    lam = _gauge(p.prob, Phi.dual_sloped, abs_vals, Phi.unit_slope, p.prob, "dual norm", Phi.tag)
     # E_p[u v], u = sign(v) phi_inv(|v| / lam); lam = 0 for v = 0
     return _dot(p.prob * abs_vals, Phi.phi_inv(abs_vals / lam)) if lam else 0.0
 

@@ -233,6 +233,55 @@ def test_natural_gradient_singular_gram_is_regularized():
     assert np.max(np.abs(jittered.objective - plain.objective)) < 1e-8
 
 
+def _site_basis_ascent(sites, seed, iters, wrap=None):
+    # the boolean-concentration problem: the objective lies in the span of the site basis
+    rng = np.random.default_rng(seed)
+    m = boolean_measure(sites)
+    signs = boolean_signs(m)
+    coefs = rng.uniform(0.5, 1.5, sites) * rng.choice([-1.0, 1.0], sites)
+    objective = RandomVariable(m, signs @ coefs)
+    p0 = Density.uniform(m)
+    wrap = wrap or (lambda values: tangent(p0, values))
+    basis = [wrap(signs[:, k]) for k in range(sites)]
+    return objective, natural_gradient_ascent(objective, p0, basis, gamma=0.1, iters=iters)
+
+
+@pytest.mark.parametrize("sites, seed", [(8, 31), (10, 1)])
+def test_natural_gradient_velocity_is_the_centred_objective_to_rounding(sites, seed):
+    # centring the objective with the basis keeps the projected velocity as exact as centring it
+    # alone did: 1.1e-14 and 1.8e-14 before, 1.1e-14 and 1.4e-14 after, over the concentrating run
+    objective, res = _site_basis_ascent(sites, seed, 500)
+    assert float(res.record.densities[-1].prob.max()) >= 0.99
+    gap = max(
+        float(np.max(np.abs(velocity - (objective.values - expect(q, objective)))))
+        for q, velocity in zip(res.record.densities, res.record.velocities)
+    )
+    assert gap <= 5e-14
+
+
+def test_natural_gradient_basis_forms_give_the_same_record():
+    m = boolean_measure(6)
+    _, as_vectors = _site_basis_ascent(6, 5, 30)
+    for wrap in (np.asarray, lambda values: RandomVariable(m, values)):
+        _, res = _site_basis_ascent(6, 5, 30, wrap)
+        assert res.regularized == as_vectors.regularized
+        assert res.objective.tobytes() == as_vectors.objective.tobytes()
+        for got, want in zip(res.record.velocities, as_vectors.record.velocities):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(res.record.densities, as_vectors.record.densities):
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_natural_gradient_stored_velocities_survive_later_steps():
+    # each step reuses one centring buffer; a velocity kept in the record must not be a view of it
+    _, short = _site_basis_ascent(6, 5, 3)
+    _, long = _site_basis_ascent(6, 5, 12)
+    for got, want in zip(long.record.velocities, short.record.velocities):
+        assert got.tobytes() == want.tobytes()
+    velocities = long.record.velocities
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(velocities) for b in velocities[i + 1 :])
+
+
 def test_hessian_expectation(space):
     rng, m = space
     p = Density.random(m, rng)

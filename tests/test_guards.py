@@ -165,6 +165,12 @@ GUARDS = [
      'directions must be "full" or a sequence of directions, got \'ful\''),
     ("ascent-directions-empty", lambda: igc.natural_gradient_ascent(U.rv, P, []), InvariantError,
      "directions must hold at least one direction"),
+    ("ascent-gamma-inf", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=np.inf), InvariantError,
+     "need a finite gamma > 0, got inf"),
+    ("ascent-gamma-nan", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=np.nan), InvariantError,
+     "need a finite gamma > 0, got nan"),
+    ("ascent-gamma-zero", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=0.0), InvariantError,
+     "need a finite gamma > 0, got 0.0"),
     # deformed
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
     ("phi-norm-classical-bracket", lambda: igc.phi_norm(P_TINY, U_TINY, igc.make_deformed("classical")),
@@ -193,6 +199,7 @@ CLI_GUARDS = [
     # on 2 points the centred directions are one line; at seed 0 nothing at all is left of the draw
     (["pyth", "--n", "2"], "degenerate direction draw"),
     (["flow", "opt", "--n-sites", "21"], "n_sites must be between 1 and 20"),
+    (["flow", "opt", "--gamma", "inf"], "need a finite gamma > 0, got inf"),
     (["flow", "heat", "--nodes", "2"], "need b > a and n >= 3"),
 ]
 

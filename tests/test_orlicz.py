@@ -95,6 +95,22 @@ def test_a_rebuilt_pair_takes_the_same_path_as_the_built_in_one():
             assert dual_norm(p, u, rebuilt) == dual_norm(p, u, yf), tag
 
 
+def test_dual_norm_evaluates_the_unit_slope_once_per_pair():
+    # phi(c) is a constant of the pair: the first dual norm evaluates it, later ones read it back
+    m = finite_measure(np.arange(16.0))
+    p = Density.random(m, np.random.default_rng(3))
+    u = np.linspace(-1.0, 2.0, 16)
+    for tag in ("a", "b", "two", "cosh_minus_one"):
+        yf = young_pair(tag)
+        calls = []
+        counted = dataclasses.replace(yf, sloped=lambda x, f=yf.sloped: calls.append(x) or f(x))
+        assert "unit_slope" not in vars(counted), tag
+        norms = [dual_norm(p, u, counted) for _ in range(3)]
+        assert len(calls) == 1, tag
+        assert counted.unit_slope == float(yf.sloped(np.array([yf.unit_level]))[1][0]), tag
+        assert norms == [dual_norm(p, u, yf)] * 3, tag
+
+
 def test_pairs_a_b_equivalent():
     xs = np.linspace(0.0, 40.0, 400)
     phi_a = young_pair("a").Phi(xs)
