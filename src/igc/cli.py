@@ -29,6 +29,7 @@ from .deformed import (
     phi_patch,
 )
 from .flows import (
+    FlowError,
     OptimizationResult,
     e_geodesic,
     exponential_field,
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0.0 <= args.tol < math.inf:
             raise InvariantError(f"--tol must be finite and non-negative, got {args.tol!r}")
         inputs, values, ok = args.run(args, np.random.default_rng(args.seed))
-    except InvariantError as exc:
+    except (InvariantError, FlowError) as exc:
         record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "pass": False}
         code = 2
     else:

@@ -241,11 +241,12 @@ def natural_gradient_ascent(
     forms the Gram matrix and the right-hand side in one product.  Cholesky only
     tests that the Gram matrix is positive definite; one solve gives c.  A Gram
     matrix that fails the test gets 1e-10 added to its diagonal, and the result
-    reports ``regularized``.  Negative ``iters``, a ``gamma`` that is not finite
-    and positive, any other string and an empty basis raise.
+    reports ``regularized``.  An ``iters`` that is not a non-negative integer, a
+    ``gamma`` that is not finite and positive, any other string and an empty
+    basis raise InvariantError; a step whose chart state overflows raises FlowError.
     """
-    if iters < 0:
-        raise InvariantError(f"need iters >= 0, got {iters}")
+    if not isinstance(iters, (int, np.integer)) or iters < 0:
+        raise InvariantError(f"need an integer iters >= 0, got {iters!r}")
     if not 0.0 < gamma < math.inf:
         raise InvariantError(f"need a finite gamma > 0, got {gamma!r}")
     f = values_on(p0.base, objective)
@@ -266,34 +267,39 @@ def natural_gradient_ascent(
     velocities = []
     objective_trace = []
     q = p0
-    for k in range(iters + 1):
-        objective_trace.append(_dot(q.prob, f))
-        # shifting each function by its value at the mode of q leaves every covariance as it is,
-        # but keeps the centered values exact once q concentrates there
-        mode = q.prob.argmax()
-        if rows is None:
-            direction = f - f[mode]
-            direction -= _dot(q.prob, direction)
-        else:
-            np.subtract(rows, rows[:, mode, None], out=centered)
-            centered -= (centered @ q.prob)[:, None]
-            covs = (centered[:-1] * q.prob) @ centered.T  # the Gram matrix, then the right-hand side
-            gram, rhs = covs[:, :-1], covs[:, -1]
-            try:
-                np.linalg.cholesky(gram)  # raises unless gram is positive definite
-                coef = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                regularized = True
-                coef = np.linalg.solve(gram + 1e-10 * np.eye(len(gram)), rhs)
-            direction = coef @ centered[:-1]
-        velocities.append(direction)
-        if k == iters:
-            break
-        u += gamma * (direction - _dot(p0.prob, direction))
-        u -= _dot(p0.prob, u)
-        q = patch_e(p0, u)
-        times.append(float(k + 1))
-        densities.append(q)
+    # an overflowing step is caught on the chart state's mean and reported as FlowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters + 1):
+            objective_trace.append(_dot(q.prob, f))
+            # shifting each function by its value at the mode of q leaves every covariance as it is,
+            # but keeps the centered values exact once q concentrates there
+            mode = q.prob.argmax()
+            if rows is None:
+                direction = f - f[mode]
+                direction -= _dot(q.prob, direction)
+            else:
+                np.subtract(rows, rows[:, mode, None], out=centered)
+                centered -= (centered @ q.prob)[:, None]
+                covs = (centered[:-1] * q.prob) @ centered.T  # the Gram matrix, then the right-hand side
+                gram, rhs = covs[:, :-1], covs[:, -1]
+                try:
+                    np.linalg.cholesky(gram)  # raises unless gram is positive definite
+                    coef = np.linalg.solve(gram, rhs)
+                except np.linalg.LinAlgError:
+                    regularized = True
+                    coef = np.linalg.solve(gram + 1e-10 * np.eye(len(gram)), rhs)
+                direction = coef @ centered[:-1]
+            velocities.append(direction)
+            if k == iters:
+                break
+            u += gamma * (direction - _dot(p0.prob, direction))
+            shift = _dot(p0.prob, u)  # any non-finite entry of u leaves its mean non-finite (0 * inf is nan)
+            if not math.isfinite(shift):
+                raise FlowError("non-finite chart state; step rejected")
+            u -= shift
+            q = patch_e(p0, u)
+            times.append(float(k + 1))
+            densities.append(q)
     record = CurveRecord(np.asarray(times), densities, velocities)
     return OptimizationResult(record, np.asarray(objective_trace), regularized)
 

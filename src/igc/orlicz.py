@@ -395,26 +395,7 @@ def _gf2_kernel_basis(masks: Sequence[int]) -> list[int]:
     return kernel
 
 
-def _gf2_rank_above(masks: Iterable[int], limit: int) -> bool:
-    """Whether the masks span more than ``limit`` dimensions over GF(2).
-
-    Only the pivots are kept, and the scan stops at pivot ``limit + 1``, so it
-    reads at most 2**limit + 1 distinct masks whatever the spectrum's size.
-    """
-    pivots: dict[int, int] = {}
-    for mask in masks:
-        vec = int(mask)
-        while vec and vec.bit_length() - 1 in pivots:
-            vec ^= pivots[vec.bit_length() - 1]
-        if vec:
-            pivots[vec.bit_length() - 1] = vec
-            if len(pivots) > limit:
-                return True
-    return False
-
-
-# enumeration guards: the parity path's two tables hold 2**(m/2) entries, the class path 2**r
-_MAX_SUPPORT = 24
+# enumeration guard: the class path averages 2**r classes, r <= 12; the parity tables hold 2**(m/2), m <= 24
 _MAX_CLASS_RANK = 12
 
 
@@ -460,8 +441,10 @@ def _parity_class_terms(coefs: np.ndarray, kernel: Sequence[int], t: float) -> t
 def _uniform_mean(masks: np.ndarray, values: np.ndarray, t: float, phi: bool) -> float:
     """E[exp(t*u)], or E[cosh(t*u) - 1] when ``phi``, under the uniform density, u's spectrum given, t finite.
 
-    If the m support masks have GF(2) rank r < m - r, average over the 2**r equally likely classes
-    of u: a kernel element's top bit is a dependent mask, its character the product of its other bits'.
+    One GF(2) elimination of the m support masks gives the kernel dimension k.  The parity path sums 2**k terms
+    when 2k <= m <= 24; else, if the rank r = m - k is at most 12, u is averaged over its 2**r equally likely classes:
+    a kernel element's top bit is a dependent mask, its character the product of its other bits'.  Any other
+    spectrum is refused; past 2**12 masks without the elimination, as m distinct masks span >= log2(m) dimensions.
     cosh(x) - 1 is taken as 2*sinh(x/2)**2, which keeps its relative accuracy as x goes to 0.
     An overflow is reported as the divergent value inf.
     """
@@ -469,16 +452,17 @@ def _uniform_mean(masks: np.ndarray, values: np.ndarray, t: float, phi: bool) ->
         raise InvariantError(f"t must be finite, got {t}")
     keep = values != 0.0
     coefs, masks = values[keep], masks[keep]
-    # m <= 24 bounds the parity path; past it r <= 12 < m - r, so the class path is taken.
-    # Checked on the pivots alone, before the kernel's m-bit combinations are built.
-    if coefs.size > _MAX_SUPPORT and _gf2_rank_above(masks, _MAX_CLASS_RANK):
+    m = coefs.size
+    # past 2**12 masks the elimination is skipped, and the empty kernel's rank m refuses
+    kernel = _gf2_kernel_basis(masks.tolist()) if m <= 1 << _MAX_CLASS_RANK else []
+    parity = 2 * len(kernel) <= m <= 2 * _MAX_CLASS_RANK
+    if not parity and m - len(kernel) > _MAX_CLASS_RANK:
         raise InvariantError(
-            f"spectrum support {coefs.size} exceeds the enumeration guard {_MAX_SUPPORT}"
+            f"spectrum support {m} exceeds the enumeration guard {2 * _MAX_CLASS_RANK}"
             f" and its rank the class enumeration guard {_MAX_CLASS_RANK}"
         )
-    kernel = _gf2_kernel_basis(masks.tolist())
     with np.errstate(over="ignore"):
-        if 2 * len(kernel) <= coefs.size:
+        if parity:
             even, odd = _parity_class_terms(coefs, kernel, t)
             if not phi:
                 mean = float(even.sum()) + float(odd.sum())

@@ -47,12 +47,12 @@ def fd_hessian(p, u_vals, vi_vals, vj_vals, h=1e-5):
 
 
 def walsh_values(spec):
-    """u(x) = sum over the spectrum of c * (-1)**popcount(x & mask), for every state x."""
-    states = range(1 << spec.n)
-    return np.array([
-        sum(c * (1.0 - 2.0 * (bin(x & mask).count("1") & 1)) for mask, c in spec.coeffs.items())
-        for x in states
-    ])
+    """u(x) = sum over the spectrum of c * (-1)**popcount(x & mask), for every state x, added mask by mask."""
+    states = np.arange(1 << spec.n)
+    u = np.zeros(states.size)
+    for mask, c in spec.coeffs.items():
+        u += c * (1.0 - 2.0 * (np.bitwise_count(states & mask) & 1))
+    return u
 
 
 def concatenating_fwht(values):

@@ -171,6 +171,13 @@ GUARDS = [
      "need a finite gamma > 0, got nan"),
     ("ascent-gamma-zero", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=0.0), InvariantError,
      "need a finite gamma > 0, got 0.0"),
+    ("ascent-iters-fraction", lambda: igc.natural_gradient_ascent(U.rv, P, iters=2.5), InvariantError,
+     "need an integer iters >= 0, got 2.5"),
+    ("ascent-iters-nan", lambda: igc.natural_gradient_ascent(U.rv, P, iters=np.nan), InvariantError,
+     "need an integer iters >= 0, got nan"),
+    # a finite gamma whose step overflows the chart state, with no warning leaking first
+    ("ascent-step-overflow", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=1e308), FlowError,
+     "non-finite chart state; step rejected"),
     # deformed
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),
     ("phi-norm-classical-bracket", lambda: igc.phi_norm(P_TINY, U_TINY, igc.make_deformed("classical")),
@@ -200,6 +207,7 @@ CLI_GUARDS = [
     (["pyth", "--n", "2"], "degenerate direction draw"),
     (["flow", "opt", "--n-sites", "21"], "n_sites must be between 1 and 20"),
     (["flow", "opt", "--gamma", "inf"], "need a finite gamma > 0, got inf"),
+    (["flow", "opt", "--gamma", "1e308"], "non-finite chart state; step rejected"),
     (["flow", "heat", "--nodes", "2"], "need b > a and n >= 3"),
 ]
 

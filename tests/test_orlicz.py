@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from igc import orlicz
 from igc.deformed import DeformedLogarithm, make_deformed, phi_norm
 from igc.measures import (
     Density,
@@ -592,7 +593,7 @@ def test_boolean_mgf_support_guard():
 
 def test_boolean_mgf_guard_before_kernel():
     # a generic u on 14 sites has all 16384 masks; the kernel's combinations would take
-    # about m**2/16 bytes (16 MiB), the pivots a few hundred bytes
+    # about m**2/16 bytes (16 MiB), but more than 2**12 masks are refused by their count alone
     m = boolean_measure(14)
     spec = walsh_transform(RandomVariable(m, np.random.default_rng(14).standard_normal(m.size)))
     assert spec.masks.size == m.size
@@ -604,6 +605,36 @@ def test_boolean_mgf_guard_before_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_boolean_mgf_takes_the_class_path_for_a_dense_12_site_spectrum():
+    # all 4,095 nonzero masks on 12 sites: rank 12 and kernel dimension 4,083, so u is averaged
+    # over its 2**12 classes; 4,095 masks are below the count 2**12 + 1 that refuses unseen
+    rng = np.random.default_rng(4095)
+    spec = WalshSpectrum(12, {mask: float(c) for mask, c in zip(range(1, 1 << 12), rng.normal(0.0, 0.02, 4095))})
+    assert len(_gf2_kernel_basis(spec.masks.tolist())) == 4095 - 12
+    u = walsh_values(spec)
+    for t in (0.5, -1.3):
+        brute = math.fsum(np.exp(t * u).tolist()) / u.size
+        assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
+        sym = math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
+        assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * sym
+
+
+def test_boolean_mgf_decides_with_at_most_one_elimination(monkeypatch):
+    # m distinct masks span at least log2(m) dimensions: 4,097 of them are refused unseen, while
+    # 4,096 masks of rank 13 are refused on the rank that one elimination gives
+    eliminated = []
+    elimination = orlicz._gf2_kernel_basis
+    monkeypatch.setattr(orlicz, "_gf2_kernel_basis", lambda masks: eliminated.append(len(masks)) or elimination(masks))
+    guard = "exceeds the enumeration guard 24 and its rank the class enumeration guard 12"
+    for m, elims in ((4097, []), (4096, [4096])):
+        spec = WalshSpectrum(13, {mask: 0.1 for mask in range(1, m + 1)})
+        for fn in (boolean_mgf, boolean_phi_moment):
+            eliminated.clear()
+            with pytest.raises(InvariantError, match=f"spectrum support {m} {guard}"):
+                fn(spec, 0.5)
+            assert eliminated == elims
 
 
 def test_nonsteep_profile_values():

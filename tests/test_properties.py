@@ -7,6 +7,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -25,6 +26,7 @@ from igc.manifold import _log_partition, chart_s, divergence, patch_e, pythagore
 from igc.measures import (
     TOL,
     Density,
+    InvariantError,
     RandomVariable,
     boolean_measure,
     c_integral,
@@ -444,6 +446,58 @@ def test_boolean_mgf_positive_terms_when_rank_is_below_kernel_dimension(spec, t)
     sym = math.fsum(math.cosh(t * v) for v in u) / len(u)
     assert abs(boolean_mgf(spec, t) - mgf) <= 1e-14 * mgf
     assert abs(boolean_phi_moment(spec, t) + 1.0 - sym) <= 1e-14 * sym
+
+
+@st.composite
+def distinct_mask_spectra(draw):
+    """1-40 distinct nonzero masks on 1-14 sites, from the span of 1-n drawn masks, with nonzero coefficients."""
+    # sampled_from draws uniformly, where integers() favours small sizes and so seldom reaches the guard
+    n = draw(st.sampled_from(range(1, 15)))
+    r = draw(st.sampled_from(range(1, n + 1)))  # the masks span at most r dimensions
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=r, max_size=r))
+    m = draw(st.sampled_from(range(1, min(40, (1 << r) - 1) + 1)))
+    picks = draw(st.sets(st.integers(1, (1 << r) - 1), min_size=m, max_size=m))
+    masks = set()
+    for pick in picks:
+        mask = 0
+        for j, g in enumerate(gens):
+            mask ^= g if pick >> j & 1 else 0
+        masks.add(mask)
+    masks = sorted(masks - {0}) or gens[:1]  # the drawn masks may XOR to 0
+    coeffs = draw(st.lists(st.floats(0.01, 0.5) | st.floats(-0.5, -0.01), min_size=len(masks), max_size=len(masks)))
+    return WalshSpectrum(n, dict(zip(masks, coeffs)))
+
+
+@PROPERTY_SETTINGS
+@given(spec=distinct_mask_spectra(), t=st.floats(-1.0, 1.0))
+# 13 site masks and 12 dependent ones: m = 25 of rank 13, refused
+@example(spec=WalshSpectrum(13, {mk: 0.1 for mk in [1 << j for j in range(13)] + list(range(3, 27, 2))}), t=0.5)
+# 12 site masks and 13 dependent ones: m = 25 of rank 12, averaged over 2**12 classes
+@example(spec=WalshSpectrum(12, {mk: 0.1 for mk in [1 << j for j in range(12)] + list(range(3, 29, 2))}), t=-0.7)
+def test_boolean_mgf_matches_the_states_or_refuses_past_both_guards(spec, t):
+    m = len(spec.coeffs)
+    span = np.zeros(1, dtype=np.int64)  # the XOR span of the masks, closed mask by mask
+    for mask in spec.coeffs:
+        if not (span == mask).any():
+            span = np.concatenate([span, span ^ mask])
+    rank = span.size.bit_length() - 1
+    if m > 24 and rank > 12:
+        for fn in (boolean_mgf, boolean_phi_moment):
+            with pytest.raises(InvariantError, match=f"spectrum support {m} exceeds the enumeration guard 24 and its"
+                                                     " rank the class enumeration guard 12"):
+                fn(spec, t)
+        return
+    u = walsh_values(spec)
+    mgf = math.fsum(np.exp(t * u).tolist()) / u.size
+    phi = math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
+    # the parity path sums signed terms whose magnitudes add up to at most exp(|t| sum |c|);
+    # the class path averages positive terms, so its error is relative to the mean itself
+    if 2 * (m - rank) <= m <= 24:
+        mgf_scale = phi_scale = math.exp(abs(t) * math.fsum(abs(c) for c in spec.coeffs.values()))
+    else:
+        mgf_scale, phi_scale = mgf, 1.0 + phi
+    assert abs(boolean_mgf(spec, t) - mgf) <= 1e-13 * mgf_scale
+    assert abs(boolean_phi_moment(spec, t) - phi) <= 1e-13 * phi_scale
 
 
 @settings(max_examples=300, deadline=None)
