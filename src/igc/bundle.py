@@ -40,7 +40,6 @@ __all__ = [
     "sphere_chart",
     "sphere_patch",
     "sphere_transport",
-    "transport_values",
     "tangent_bundle_chart",
     "tangent_bundle_patch",
     "hilbert_transport",
@@ -154,11 +153,6 @@ def _chord_transport(w: np.ndarray, x_values: np.ndarray, y_values: np.ndarray) 
     return move
 
 
-def transport_values(base: Measure, x_values: np.ndarray, y_values: np.ndarray, u_values: np.ndarray) -> np.ndarray:
-    """Raw chord transport u - <u, y> (x + y) / (1 + <x, y>) on value arrays."""
-    return _chord_transport(base.weights, x_values, y_values)(u_values)
-
-
 def sphere_transport(x: SphereVector, y: SphereVector, u: SphereVector) -> SphereVector:
     """Isometric transport of u from the tangent space at x to the one at y.
 
@@ -169,8 +163,7 @@ def sphere_transport(x: SphereVector, y: SphereVector, u: SphereVector) -> Spher
     if u.at is None:
         raise InvariantError("u must be a tangent vector")
     require_same_base(x.base, y.base, "sphere_transport")
-    out = transport_values(x.base, x.values, y.values, u.values)
-    return SphereVector(x.base, out, at=y)
+    return SphereVector(x.base, _chord_transport(x.base.weights, x.values, y.values)(u.values), at=y)
 
 
 def tangent_bundle_chart(

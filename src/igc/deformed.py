@@ -272,7 +272,7 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
     def at(k: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
         """The patch's argument and values at k, with its mass and slope, or None when a value leaves the
         domain: a NaN, or a 0 at or below the edge (above it a 0 is an underflow)."""
-        x = u_vals - k + log_p
+        x = u_vals - k + log_p if k else u_vals + log_p  # bitwise equal at k = 0, without the scalar subtract
         vals = d.exp(x)
         inside = _min(vals) > 0.0 or np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound)))
         return x, vals, (_dot(w, vals), -_dot(w, d.phi(vals))) if inside else None
@@ -281,7 +281,7 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
         x0, at_zero, at_start = at(0.0)
         if math.isnan(_max(at_zero)):
             raise InvariantError("coordinate leaves the deformed-exponential domain at k = 0")
-        if not math.isfinite(_dot(w, at_zero)):
+        if not math.isfinite(at_start[0] if at_start else _dot(w, at_zero)):
             raise InvariantError("mass integral diverges at k = 0")
         upper = s if d.lower_bound == -math.inf else min(s, _min(x0) - d.lower_bound)
         k = decreasing_root(lambda k: at(k)[2], 1.0, 0.0, at_start, -s, upper, _REL_TOL)[0]

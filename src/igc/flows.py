@@ -29,7 +29,6 @@ from .measures import (
     _fibre_values,
     _max,
     _min,
-    covariance,
     expect,
     require_same_base,
     tangent,
@@ -46,7 +45,6 @@ __all__ = [
     "MixtureGeodesic",
     "natural_gradient_ascent",
     "OptimizationResult",
-    "hessian_expectation",
     "one_sided_lipschitz_probe",
     "heat_flow",
     "HeatFlowResult",
@@ -72,15 +70,11 @@ class VectorField:
     def __init__(self, evaluator: Callable[[Density], object]):
         self._evaluator = evaluator
 
-    def raw(self, p: Density) -> np.ndarray:
-        """The evaluator's values at p, checked finite, not yet centered."""
+    def __call__(self, p: Density) -> TangentVector:
         vals = values_on(p.base, self._evaluator(p))
         if not _all_finite(vals):
             raise FlowError("vector field produced non-finite values")
-        return vals
-
-    def __call__(self, p: Density) -> TangentVector:
-        return tangent(p, self.raw(p))
+        return tangent(p, vals)
 
 
 class CurveRecord(NamedTuple):
@@ -133,8 +127,11 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float,
 
 
 def _chart_field(field: VectorField, anchor: Density, u: np.ndarray) -> np.ndarray:
-    """The field at patch_e(anchor, u), centered under the anchor: the chart representation of the field."""
-    f = field.raw(patch_e(anchor, u))
+    """The field at patch_e(anchor, u), centered under the anchor: the chart representation of the field.
+
+    Only the centered value is checked: a non-finite field value leaves its mean, and so every entry, non-finite.
+    """
+    f = values_on(anchor.base, field._evaluator(patch_e(anchor, u)))
     out = f - _dot(anchor.prob, f)
     if not _all_finite(out):
         raise FlowError("non-finite vector field value; step rejected")
@@ -161,17 +158,20 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
     anchor = p0
     densities = [p0]
     velocities = [field(p0).values]
+    # an overflowing field value or step is caught on its centered value or mean and reported as FlowError;
     # the lambda reads ``anchor`` when called, so a re-anchor takes effect at the next step
-    for u in _rk4(lambda u_state: _chart_field(field, anchor, u_state), np.zeros(p0.base.size), t_final, dt):
-        if not _all_finite(u):
-            raise FlowError("non-finite chart state; step rejected")
-        u -= _dot(anchor.prob, u)  # the next step starts from the centered state
-        pt = patch_e(anchor, u)
-        densities.append(pt)
-        velocities.append(field(pt).values)
-        if max(_max(u), -_min(u)) > REANCHOR_SUP:
-            anchor = pt
-            u[:] = 0.0  # the next step starts from the new anchor
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in _rk4(lambda u_state: _chart_field(field, anchor, u_state), np.zeros(p0.base.size), t_final, dt):
+            shift = _dot(anchor.prob, u)  # any non-finite entry of u leaves its mean non-finite (0 * inf is nan)
+            if not math.isfinite(shift):
+                raise FlowError("non-finite chart state; step rejected")
+            u -= shift  # the next step starts from the centered state
+            pt = patch_e(anchor, u)
+            densities.append(pt)
+            velocities.append(field(pt).values)
+            if max(_max(u), -_min(u)) > REANCHOR_SUP:
+                anchor = pt
+                u[:] = 0.0  # the next step starts from the new anchor
     return CurveRecord(np.linspace(0.0, t_final, len(densities)), densities, velocities)
 
 
@@ -304,13 +304,6 @@ def natural_gradient_ascent(
     return OptimizationResult(record, np.asarray(objective_trace), regularized)
 
 
-def hessian_expectation(p: Density, u, objective: RandomVariable, v) -> float:
-    """d/dt E_{patch(p, u + t v)}[objective] at t = 0, which is Cov_q(v, objective) at q = patch(p, u):
-    the Hessian of K_p at u applied to (v, objective)."""
-    q = patch_e(p, u)
-    return covariance(q, v, objective)
-
-
 def one_sided_lipschitz_probe(
     field: VectorField,
     p: Density,
@@ -329,17 +322,19 @@ def one_sided_lipschitz_probe(
         raise InvariantError(f"need trials >= 1 and a finite positive scale, got trials={trials}, scale={scale!r}")
     rng = np.random.default_rng(0)
     ratios = []
-    for _ in range(trials):
-        a = rng.standard_normal(p.base.size) * scale
-        b = rng.standard_normal(p.base.size) * scale
-        a -= _dot(p.prob, a)
-        b -= _dot(p.prob, b)
-        diff = a - b
-        denom = _dot(p.prob, diff * diff)
-        if denom == 0.0:
-            continue
-        num = _dot(p.prob, (_chart_field(field, p, a) - _chart_field(field, p, b)) * diff)
-        ratios.append(num / denom)
+    # an overflowing field value is caught on its centered value and reported as FlowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            a = rng.standard_normal(p.base.size) * scale
+            b = rng.standard_normal(p.base.size) * scale
+            a -= _dot(p.prob, a)
+            b -= _dot(p.prob, b)
+            diff = a - b
+            denom = _dot(p.prob, diff * diff)
+            if denom == 0.0:
+                continue
+            num = _dot(p.prob, (_chart_field(field, p, a) - _chart_field(field, p, b)) * diff)
+            ratios.append(num / denom)
     if not ratios:
         raise InvariantError("no sampled pair has a nonzero difference in L2(p)")
     return float(np.max(ratios))  # NaN when a pairing overflows to inf - inf
