@@ -272,7 +272,7 @@ def _cumulant(p: Density, u_vals: np.ndarray, log_p: np.ndarray, d: DeformedLoga
     def at(k: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
         """The patch's argument and values at k, with its mass and slope, or None when a value leaves the
         domain: a NaN, or a 0 at or below the edge (above it a 0 is an underflow)."""
-        x = u_vals - k + log_p if k else u_vals + log_p  # bitwise equal at k = 0, without the scalar subtract
+        x = u_vals - k + log_p
         vals = d.exp(x)
         inside = _min(vals) > 0.0 or np.all((vals > 0.0) | ((vals == 0.0) & (x > d.lower_bound)))
         return x, vals, (_dot(w, vals), -_dot(w, d.phi(vals))) if inside else None

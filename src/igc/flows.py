@@ -126,12 +126,12 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float,
         yield y
 
 
-def _chart_field(field: VectorField, anchor: Density, u: np.ndarray) -> np.ndarray:
-    """The field at patch_e(anchor, u), centered under the anchor: the chart representation of the field.
+def _centred_field(field: VectorField, q: Density, anchor: Density) -> np.ndarray:
+    """The field at q, centred under the anchor and checked finite: at q = anchor, ``field(q).values``.
 
-    Only the centered value is checked: a non-finite field value leaves its mean, and so every entry, non-finite.
+    Only the centred value is checked: a non-finite field value leaves its mean, and so every entry, non-finite.
     """
-    f = values_on(anchor.base, field._evaluator(patch_e(anchor, u)))
+    f = values_on(anchor.base, field._evaluator(q))
     out = f - _dot(anchor.prob, f)
     if not _all_finite(out):
         raise FlowError("non-finite vector field value; step rejected")
@@ -157,18 +157,21 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
     _require_steps(t_final, dt)
     anchor = p0
     densities = [p0]
-    velocities = [field(p0).values]
-    # an overflowing field value or step is caught on its centered value or mean and reported as FlowError;
-    # the lambda reads ``anchor`` when called, so a re-anchor takes effect at the next step
+    # each value computed under the errstate is checked (a centred field value, the chart state's mean) and an
+    # overflow raises FlowError; ``rhs`` reads ``anchor`` when called, so a re-anchor takes effect at the next step
+    def rhs(u_state: np.ndarray) -> np.ndarray:
+        return _centred_field(field, patch_e(anchor, u_state), anchor)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for u in _rk4(lambda u_state: _chart_field(field, anchor, u_state), np.zeros(p0.base.size), t_final, dt):
+        velocities = [_centred_field(field, p0, p0)]
+        for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
             shift = _dot(anchor.prob, u)  # any non-finite entry of u leaves its mean non-finite (0 * inf is nan)
             if not math.isfinite(shift):
                 raise FlowError("non-finite chart state; step rejected")
             u -= shift  # the next step starts from the centered state
             pt = patch_e(anchor, u)
             densities.append(pt)
-            velocities.append(field(pt).values)
+            velocities.append(_centred_field(field, pt, pt))
             if max(_max(u), -_min(u)) > REANCHOR_SUP:
                 anchor = pt
                 u[:] = 0.0  # the next step starts from the new anchor
@@ -313,7 +316,8 @@ def one_sided_lipschitz_probe(
     """Sampled supremum of <F(u) - F(v), u - v>_p / <u - v, u - v>_p.
 
     F(u) denotes the chart representation of the field at patch_e(p, u),
-    centered under p; a non-finite value raises FlowError.  The returned ratio bounds the one-sided growth rate of
+    centered under p; a non-finite value of F, or of a ratio (an overflowing
+    difference), raises FlowError.  The returned ratio bounds the one-sided growth rate of
     the chart dynamics near p.  The samples come from a generator seeded with 0.
     Raises unless trials >= 1 and scale is finite and positive, and when no trial contributes:
     on a one-point measure every centred difference is 0, and at a tiny scale its square underflows.
@@ -322,22 +326,25 @@ def one_sided_lipschitz_probe(
         raise InvariantError(f"need trials >= 1 and a finite positive scale, got trials={trials}, scale={scale!r}")
     rng = np.random.default_rng(0)
     ratios = []
-    # an overflowing field value is caught on its centered value and reported as FlowError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(trials):
-            a = rng.standard_normal(p.base.size) * scale
-            b = rng.standard_normal(p.base.size) * scale
-            a -= _dot(p.prob, a)
-            b -= _dot(p.prob, b)
-            diff = a - b
-            denom = _dot(p.prob, diff * diff)
-            if denom == 0.0:
-                continue
-            num = _dot(p.prob, (_chart_field(field, p, a) - _chart_field(field, p, b)) * diff)
-            ratios.append(num / denom)
+    for _ in range(trials):
+        a = rng.standard_normal(p.base.size) * scale
+        b = rng.standard_normal(p.base.size) * scale
+        a -= _dot(p.prob, a)
+        b -= _dot(p.prob, b)
+        diff = a - b
+        denom = _dot(p.prob, diff * diff)
+        if denom == 0.0:
+            continue
+        # an overflowing field value or difference is caught, on the centred value or the ratio, as FlowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            fa = _centred_field(field, patch_e(p, a), p)
+            ratio = _dot(p.prob, (fa - _centred_field(field, patch_e(p, b), p)) * diff) / denom
+        if not math.isfinite(ratio):
+            raise FlowError("non-finite vector field difference; pair rejected")
+        ratios.append(ratio)
     if not ratios:
         raise InvariantError("no sampled pair has a nonzero difference in L2(p)")
-    return float(np.max(ratios))  # NaN when a pairing overflows to inf - inf
+    return float(max(ratios))
 
 
 def _wrap(values: np.ndarray) -> np.ndarray:

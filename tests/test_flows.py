@@ -449,6 +449,25 @@ def test_a_non_finite_stage_value_fails_the_one_check_on_the_centred_value():
         integrate_e_chart(field, p, 0.1, 0.1)
 
 
+def test_an_overflowing_first_velocity_is_a_flow_error():
+    # finite values whose centring under p0 overflows in entry 0: the first velocity is checked as every later
+    # one is, with no numpy warning first
+    p = Density(finite_measure(np.arange(4.0)), [0.1, 0.7, 0.1, 0.1])
+    field = VectorField(lambda q: np.array([1.7e308, -1.7e308, 0.0, 0.0]))
+    with pytest.raises(FlowError, match=r"^non-finite vector field value; step rejected$"):
+        integrate_e_chart(field, p, 0.1, 0.1)
+
+
+def test_emitted_velocities_are_the_field_at_each_density(space):
+    rng, m = space
+    p0 = Density.random(m, rng)
+    f = RandomVariable(m, rng.standard_normal(m.size))
+    field = VectorField(lambda q: f.values * q.values)
+    record = integrate_e_chart(field, p0, 0.3, 0.1)
+    for q, velocity in zip(record.densities, record.velocities):
+        assert np.array_equal(velocity, field(q).values)
+
+
 STEP_MESSAGE = "need dt > 0 and t_final >= 0"
 
 

@@ -7,6 +7,7 @@ reaches the same guard, CLI_GUARDS also checks its exit code 2 and its error rec
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -39,6 +40,14 @@ def _pair(**fields):
 _BIG = igc.VectorField(lambda q: np.array([1.7e308, -1.7e308, 0.0, 0.0]))  # centered under P: entry 0 overflows
 _STEEP = igc.VectorField(lambda q: np.array([1e308, -1e308]))  # centered under the uniform density on 2 points
 _HALVES = igc.Density.uniform(igc.finite_measure([0.0, 1.0]))
+
+
+def _flipping():
+    """A field whose sign flips at each call: centred under P each value is finite, but two in a row differ by
+    2 * 0.9 * 1.7e308 in entry 0, which overflows."""
+    signs = itertools.cycle((1.0, -1.0))
+    return igc.VectorField(lambda q: next(signs) * np.array([1.7e308, 0.0, 0.0, 0.0]))
+
 
 GUARDS = [
     # measures
@@ -148,6 +157,8 @@ GUARDS = [
     # flows
     ("field-value-overflow", lambda: igc.one_sided_lipschitz_probe(_BIG, P, trials=1), FlowError,
      "non-finite vector field value"),
+    ("field-difference-overflow", lambda: igc.one_sided_lipschitz_probe(_flipping(), P, trials=1), FlowError,
+     "non-finite vector field difference; pair rejected"),
     ("chart-state-overflow", lambda: igc.integrate_e_chart(_STEEP, _HALVES, 1.0, 1.0), FlowError,
      "non-finite chart state"),
     ("heat-grid", lambda: igc.heat_flow(P, 0.1, 0.01), InvariantError, "needs a periodic uniform grid"),
