@@ -81,12 +81,14 @@ class SphereVector:
             _require_tangent(self.base.weights, vals, self.at.values)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the pairing decides first, as the mean does in require_centered
 def _require_tangent(weights: np.ndarray, vals: np.ndarray, at_vals: np.ndarray) -> None:
     """Raise unless vals is finite and mu-orthogonal to the point at_vals within _SPHERE_TOL * max(1, max|vals|)."""
-    sup = _max(np.abs(vals))  # NaN when any entry is NaN
+    pairing = _dot(weights, vals * at_vals)
+    sup = 0.0 if abs(pairing) <= _SPHERE_TOL else _max(np.abs(vals))  # NaN when any entry is NaN
     if not math.isfinite(sup):
         raise InvariantError("sphere tangent values must be finite")
-    if abs(_dot(weights, vals * at_vals)) > _SPHERE_TOL * max(1.0, sup):
+    if abs(pairing) > _SPHERE_TOL * max(1.0, sup):
         raise InvariantError("tangent vector is not orthogonal to its base point")
 
 

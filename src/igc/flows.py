@@ -138,6 +138,16 @@ def _centred_field(field: VectorField, q: Density, anchor: Density) -> np.ndarra
     return out
 
 
+def _chart_patch(anchor: Density, u: np.ndarray) -> Density:
+    """patch_e(anchor, u); a chart state that overflowed fails its check with a non-finite mean: FlowError."""
+    try:
+        return patch_e(anchor, u)
+    except InvariantError:
+        if math.isfinite(_dot(anchor.prob, u)):
+            raise
+        raise FlowError("non-finite chart state; step rejected") from None
+
+
 REANCHOR_SUP = 30.0
 
 
@@ -157,19 +167,15 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
     _require_steps(t_final, dt)
     anchor = p0
     densities = [p0]
-    # each value computed under the errstate is checked (a centred field value, the chart state's mean) and an
-    # overflow raises FlowError; ``rhs`` reads ``anchor`` when called, so a re-anchor takes effect at the next step
+    # each value made under the errstate is checked (FlowError); rhs reads anchor when called: re-anchors act next step
     def rhs(u_state: np.ndarray) -> np.ndarray:
-        return _centred_field(field, patch_e(anchor, u_state), anchor)
+        return _centred_field(field, _chart_patch(anchor, u_state), anchor)
 
     with np.errstate(over="ignore", invalid="ignore"):
         velocities = [_centred_field(field, p0, p0)]
         for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
-            shift = _dot(anchor.prob, u)  # any non-finite entry of u leaves its mean non-finite (0 * inf is nan)
-            if not math.isfinite(shift):
-                raise FlowError("non-finite chart state; step rejected")
-            u -= shift  # the next step starts from the centered state
-            pt = patch_e(anchor, u)
+            u -= _dot(anchor.prob, u)  # the next step starts from the centered state
+            pt = _chart_patch(anchor, u)
             densities.append(pt)
             velocities.append(_centred_field(field, pt, pt))
             if max(_max(u), -_min(u)) > REANCHOR_SUP:
@@ -240,13 +246,13 @@ def natural_gradient_ascent(
     objective - E_q[objective]; with a basis V it is the covariance-orthogonal
     projection onto span(V), obtained from the Gram system
     Cov_q(v_i, v_j) c = Cov_q(v_i, objective).  The objective is stacked under
-    the basis once per call, so each step centres all rows in one buffer and
-    forms the Gram matrix and the right-hand side in one product.  Cholesky only
-    tests that the Gram matrix is positive definite; one solve gives c.  A Gram
-    matrix that fails the test gets 1e-10 added to its diagonal, and the result
-    reports ``regularized``.  An ``iters`` that is not a non-negative integer, a
-    ``gamma`` that is not finite and positive, any other string and an empty
-    basis raise InvariantError; a step whose chart state overflows raises FlowError.
+    the basis once per call; each step centres and weights the rows and forms its
+    update in buffers made once per call, and the Gram system in one product.
+    Cholesky only tests that the Gram matrix is positive definite; one solve
+    gives c.  A Gram matrix that fails the test gets 1e-10 added to its diagonal,
+    and the result reports ``regularized``.  An ``iters`` that is not a
+    non-negative integer, a ``gamma`` that is not finite and positive, any other
+    string and an empty basis raise InvariantError; an overflowing step, FlowError.
     """
     if not isinstance(iters, (int, np.integer)) or iters < 0:
         raise InvariantError(f"need an integer iters >= 0, got {iters!r}")
@@ -262,15 +268,15 @@ def natural_gradient_ascent(
         if not basis:
             raise InvariantError("directions must hold at least one direction")
         rows = np.stack(basis + [f])  # the basis, then the objective as the last row
-        centered = np.empty_like(rows)
-    u = np.zeros(p0.base.size)
+        centered, weighted = np.empty_like(rows), np.empty_like(rows[:-1])  # weighted: centred basis rows * q.prob
+    u, step = np.zeros(p0.base.size), np.empty(p0.base.size)
     regularized = False
     times = [0.0]
     densities = [p0]
     velocities = []
     objective_trace = []
     q = p0
-    # an overflowing step is caught on the chart state's mean and reported as FlowError
+    # an overflowing step fails _chart_patch's check and is reported as FlowError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters + 1):
             objective_trace.append(_dot(q.prob, f))
@@ -283,7 +289,7 @@ def natural_gradient_ascent(
             else:
                 np.subtract(rows, rows[:, mode, None], out=centered)
                 centered -= (centered @ q.prob)[:, None]
-                covs = (centered[:-1] * q.prob) @ centered.T  # the Gram matrix, then the right-hand side
+                covs = np.multiply(centered[:-1], q.prob, out=weighted) @ centered.T  # the Gram matrix, then the rhs
                 gram, rhs = covs[:, :-1], covs[:, -1]
                 try:
                     np.linalg.cholesky(gram)  # raises unless gram is positive definite
@@ -295,12 +301,9 @@ def natural_gradient_ascent(
             velocities.append(direction)
             if k == iters:
                 break
-            u += gamma * (direction - _dot(p0.prob, direction))
-            shift = _dot(p0.prob, u)  # any non-finite entry of u leaves its mean non-finite (0 * inf is nan)
-            if not math.isfinite(shift):
-                raise FlowError("non-finite chart state; step rejected")
-            u -= shift
-            q = patch_e(p0, u)
+            u += np.multiply(np.subtract(direction, _dot(p0.prob, direction), out=step), gamma, out=step)
+            u -= _dot(p0.prob, u)
+            q = _chart_patch(p0, u)
             times.append(float(k + 1))
             densities.append(q)
     record = CurveRecord(np.asarray(times), densities, velocities)

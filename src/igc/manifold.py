@@ -82,11 +82,12 @@ def patch_e(p: Density, u) -> Density:
     q -= q[top] + math.log(weights[top])
     np.exp(q, out=q)
     q /= _dot(q, weights)
-    if _min(q) < _FLOOR:
+    if (low := _min(q)) < _FLOOR:
         np.maximum(q, _FLOOR, out=q)
-        q /= _dot(q, weights)
+        q /= (mass := _dot(q, weights))
+        low = _FLOOR / mass  # dividing by mass > 0 keeps the order, so a raised entry stays the least
     q.setflags(write=False)
-    return Density(p.base, q)
+    return Density._adopt(p.base, q, low)
 
 
 def chart_s(p: Density, q: Density) -> TangentVector:

@@ -303,12 +303,23 @@ class Density:
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.shape != self.base.points.shape:
             raise InvariantError("density values must match the support size")
-        # a NaN, zero or negative entry fails the minimum; with positive weights, +inf fails the mass
-        mass = _dot(self.values, self.base.weights)
-        if not _min(self.values) > 0 or not math.isfinite(mass):
+        with np.errstate(over="ignore"):  # a mass that overflows reads inf, which the check refuses
+            self._check(_min(self.values))
+
+    def _check(self, low: float) -> "Density":  # given low = min(values); NaN, 0 or less fails low > 0
+        mass = _dot(self.values, self.base.weights) if low > 0 else math.nan  # +inf or an overflow reads inf
+        if not math.isfinite(mass):
             raise InvariantError("density values must be strictly positive and finite")
         if abs(mass - 1.0) > TOL:
             raise InvariantError(f"density mass {mass!r} is not 1 within {TOL}; rescale with Density.from_unnormalized")
+        return self
+
+    @classmethod
+    def _adopt(cls, base: Measure, values: np.ndarray, low: float) -> "Density":
+        """A patch: fresh read-only values of base's shape, minimum low, mass near 1; checked once, prob preset."""
+        density = object.__new__(cls)
+        density.__dict__.update(base=base, values=values, **({"prob": values} if base.unit_weights else {}))
+        return density._check(low)
 
     @cached_property
     def prob(self) -> np.ndarray:
@@ -403,6 +414,8 @@ def coordinate(measure: Measure) -> RandomVariable:
 
 def values_on(base: Measure, u) -> np.ndarray:
     """Coerce a random variable, tangent vector, array or scalar to values on base."""
+    if type(u) is np.ndarray and u.dtype == float and u.shape == base.points.shape:
+        return u  # native float64 (not byte-swapped) of the base's shape: np.asarray(u, dtype=float) is u
     if isinstance(u, (RandomVariable, TangentVector)):
         require_same_base(base, u.at if isinstance(u, TangentVector) else u, "values_on")
         return u.values
@@ -444,11 +457,17 @@ def lp_norm(p: Density, u, alpha: float) -> float:
 
 
 def require_centered(p: Density, vals: np.ndarray, what: str) -> np.ndarray:
-    """Raise unless vals are finite and |E_p[vals]| <= TOL * max(1, max|vals|); return vals."""
-    sup = max(_max(vals), -_min(vals))
+    """Raise unless vals are finite and |E_p[vals]| <= TOL * max(1, max|vals|); return vals.  The mean decides
+    first: a NaN or infinite entry leaves it non-finite (0 * inf is NaN), so only |mean| > TOL takes the sup."""
+    if vals.shape[0] <= _DOT_BLOCK and vals.flags.c_contiguous:  # p.prob is too: vdot makes the BLAS call of _dot
+        mean = float(np.vdot(p.prob, vals))  # without numpy's floating-point check, ~1 us less than np.errstate
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a mean that is not finite is refused below, not warned
+            mean = _dot(p.prob, vals)
+    sup = 0.0 if abs(mean) <= TOL else max(_max(vals), -_min(vals))  # within TOL any sup passes, and 0 does
     if not math.isfinite(sup):
         raise InvariantError(f"{what}: values are not finite")
-    if abs(_dot(p.prob, vals)) > TOL * max(1.0, sup):
+    if abs(mean) > TOL * max(1.0, sup):
         raise InvariantError(f"{what}: values are not centered under the base density")
     return vals
 

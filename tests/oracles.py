@@ -201,3 +201,31 @@ def gamma_minus_half_reference(x):
     r = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _LEGENDRE_NODES
     integral = float(np.sum(half * _LEGENDRE_WEIGHTS * np.exp(-0.5 * r - x * np.expm1(r))))
     return math.exp(-x) * integral / math.sqrt(x)
+
+
+def require_centered_reference(p, vals, what):
+    """The centring rule that takes the sup first: finite entries, then |E_p[vals]| <= TOL * max(1, sup).
+
+    The reference for ``measures.require_centered``, which decides on the mean first.
+    """
+    from igc.measures import TOL, InvariantError, _dot, _max, _min
+
+    sup = max(_max(vals), -_min(vals))
+    if not math.isfinite(sup):
+        raise InvariantError(f"{what}: values are not finite")
+    if abs(_dot(p.prob, vals)) > TOL * max(1.0, sup):
+        raise InvariantError(f"{what}: values are not centered under the base density")
+    return vals
+
+
+def require_tangent_reference(weights, vals, at_vals):
+    """The sphere-tangent rule that takes the sup first: finite entries, then |<vals, at_vals>| within
+    _SPHERE_TOL * max(1, max|vals|).  The reference for ``bundle._require_tangent``."""
+    from igc.bundle import _SPHERE_TOL
+    from igc.measures import InvariantError, _dot, _max
+
+    sup = _max(np.abs(vals))
+    if not math.isfinite(sup):
+        raise InvariantError("sphere tangent values must be finite")
+    if abs(_dot(weights, vals * at_vals)) > _SPHERE_TOL * max(1.0, sup):
+        raise InvariantError("tangent vector is not orthogonal to its base point")

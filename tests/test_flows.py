@@ -281,6 +281,34 @@ def test_natural_gradient_stored_velocities_survive_later_steps():
     assert not any(np.shares_memory(a, b) for i, a in enumerate(velocities) for b in velocities[i + 1 :])
 
 
+def _geodesic_record():
+    m = finite_measure(np.arange(16.0), np.linspace(0.5, 2.0, 16))
+    rng = np.random.default_rng(4)
+    return integrate_e_chart(exponential_field(RandomVariable(m, rng.standard_normal(16))), Density.random(m, rng),
+                             1.0, 0.1)
+
+
+def _heat_record():
+    grid = periodic_grid_measure(0.0, 1.0, 16)
+    return heat_flow(Density.from_unnormalized(grid, 1.0 + 0.3 * np.cos(2 * math.pi * grid.points)), 0.01, 0.001).record
+
+
+@pytest.mark.parametrize("run", [
+    _geodesic_record,
+    _heat_record,
+    lambda: _site_basis_ascent(6, 5, 12)[1].record,
+    lambda: natural_gradient_ascent(_site_basis_ascent(6, 5, 0)[0], Density.uniform(boolean_measure(6)),
+                                    iters=12).record,
+], ids=["geodesic", "heat", "ascent-basis", "ascent-full"])
+def test_recorded_densities_and_velocities_share_no_memory(run):
+    # the RK4 stage buffer and the ascent's centring, weighted-row and step buffers are reused across steps;
+    # nothing the record keeps may be one of them, or a view of another kept array
+    record = run()
+    arrays = [d.values for d in record.densities] + list(record.velocities)
+    assert len(arrays) > 20
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+
 def test_hessian_expectation(space):
     # d/dt E_{patch_e(p, u + t v)}[f] at t = 0 is Cov_q(v, f) at q = patch_e(p, u): the Hessian of K_p at u
     rng, m = space

@@ -68,6 +68,9 @@ GUARDS = [
     ("periodic-nodes", lambda: igc.periodic_grid_measure(0.0, 1.0, 2), InvariantError, "need b > a and n >= 3"),
     ("hermite-nodes", lambda: igc.gauss_hermite_measure(1), InvariantError, "need at least 2 nodes"),
     ("density-size", lambda: igc.Density(M, np.full(3, 0.25)), InvariantError, "density values must match"),
+    # the mass overflows: refused as +inf is, with no numpy warning first
+    ("density-mass-overflow", lambda: igc.Density(igc.finite_measure([0.0, 1.0, 2.0]), [1e308, 1e308, 1.0]),
+     InvariantError, "^density values must be strictly positive and finite$"),
     ("variable-size", lambda: igc.RandomVariable(M, np.ones(3)), InvariantError, "random variable values must match"),
     ("coordinate-boolean", lambda: igc.coordinate(igc.boolean_measure(2)), InvariantError, "boolean state codes"),
     ("values-size", lambda: igc.expect(P, np.ones(3)), InvariantError, "value array does not match the support size"),
@@ -161,6 +164,9 @@ GUARDS = [
      "non-finite vector field difference; pair rejected"),
     ("chart-state-overflow", lambda: igc.integrate_e_chart(_STEEP, _HALVES, 1.0, 1.0), FlowError,
      "non-finite chart state"),
+    # the stage state y + (h/2) k1 = 2 * (1e308, -1e308) overflows before any step state does
+    ("chart-stage-overflow", lambda: igc.integrate_e_chart(_STEEP, _HALVES, 4.0, 4.0), FlowError,
+     "^non-finite chart state; step rejected$"),
     ("heat-grid", lambda: igc.heat_flow(P, 0.1, 0.01), InvariantError, "needs a periodic uniform grid"),
     ("m-geodesic-other-base", lambda: igc.m_geodesic(P, U_FAR, 1.0), BaseMismatchError,
      "m_geodesic: operands live on different base measures"),

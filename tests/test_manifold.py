@@ -115,6 +115,34 @@ def test_patch_e_floors_log_density(base):
     assert abs(q.mass() - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "base",
+    [finite_measure(np.arange(16.0)), periodic_grid_measure(0.0, 1.0, 16)],
+    ids=["finite", "periodic-grid"],
+)
+def test_patch_e_checks_its_density_on_the_minimum_it_took(monkeypatch, base):
+    # one minimum serves the floor and the Density check; after the floor's renormalisation it is derived as
+    # floor / mass, and must still be the least entry, bit for bit
+    seen = []
+    adopt = Density._adopt.__func__
+
+    def spy(cls, b, values, low):
+        seen.append((values, low))
+        return adopt(cls, b, values, low)
+
+    monkeypatch.setattr(Density, "_adopt", classmethod(spy))
+    rng = np.random.default_rng(3)
+    floor = math.exp(-700.0)
+    for k in range(60):
+        p = Density.random(base, rng)
+        raw = 3.0 * rng.standard_normal(base.size)
+        raw[: k % 3] = -2000.0  # none, one or two entries far below the floor
+        q = patch_e(p, raw - expect(p, raw))
+        assert seen[-1][0] is q.values and seen[-1][1] == float(q.values.min())
+    floored = [low for _, low in seen if low < 1.01 * floor]
+    assert len(floored) == 40 and any(low != floor for low in floored)  # the floor's mass is not always 1.0
+
+
 def test_patch_e_keeps_precision_on_tiny_weights():
     # on weights of 1e-30 the density is about 1e30 at the peak, so entries exp(-720.3) below it
     # stay above the floor; their exponentials must keep full precision, never pass through subnormals

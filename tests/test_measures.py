@@ -32,6 +32,7 @@ from igc.measures import (
     periodic_grid_measure,
     tangent,
     upper_incomplete_gamma_half,
+    values_on,
 )
 from igc.manifold import cumulant_derivatives, cumulant_gradient_derivative, patch_e
 from igc.measures import _DOT_BLOCK, _dot
@@ -429,12 +430,35 @@ def test_dot_sums_every_block(n):
 
 
 def test_prob_is_the_values_on_unit_weights_only():
+    # a patch sets its prob when it is built; it must read as the cached property would
     rng = np.random.default_rng(17)
     for m in (finite_measure(np.arange(6.0)), boolean_measure(3)):
         p = Density.random(m, rng)
-        assert m.unit_weights and p.prob is p.values
+        for d in (p, patch_e(p, tangent(p, rng.standard_normal(m.size)))):
+            assert m.unit_weights and d.prob is d.values
     for m in (periodic_grid_measure(0.0, 1.0, 8), finite_measure(np.arange(4.0), [1.0, 2.0, 0.5, 1.0])):
         p = Density.random(m, rng)
-        assert not m.unit_weights and p.prob is not p.values
-        assert p.prob.tobytes() == (m.weights * p.values).tobytes()
-        assert not p.prob.flags.writeable
+        for d in (p, patch_e(p, tangent(p, rng.standard_normal(m.size)))):
+            assert not m.unit_weights and d.prob is not d.values
+            assert d.prob.tobytes() == (m.weights * d.values).tobytes()
+            assert not d.prob.flags.writeable and not d.values.flags.writeable
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("u", [
+    np.linspace(-1.0, 1.0, 4),
+    np.linspace(-1.0, 1.0, 8)[::2],
+    np.linspace(-1.0, 1.0, 4).astype(">f8"),  # byte-swapped: converted, as np.asarray converts it
+    np.arange(4, dtype=np.int64),
+    np.linspace(-1.0, 1.0, 4).astype(np.float32),
+    np.linspace(-1.0, 1.0, 4).view(_Sub),
+    [0.5, 1.0, 1.5, 2.0],
+], ids=["float64", "strided", "byte-swapped", "int64", "float32", "subclass", "list"])
+def test_values_on_an_array_is_np_asarray_of_it(u):
+    got = values_on(finite_measure(np.arange(4.0)), u)
+    want = np.asarray(u, dtype=float)
+    assert type(got) is np.ndarray and got.dtype == want.dtype and got.dtype.isnative
+    assert got.tobytes() == want.tobytes() and np.shares_memory(got, u) == np.shares_memory(want, u)
