@@ -45,7 +45,6 @@ __all__ = [
     "hilbert_transport",
     "covariant_derivative_sphere",
     "metric_derivative",
-    "hermite_values",
     "hermite_transport_demo",
     "HermiteTransportReport",
 ]
@@ -236,19 +235,6 @@ def metric_derivative(p: Density, f0: TangentVector, f0_dot, w: TangentVector) -
     return tangent(p, values_on(p.base, f0_dot) + 0.5 * f0v * wv)
 
 
-def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial of degree n >= 0 via the three-term recurrence."""
-    if n < 0:
-        raise InvariantError(f"Hermite degree must be at least 0, got {n!r}")
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    prev, cur = np.ones_like(x), x.copy()
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur
-
-
 class HermiteTransportReport(NamedTuple):
     gram: np.ndarray
     max_offdiag: float
@@ -276,7 +262,7 @@ def hermite_transport_demo(y: RandomVariable, n_max: int) -> HermiteTransportRep
     w, x, yv = base.weights, SphereVector(base, np.ones(base.size)).values, SphereVector(base, y.values).values
     move = _chord_transport(w, x, yv)
     mat = np.empty((n_max, base.size))
-    prev, cur = x, base.points  # H_0 and H_1: the recurrence of hermite_values, run once
+    prev, cur = x, base.points  # H_0 and H_1, then the three-term recurrence H_n = x H_{n-1} - (n-1) H_{n-2}
     for n in range(1, n_max + 1):
         if n > 1:
             prev, cur = cur, base.points * cur - (n - 1) * prev

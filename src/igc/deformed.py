@@ -39,11 +39,8 @@ __all__ = [
     "DeformedLogarithm",
     "make_deformed",
     "DEFORMED_TAGS",
-    "affine_bound_defect",
     "phi_norm",
-    "escort_mass",
     "escort_expect",
-    "escort_density",
     "phi_connected",
     "PhiArcMassPoint",
     "phi_cumulant",
@@ -161,16 +158,6 @@ def make_deformed(tag: str, param: float | None = None) -> DeformedLogarithm:
     raise InvariantError(f"unknown deformation tag {tag!r}; choose one of {DEFORMED_TAGS}")
 
 
-def affine_bound_defect(d: DeformedLogarithm) -> float:
-    """Largest violation of phi(x) <= x + 1 on 241 geometric points of [1e-6, 1e6].
-
-    A nonpositive return certifies the affine bound on the grid; every family
-    here satisfies it.
-    """
-    grid = np.geomspace(1e-6, 1e6, 241)
-    return float(np.max(d.phi(grid) - (grid + 1.0)))
-
-
 def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
     """inf { r > 0 : integral of exp_phi(|u|/r + log_phi p) dmu <= 2 }, the gauge of ``orlicz``.
 
@@ -186,20 +173,10 @@ def phi_norm(p: Density, u, d: DeformedLogarithm) -> float:
     return _gauge(w, sloped, np.abs(values_on(p.base, u)), level, tangent, "deformed norm", d.tag, base=1.0)
 
 
-def escort_mass(p: Density, d: DeformedLogarithm) -> float:
-    """Total mass of the escort weight phi(p) against the base measure."""
-    return _dot(p.base.weights, d.phi(p.values))
-
-
 def escort_expect(p: Density, u, d: DeformedLogarithm) -> float:
     """Expectation of u under the normalized escort weight phi(p)/mass."""
     w = p.base.weights * d.phi(p.values)
     return _dot(w, values_on(p.base, u)) / float(np.sum(w))
-
-
-def escort_density(p: Density, d: DeformedLogarithm) -> Density:
-    """The normalized escort weight as a density."""
-    return Density.from_unnormalized(p.base, d.phi(p.values))
 
 
 class PhiArcMassPoint(NamedTuple):

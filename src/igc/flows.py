@@ -89,9 +89,9 @@ class CurveRecord(NamedTuple):
 
 
 def _require_steps(t_final: float, dt: float) -> None:
-    """Finite dt > 0 and finite t_final >= 0; NaN fails every comparison, so it is rejected too."""
-    if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf):
-        raise InvariantError("need dt > 0 and t_final >= 0")
+    """Finite dt > 0 and t_final >= 0 whose step count t_final / dt is finite; NaN fails every comparison too."""
+    if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf and t_final / dt < math.inf):
+        raise InvariantError(f"need dt > 0 and t_final >= 0 with a finite t_final / dt, got {t_final!r} / {dt!r}")
 
 
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, dt: float):

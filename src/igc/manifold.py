@@ -10,7 +10,7 @@ signed unit-mass functions.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .measures import (
     _fibre_values,
     _max,
     _min,
-    lp_norm,
     require_same_base,
     tangent,
     values_on,
@@ -46,8 +45,6 @@ __all__ = [
     "pythagorean_check",
     "PythagoreanResult",
     "orthogonal_mixture_third",
-    "e_convergence_diagnostic",
-    "EConvergenceRow",
 ]
 
 
@@ -243,38 +240,3 @@ def orthogonal_mixture_third(p: Density, q: Density, rng: np.random.Generator) -
         raise InvariantError("degenerate direction draw")
     t = 0.5 / sup
     return Density(p.base, p.values * (1.0 + t * w))
-
-
-class EConvergenceRow(NamedTuple):
-    index: int
-    alpha: float
-    forward: float
-    backward: float
-
-
-def e_convergence_diagnostic(
-    seq: Sequence[Density],
-    p: Density,
-    alphas: Iterable[float],
-) -> list[EConvergenceRow]:
-    """Tabulate the L^alpha(p) norms of p_n/p - 1 and p/p_n - 1 per term.
-
-    Convergence of both columns to zero for every alpha > 1 is the
-    exponential-topology convergence criterion; the table is a diagnostic and
-    asserts nothing by itself.
-    """
-    alphas = list(alphas)
-    rows = []
-    for i, pn in enumerate(seq):
-        require_same_base(p, pn, "e_convergence_diagnostic")
-        ratio = pn.values / p.values
-        for alpha in alphas:
-            rows.append(
-                EConvergenceRow(
-                    index=i,
-                    alpha=float(alpha),
-                    forward=lp_norm(p, ratio - 1.0, alpha),
-                    backward=lp_norm(p, 1.0 / ratio - 1.0, alpha),
-                )
-            )
-    return rows

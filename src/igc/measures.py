@@ -44,7 +44,6 @@ __all__ = [
     "expect",
     "covariance",
     "lp_norm",
-    "upper_incomplete_gamma_half",
     "c_integral",
     "require_same_base",
     "values_on",
@@ -510,18 +509,6 @@ def _fibre_values(p: Density, v, what: str) -> np.ndarray:
         require_same_base(p, v.at, what)
         require_centered(p, v.values, what)
     return v.values
-
-
-def upper_incomplete_gamma_half(x: float) -> float:
-    """The tail integral Gamma(-1/2, x) of s**(-3/2) * exp(-s) from x to infinity, x > 0.
-
-    With s = x + t it is exp(-x) * c_integral(1, x), which keeps full relative
-    accuracy; the integration-by-parts form 2*exp(-x)/sqrt(x) - 2*sqrt(pi)*erfc(sqrt(x))
-    cancels, and is 4.9e-11 off at x = 500.
-    """
-    if not x > 0:
-        raise InvariantError("x must be positive")
-    return math.exp(-x) * c_integral(1.0, x) if x < math.inf else 0.0
 
 
 def c_integral(theta: float, a: float) -> float:

@@ -1,6 +1,7 @@
-"""Shared independent oracles for the test suite."""
+"""Shared independent oracles and contract checks for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import erfcx
@@ -229,3 +230,64 @@ def require_tangent_reference(weights, vals, at_vals):
         raise InvariantError("sphere tangent values must be finite")
     if abs(_dot(weights, vals * at_vals)) > _SPHERE_TOL * max(1.0, sup):
         raise InvariantError("tangent vector is not orthogonal to its base point")
+
+
+def validate_young_pair(yf):
+    """Spot-check the Young-function contract on 49 points of [-6, 6] and on -30 and 30.
+
+    Verifies Phi(0) = 0, evenness, midpoint convexity of both conjugates and the Young inequality |xy| <= Phi(x) +
+    Phi_conj(y), to 1e-12, the slope of ``dual_sloped`` against y times a central difference of ``phi_inv``, to 1e-6,
+    and that ``dual_sloped(y)`` and ``sloped(|x|)`` give Phi(phi_inv(y)) and Phi(x), to 1e-12; raises
+    ``InvariantError`` on violation.
+    """
+    from igc.measures import InvariantError
+
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 49), [-30.0, 30.0]])
+    tol = 1e-12
+    if abs(float(yf.Phi(np.zeros(1))[0])) > tol or abs(float(yf.Phi_conj(np.zeros(1))[0])) > tol:
+        raise InvariantError(f"pair {yf.tag!r}: Phi(0) must vanish")
+    for fn in (yf.Phi, yf.Phi_conj):
+        vals = fn(xs)
+        if np.max(np.abs(vals - fn(-xs))) > tol * np.maximum(1.0, np.max(np.abs(vals))):
+            raise InvariantError(f"pair {yf.tag!r}: not even")
+        mid = fn((xs[:-1] + xs[1:]) / 2.0)
+        if np.any(mid > (vals[:-1] + vals[1:]) / 2.0 + 1e-10):
+            raise InvariantError(f"pair {yf.tag!r}: midpoint convexity fails")
+    gx, gy = np.meshgrid(xs, xs)
+    lhs = np.abs(gx * gy)
+    rhs = yf.Phi(gx) + yf.Phi_conj(gy)
+    if np.any(lhs > rhs * (1.0 + 1e-12) + 1e-10):
+        raise InvariantError(f"pair {yf.tag!r}: Young inequality fails on the grid")
+    ys = xs[xs >= 0.0]
+    if yf.dual_sloped is not None:
+        F, slope = yf.dual_sloped(ys)
+        h = 1e-5 * np.maximum(1.0, ys)
+        central = ys * (yf.phi_inv(ys + h) - yf.phi_inv(ys - h)) / (2.0 * h)
+        if np.any(np.abs(slope - central) > 1e-6 * np.maximum(1.0, np.abs(central))):
+            raise InvariantError(f"pair {yf.tag!r}: the slope of dual_sloped is not y times the derivative of phi_inv")
+        if np.any(np.abs(F - yf.Phi(yf.phi_inv(ys))) > tol * np.abs(yf.Phi(yf.phi_inv(ys)))):
+            raise InvariantError(f"pair {yf.tag!r}: dual_sloped does not give Phi(phi_inv)")
+    if np.any(np.abs(yf.sloped(np.abs(xs))[0] - yf.Phi(xs)) > tol * np.abs(yf.Phi(xs))):
+        raise InvariantError(f"pair {yf.tag!r}: sloped does not give Phi")
+
+
+def hermite_values(n, x):
+    """Probabilists' Hermite polynomial of degree n >= 0 at x, by the three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return np.ones_like(x)
+    prev, cur = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        prev, cur = cur, x * cur - k * prev
+    return cur
+
+
+def e_m_pairing_reference(p, q, u_vals, v_vals):
+    """E_p[v u] - E_q[u] E_p[v] in exact rational arithmetic on the floats of p.prob, q.prob, u and v.
+
+    On unit weights it is E_q[((p/q) v) (u - E_q[u])] exactly, the pairing of the mixture transport of v
+    with the exponential transport of u: E_p[v u] itself once v is centred under p.
+    """
+    pp, qq, u, v = ([Fraction(a) for a in np.asarray(x, dtype=float).tolist()] for x in (p.prob, q.prob, u_vals, v_vals))
+    mean_q_u = sum(a * b for a, b in zip(qq, u))
+    return float(sum(a * b * c for a, b, c in zip(pp, v, u)) - mean_q_u * sum(a * b for a, b in zip(pp, v)))

@@ -13,7 +13,6 @@ from igc.bundle import (
     covariant_derivative_sphere,
     embed_sqrt,
     hermite_transport_demo,
-    hermite_values,
     hilbert_transport,
     metric_derivative,
     sphere_chart,
@@ -36,6 +35,7 @@ from igc.measures import (
     gauss_hermite_measure,
     tangent,
 )
+from oracles import hermite_values
 
 
 @pytest.fixture

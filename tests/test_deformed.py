@@ -7,10 +7,7 @@ import pytest
 from igc.deformed import (
     DEFORMED_TAGS,
     DeformedLogarithm,
-    affine_bound_defect,
-    escort_density,
     escort_expect,
-    escort_mass,
     make_deformed,
     phi_arc,
     phi_chart,
@@ -53,8 +50,9 @@ def test_family_contract():
         assert np.all(np.diff(lg) > 0)
         slopes = np.diff(lg) / np.diff(grid)
         assert np.all(np.diff(slopes) < 1e-12)
-        # affine bound phi(x) <= x + 1 certified on the grid
-        assert affine_bound_defect(d) <= 0.0
+        # the affine bound phi(x) <= x + 1 that phi_norm's bracket takes, on 241 points of [1e-6, 1e6]
+        wide = np.geomspace(1e-6, 1e6, 241)
+        assert np.all(d.phi(wide) <= wide + 1.0)
 
 
 def test_make_deformed_validation():
@@ -203,9 +201,6 @@ def test_escort(space):
     w = m4.weights * np.sqrt(p4.values)
     direct = float(w @ u4.values) / float(np.sum(w))
     assert escort_expect(p4, u4, d) == pytest.approx(direct, rel=1e-13)
-    ed = escort_density(p, d)
-    assert abs(ed.mass() - 1.0) < 1e-12
-    assert escort_mass(p, d) > 0.0
 
 
 def test_phi_connected(space):

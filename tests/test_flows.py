@@ -501,10 +501,12 @@ STEP_MESSAGE = "need dt > 0 and t_final >= 0"
 
 @pytest.mark.parametrize(
     "t_final, dt",
-    [(0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -0.01), (math.nan, 0.01), (math.inf, 0.01), (-0.1, 0.01)],
+    [(0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -0.01), (math.nan, 0.01), (math.inf, 0.01), (-0.1, 0.01),
+     (1e308, 1e-300)],
 )
 def test_integrator_requires_finite_positive_steps(space, t_final, dt):
-    # NaN fails every comparison and inf makes math.ceil fail or a zero-step run end at t = 0
+    # NaN fails every comparison and inf makes math.ceil fail or a zero-step run end at t = 0; so does an
+    # overflowing t_final / dt
     rng, m = space
     p = Density.random(m, rng)
     f = RandomVariable(m, rng.standard_normal(8))
@@ -512,14 +514,16 @@ def test_integrator_requires_finite_positive_steps(space, t_final, dt):
         integrate_e_chart(exponential_field(f), p, t_final, dt)
 
 
-@pytest.mark.parametrize("t_final, dt", [(0.02, math.nan), (0.02, math.inf), (math.nan, 1e-4), (math.inf, 1e-4)])
+@pytest.mark.parametrize(
+    "t_final, dt", [(0.02, math.nan), (0.02, math.inf), (math.nan, 1e-4), (math.inf, 1e-4), (1e308, 1e-300)]
+)
 def test_heat_reference_requires_finite_positive_steps(t_final, dt):
     grid = periodic_grid_measure(0.0, 1.0, 16)
     with pytest.raises(InvariantError, match=STEP_MESSAGE):
         reference_heat_solution(np.ones(16), grid.spacing, t_final, dt)
 
 
-@pytest.mark.parametrize("t_final, dt", [(0.01, math.nan), (math.nan, 1e-4), (math.inf, 1e-4)])
+@pytest.mark.parametrize("t_final, dt", [(0.01, math.nan), (math.nan, 1e-4), (math.inf, 1e-4), (1e308, 1e-300)])
 def test_heat_flow_requires_finite_positive_steps(t_final, dt):
     grid = periodic_grid_measure(0.0, 1.0, 16)
     with pytest.raises(InvariantError, match=STEP_MESSAGE):

@@ -1,7 +1,9 @@
 """Every input guard of igc's modules, given one bad input: the exception class and message it raises.
 
 Each row of GUARDS reaches one ``raise`` that no other test reaches; where an ``igc`` command
-reaches the same guard, CLI_GUARDS also checks its exit code 2 and its error record.
+reaches the same guard, CLI_GUARDS also checks its exit code 2 and its error record.  The young-*
+rows check that the suite's Young-pair contract check, ``oracles.validate_young_pair``, refuses
+each broken pair.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import pytest
 import igc
 from igc import BaseMismatchError, FlowError, InvariantError
 from igc.cli import main
+from oracles import validate_young_pair
 
 M = igc.finite_measure(np.arange(4.0))
 P = igc.Density(M, [0.1, 0.7, 0.1, 0.1])
@@ -76,18 +79,18 @@ GUARDS = [
     ("values-size", lambda: igc.expect(P, np.ones(3)), InvariantError, "value array does not match the support size"),
     # orlicz
     ("young-tag", lambda: igc.young_pair("three"), InvariantError, "unknown Young pair tag 'three'"),
-    ("young-zero", lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.5 * x * x + 1e-3)), InvariantError,
+    ("young-zero", lambda: validate_young_pair(_pair(Phi=lambda x: 0.5 * x * x + 1e-3)), InvariantError,
      "Phi\\(0\\) must vanish"),
-    ("young-even", lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.5 * x * x + 0.1 * x)), InvariantError,
+    ("young-even", lambda: validate_young_pair(_pair(Phi=lambda x: 0.5 * x * x + 0.1 * x)), InvariantError,
      "not even"),
-    ("young-convex", lambda: igc.validate_young_pair(_pair(Phi=lambda x: np.sqrt(np.abs(x)))), InvariantError,
+    ("young-convex", lambda: validate_young_pair(_pair(Phi=lambda x: np.sqrt(np.abs(x)))), InvariantError,
      "midpoint convexity fails"),
     ("young-inequality",
-     lambda: igc.validate_young_pair(_pair(Phi=lambda x: 0.25 * x * x, Phi_conj=lambda x: 0.25 * x * x)),
+     lambda: validate_young_pair(_pair(Phi=lambda x: 0.25 * x * x, Phi_conj=lambda x: 0.25 * x * x)),
      InvariantError, "Young inequality fails"),
-    ("young-sloped", lambda: igc.validate_young_pair(_pair(sloped=lambda x: (0.25 * x * x, x))), InvariantError,
+    ("young-sloped", lambda: validate_young_pair(_pair(sloped=lambda x: (0.25 * x * x, x))), InvariantError,
      "sloped does not give Phi"),
-    ("young-dual-sloped", lambda: igc.validate_young_pair(_pair(dual_sloped=lambda y: (0.25 * y * y, y))),
+    ("young-dual-sloped", lambda: validate_young_pair(_pair(dual_sloped=lambda y: (0.25 * y * y, y))),
      InvariantError, "dual_sloped does not give Phi\\(phi_inv\\)"),
     ("walsh-base", lambda: igc.walsh_transform(igc.RandomVariable(M, np.ones(4))), InvariantError,
      "needs a boolean base measure"),
@@ -121,7 +124,6 @@ GUARDS = [
      "n = -1 is not in 0 .. 63: the masks are int64"),
     ("walsh-sites-past-int64", lambda: igc.WalshSpectrum(64, {1 << 63: 1.0}), InvariantError,
      "n = 64 is not in 0 .. 63: the masks are int64"),
-    ("nonsteep-a", lambda: igc.nonsteep_density(0.0, igc.halfline_measure(1.0)), InvariantError, "a must be positive"),
     # manifold
     ("cumulant-derivatives-no-directions", lambda: igc.cumulant_derivatives(P, U, []), InvariantError,
      "cumulant_derivatives needs at least one direction"),
@@ -147,8 +149,6 @@ GUARDS = [
      "needs a Gauss-Hermite base measure"),
     ("hermite-degree", lambda: igc.hermite_transport_demo(igc.RandomVariable(GH, GH.points), 0), InvariantError,
      "n_max must be at least 1"),
-    ("hermite-values-degree", lambda: igc.hermite_values(-1, GH.points), InvariantError,
-     "Hermite degree must be at least 0, got -1"),
     ("hilbert-transport-other-base", lambda: igc.hilbert_transport(P, Q, U_FAR), BaseMismatchError,
      "hilbert_transport: operands live on different base measures"),
     ("hilbert-transport-other-density", lambda: igc.hilbert_transport(P, Q, U_AT_Q), InvariantError,
@@ -220,6 +220,7 @@ CLI_GUARDS = [
     (["flow", "opt", "--gamma", "inf"], "need a finite gamma > 0, got inf"),
     (["flow", "opt", "--gamma", "1e308"], "non-finite chart state; step rejected"),
     (["flow", "heat", "--nodes", "2"], "need b > a and n >= 3"),
+    (["flow", "geodesic", "--T", "1e308", "--dt", "1e-300"], "with a finite t_final / dt, got 1e+308 / 1e-300"),
 ]
 
 
@@ -247,7 +248,6 @@ def test_pyth_on_two_points_reports_a_degenerate_draw_for_every_seed():
 
 
 def test_the_branches_no_other_test_takes():
-    assert igc.hermite_values(0, GH.points).tolist() == [1.0] * GH.size
     assert igc.values_on(M, 2.5).tolist() == [2.5] * 4
     b2 = igc.boolean_measure(2)
     assert igc.boolean_site(b2, True).values.tolist() == igc.boolean_site(b2, 1).values.tolist()  # True reads as 1

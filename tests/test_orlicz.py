@@ -29,18 +29,15 @@ from igc.orlicz import (
     _fwht,
     _gf2_kernel_basis,
     boolean_mgf,
-    boolean_phi_moment,
     dual_norm,
     inverse_walsh,
     luxemburg_norm,
-    nonsteep_density,
     nonsteep_profile,
     steepness_profile,
-    validate_young_pair,
     walsh_transform,
     young_pair,
 )
-from oracles import bisection_root, concatenating_fwht, walsh_values
+from oracles import bisection_root, concatenating_fwht, validate_young_pair, walsh_values
 
 
 def _two_point():
@@ -321,8 +318,6 @@ def test_boolean_mgf_matches_enumeration():
         for t in (0.4, 0.9):
             direct = float(np.mean(np.exp(t * u.values)))
             assert boolean_mgf(spec, t) == pytest.approx(direct, abs=1e-12)
-            sym = float(np.mean(np.cosh(t * u.values))) - 1.0
-            assert boolean_phi_moment(spec, t) == pytest.approx(sym, abs=1e-12)
 
 
 def test_boolean_mgf_takes_the_positive_path_for_24_masks_of_rank_5():
@@ -336,8 +331,6 @@ def test_boolean_mgf_takes_the_positive_path_for_24_masks_of_rank_5():
     for t in (0.5, -1.3):
         brute = float(np.mean(np.exp(t * u)))
         assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
-        sym = float(np.mean(np.cosh(t * u))) - 1.0
-        assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * (1.0 + sym)
     # the 2**19 parity-class terms alone would take 4 MiB; the 32 classes stay under 2 MiB
     tracemalloc.start()
     try:
@@ -361,30 +354,6 @@ def test_boolean_mgf_parity_path_at_its_largest_size():
     for t in (0.5, -1.3):
         brute = math.fsum(np.exp(t * u).tolist()) / u.size
         assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
-        sym = math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
-        assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * sym
-
-
-def _phi_moment_reference(spec):
-    u = walsh_values(spec)
-    return lambda t: math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
-
-
-@pytest.mark.parametrize(
-    "n, coeffs, t",
-    [
-        (1, {1: 1.0}, 1e-7),  # parity classes, no kernel
-        (3, {1: 0.5, 2: -0.7, 4: 0.3, 7: 0.9}, 1e-6),  # parity classes, one even kernel subset
-        (3, {mask: 0.1 * mask - 0.35 for mask in range(1, 8)}, 1e-6),  # rank 3 below kernel dimension 4
-    ],
-)
-def test_boolean_phi_moment_keeps_relative_accuracy_at_small_t(n, coeffs, t):
-    spec = WalshSpectrum(n, coeffs)
-    reference = _phi_moment_reference(spec)
-    for s in (t, -t, 10 * t):
-        assert abs(boolean_phi_moment(spec, s) - reference(s)) <= 1e-12 * reference(s)
-    if n == 1:
-        assert abs(boolean_phi_moment(spec, t) - 2.0 * math.sinh(t / 2) ** 2) <= 1e-12 * 2.0 * math.sinh(t / 2) ** 2
 
 
 @pytest.mark.parametrize(
@@ -392,7 +361,7 @@ def test_boolean_phi_moment_keeps_relative_accuracy_at_small_t(n, coeffs, t):
     [
         (2, {1: 1.0, 2: 1.0}, True, 1e308),  # 2 masks of rank 2: no kernel, parity classes
         (3, {mask: 1.0 for mask in range(1, 8)}, False, 1e308),  # 7 masks of rank 3: 2**3 classes
-        # no single factor overflows, but the moment's log-sum, 10 * 99.3, passes math.expm1's limit of 709.78
+        # no single factor overflows, but their product, cosh(100)**10, does
         (10, {1 << j: 1.0 for j in range(10)}, True, 100.0),
     ],
 )
@@ -403,7 +372,6 @@ def test_boolean_mgf_reports_overflow_as_inf(n, coeffs, parity, t):
         warnings.simplefilter("error")
         for t in (t, -t):
             assert boolean_mgf(spec, t) == math.inf, t
-            assert boolean_phi_moment(spec, t) == math.inf, t
 
 
 
@@ -537,7 +505,6 @@ def test_walsh_round_trip_reads_the_arrays_only():
     spec = walsh_transform(u)
     back = inverse_walsh(spec, m)
     boolean_mgf(spec, 0.3)
-    boolean_phi_moment(spec, 0.3)
     assert "coeffs" not in vars(spec)
     assert not back.values.flags.writeable and back.values.base is None
 
@@ -586,9 +553,8 @@ def test_boolean_mgf_support_guard():
     classes = WalshSpectrum(13, {mk: 0.1 for mk in units + list(range(3, 31, 2))})
     assert len(_gf2_kernel_basis(classes.masks.tolist())) == 14
     for spec, match in ((parity, "support 25"), (classes, "support 27")):
-        for fn in (boolean_mgf, boolean_phi_moment):
-            with pytest.raises(InvariantError, match=match):
-                fn(spec, 0.5)
+        with pytest.raises(InvariantError, match=match):
+            boolean_mgf(spec, 0.5)
 
 
 def test_boolean_mgf_guard_before_kernel():
@@ -617,8 +583,6 @@ def test_boolean_mgf_takes_the_class_path_for_a_dense_12_site_spectrum():
     for t in (0.5, -1.3):
         brute = math.fsum(np.exp(t * u).tolist()) / u.size
         assert abs(boolean_mgf(spec, t) - brute) <= 1e-12 * brute
-        sym = math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
-        assert abs(boolean_phi_moment(spec, t) - sym) <= 1e-12 * sym
 
 
 def test_boolean_mgf_decides_with_at_most_one_elimination(monkeypatch):
@@ -630,11 +594,10 @@ def test_boolean_mgf_decides_with_at_most_one_elimination(monkeypatch):
     guard = "exceeds the enumeration guard 24 and its rank the class enumeration guard 12"
     for m, elims in ((4097, []), (4096, [4096])):
         spec = WalshSpectrum(13, {mask: 0.1 for mask in range(1, m + 1)})
-        for fn in (boolean_mgf, boolean_phi_moment):
-            eliminated.clear()
-            with pytest.raises(InvariantError, match=f"spectrum support {m} {guard}"):
-                fn(spec, 0.5)
-            assert eliminated == elims
+        eliminated.clear()
+        with pytest.raises(InvariantError, match=f"spectrum support {m} {guard}"):
+            boolean_mgf(spec, 0.5)
+        assert eliminated == elims
 
 
 def test_nonsteep_profile_values():
@@ -676,7 +639,8 @@ def test_nonsteep_profile_rejects_inputs_outside_its_domain(a, alphas):
 def test_steepness_quadrature_matches_closed_form():
     base = halfline_measure(rate=0.1, tail_tol=1e-13)
     a = 0.5
-    p = nonsteep_density(a, base)
+    x = base.points
+    p = Density.from_unnormalized(base, (a + x) ** -1.5 * np.exp(-x))  # the half-line density of nonsteep_profile
     u = coordinate(base)
     Phi = young_pair("cosh_minus_one")
     alphas = [0.0, 0.3, 0.6, 0.9]
@@ -693,6 +657,25 @@ def test_steepness_divergence_flag():
     rows = steepness_profile(p, u, young_pair("cosh_minus_one"), [1.0, 3.0])
     assert not rows[0].divergent
     assert rows[1].divergent and rows[1].value == math.inf
+
+
+@pytest.mark.parametrize("x", [1.35e154, 1e200, 1.7e308])
+def test_arcsinh_young_function_stays_finite_where_x_squared_overflows(x):
+    # x arcsinh(x) - sqrt(1 + x**2) + 1 with sqrt(1 + x**2) = x: it was -inf once x * x overflowed
+    want = x * math.asinh(x) - x + 1.0  # inf at 1.7e308, where x arcsinh(x) overflows
+    for phi in (young_pair("b").Phi, young_pair("cosh_minus_one").Phi_conj):
+        assert phi(np.array([x, -x])).tolist() == pytest.approx([want, want], rel=1e-14)
+    p = Density.uniform(finite_measure(np.arange(4.0)))
+    [row] = steepness_profile(p, [x, 0.0, 0.0, -x], young_pair("b"), [1.0])
+    assert row.value == pytest.approx(0.5 * want, rel=1e-14)
+
+
+def test_steepness_profile_reports_a_zero_weight_under_an_overflow_as_divergent():
+    # p.prob[0] underflows to 0 while cosh(1000) - 1 overflows: the sum meets 0 * inf, a divergent point
+    m = finite_measure(np.arange(3.0), [1e-300, 1.0, 1.0])
+    p = Density.from_unnormalized(m, [1e-30, 1.0, 1.0])
+    assert p.prob[0] == 0.0
+    assert steepness_profile(p, [1000.0, 0.0, 0.0], young_pair("cosh_minus_one"), [1.0]) == [(1.0, math.inf)]
 
 
 def test_gauges_report_divergence():

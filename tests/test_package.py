@@ -1,5 +1,6 @@
 """The package surface: each module's ``__all__`` is its public API, and ``igc`` re-exports all of them."""
 
+import ast
 import dataclasses
 import inspect
 import subprocess
@@ -13,6 +14,7 @@ import igc
 from igc import bundle, deformed, flows, manifold, measures, orlicz
 
 MODULES = (measures, orlicz, manifold, bundle, flows, deformed)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_igc_exports_the_modules_public_names_once():
@@ -59,15 +61,71 @@ def test_every_fibre_valued_function_returns_the_one_centred_vector_type():
     }
     for name, v in results.items():
         assert type(v) is igc.TangentVector, name
-    deleted = {"CotangentVector", "HilbertVector", "cotangent", "hilbert_vector", "hessian_expectation", "transport_values"}
-    assert not deleted & set(igc.__all__)
+    assert not DELETED & set(igc.__all__)
+
+
+# names taken out of the public surface: each only wrapped other code, only served its own tests or duplicated the
+# library
+DELETED = {
+    "CotangentVector", "HilbertVector", "cotangent", "hilbert_vector", "hessian_expectation", "transport_values",
+    "validate_young_pair", "boolean_phi_moment", "nonsteep_density", "e_convergence_diagnostic", "EConvergenceRow",
+    "affine_bound_defect", "escort_mass", "escort_density", "hermite_values", "upper_incomplete_gamma_half",
+}
+
+# the public names that no library function, acceptance criterion or benchmark op reads: each is a paper object,
+# kept for the identity that the named test checks
+PAPER_OBJECTS = {
+    "boolean_site": "test_orlicz.py::test_boolean_mgf_examples",  # E[exp(t (x_0 + x_1))] = cosh(t)**2
+    "lp_norm": "test_manifold.py::test_e_convergence_diagnostic",  # e-convergence: L^alpha(p) of p_n/p - 1, p/p_n - 1
+    "halfline_measure": "test_measures.py::test_halfline_tail_bound",  # the truncated grid integrates C(1, a)
+    "coordinate": "test_manifold.py::test_cumulant_examples",  # K_p(x) = log cosh 1 on {-1, 1}
+    "steepness_profile": "test_orlicz.py::test_steepness_quadrature_matches_closed_form",  # E_p[Phi(alpha x)]
+    "cumulant_gradient": "test_manifold.py::test_gradient_identity_and_monotonicity",  # DK_p(u) = q/p - 1, monotone
+    "cumulant_gradient_derivative": "test_manifold.py::test_gradient_weak_derivative",  # D(q/p) = (q/p)(w - E_q[w])
+    "transition_e": "test_manifold.py::test_transition_maps",  # s_p2 = s_p1 + log(p1/p2), recentred, and affine
+    "transport_e": "test_properties.py::test_e_and_m_transports_are_dual",  # E_q[m(v) e(u)] = E_p[v u]
+    "transport_m": "test_properties.py::test_e_and_m_transports_are_dual",
+    "patch_m": "test_manifold.py::test_chart_m",  # (v + 1) p inverts the mixture chart q/p - 1
+    "embed_sqrt": "test_bundle.py::test_embed_derivative",  # d sqrt(p) = sqrt(p) u / 2 along the e-chart
+    "tangent_bundle_chart": "test_bundle.py::test_tangent_bundle_chart_roundtrip",  # chart and patch invert
+    "tangent_bundle_patch": "test_bundle.py::test_tangent_bundle_chart_roundtrip",
+    "covariant_derivative_sphere": "test_bundle.py::test_covariant_derivative_metric_compatibility",  # D<F, G>
+    "m_geodesic": "test_flows.py::test_m_geodesic",  # unit mass, positive exactly up to t = -1 / min v
+    "one_sided_lipschitz_probe": "test_flows.py::test_one_sided_lipschitz",  # 0 for the e-chart field
+    "phi_chart": "test_deformed.py::test_phi_patch_chart_roundtrip",  # the deformed chart and patch invert
+}
+
+
+def _reads(path: Path) -> set[str]:
+    """The names a file reads: loaded names and attribute names, f-string fields included, without the reads
+    that a top-level definition makes of its own name."""
+    reads = set()
+    for top in ast.parse(path.read_text()).body:
+        reads |= {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        } - {getattr(top, "name", None)}
+    return reads
+
+
+def test_every_public_name_is_read_or_pinned_to_the_test_of_its_identity():
+    # read by the library, the acceptance criteria or the benchmark's workloads, or else a PAPER_OBJECTS entry
+    sources = [*sorted((ROOT / "src" / "igc").glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+               ROOT / "perfbench" / "workloads.py"]
+    reached = set().union(*map(_reads, sources))
+    assert [name for name in igc.__all__ if name not in reached and name not in PAPER_OBJECTS] == []
+    assert sorted(set(PAPER_OBJECTS) - set(igc.__all__)) == []
+    for name, test in PAPER_OBJECTS.items():
+        file, function = test.split("::")
+        tree = ast.parse((ROOT / "tests" / file).read_text())
+        assert function in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, (name, test)
 
 
 # plain results, with their fields in order; the validated objects and the replaceable function bundles
 RESULT_FIELDS = {
     "DivergenceResult": ("direct", "bregman"),
     "PythagoreanResult": ("pairing", "defect", "d_r_q", "d_r_p", "d_p_q"),
-    "EConvergenceRow": ("index", "alpha", "forward", "backward"),
     "MixtureGeodesic": ("function", "positive"),
     "CurveRecord": ("times", "densities", "velocities"),
     "OptimizationResult": ("record", "objective", "regularized"),

@@ -16,7 +16,6 @@ from igc._rootfind import decreasing_root
 from igc.bundle import (
     SphereVector,
     hermite_transport_demo,
-    hermite_values,
     hilbert_transport,
     metric_derivative,
     sphere_transport,
@@ -39,7 +38,6 @@ from igc.orlicz import (
     WalshSpectrum,
     _gf2_kernel_basis,
     boolean_mgf,
-    boolean_phi_moment,
     dual_norm,
     inverse_walsh,
     luxemburg_norm,
@@ -47,7 +45,7 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
-from oracles import c_integral_reference, log_space_patch, walsh_values
+from oracles import c_integral_reference, e_m_pairing_reference, hermite_values, log_space_patch, walsh_values
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -80,6 +78,28 @@ def test_centered_vectors_construct_within_center_tol(n, spread, scale, seed):
     ]
     for vec in outputs:
         assert_centered(vec)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 64),
+    spread=st.floats(0.1, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_e_and_m_transports_are_dual(n, spread, scale, seed):
+    # E_q[transport_m(v) * transport_e(u)] = E_p[v u] for v centred under p, against the exact rational pairing
+    rng = np.random.default_rng(seed)
+    m = finite_measure(np.arange(float(n)))
+    p, q = Density.random(m, rng, spread), Density.random(m, rng, spread)
+    u = tangent(p, scale * rng.standard_normal(n))
+    v = tangent(p, scale * rng.standard_normal(n))
+    pairing = float(q.prob @ (transport_m(p, q, v).values * transport_e(p, q, u).values))
+    abs_v, mean_q_u = np.abs(v.values), float(q.prob @ u.values)
+    bound = float(p.prob @ (abs_v * (np.abs(u.values) + abs(mean_q_u)))) + float(q.prob @ np.abs(u.values)) * float(
+        p.prob @ abs_v
+    )
+    assert abs(pairing - e_m_pairing_reference(p, q, u.values, v.values)) <= 1e-13 * bound
 
 
 # subnormal kappa is left out: kappa * u then loses all its digits
@@ -385,11 +405,25 @@ def test_orlicz_norms_are_homogeneous_and_subadditive(tag, n, lam, scale, seed):
 )
 @example(tag="b", xs=[-3.0, 0.0, 1e-300, 1e300])
 def test_young_function_is_its_sloped_form_at_the_absolute_value(tag, xs):
-    # the gauge evaluates sloped on |u| / r, validate_young_pair and the profiles evaluate Phi: bitwise one function
+    # the gauge evaluates sloped on |u| / r, the profiles evaluate Phi: bitwise one function
     yf = young_pair(tag)
     xs = np.array(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         assert yf.Phi(xs).tobytes() == yf.sloped(np.abs(xs))[0].tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(tag=st.sampled_from(YOUNG_TAGS), x=st.floats(allow_nan=False, allow_infinity=False))
+@example(tag="b", x=1e200)  # x * x overflowed, and Phi_b was -inf
+@example(tag="cosh_minus_one", x=800.0)  # cosh(800) overflowed with a warning
+@example(tag="a", x=-1.7e308)  # so did expm1 in the conjugates of a and c
+@example(tag="c", x=1.7e308)
+def test_young_functions_are_nonnegative_and_warn_of_nothing_on_finite_arguments(tag, x):
+    # Phi and Phi_conj are convex, even and 0 at 0: never negative or NaN, with an overflow read as inf;
+    # every warning is an error in this suite
+    yf = young_pair(tag)
+    for phi in (yf.Phi, yf.Phi_conj):
+        assert phi(np.array([x]))[0] >= 0.0
 
 
 @PROPERTY_SETTINGS
@@ -443,9 +477,7 @@ def test_boolean_mgf_positive_terms_when_rank_is_below_kernel_dimension(spec, t)
         for x in range(1 << spec.n)
     ]
     mgf = math.fsum(math.exp(t * v) for v in u) / len(u)
-    sym = math.fsum(math.cosh(t * v) for v in u) / len(u)
     assert abs(boolean_mgf(spec, t) - mgf) <= 1e-14 * mgf
-    assert abs(boolean_phi_moment(spec, t) + 1.0 - sym) <= 1e-14 * sym
 
 
 @st.composite
@@ -482,22 +514,19 @@ def test_boolean_mgf_matches_the_states_or_refuses_past_both_guards(spec, t):
             span = np.concatenate([span, span ^ mask])
     rank = span.size.bit_length() - 1
     if m > 24 and rank > 12:
-        for fn in (boolean_mgf, boolean_phi_moment):
-            with pytest.raises(InvariantError, match=f"spectrum support {m} exceeds the enumeration guard 24 and its"
-                                                     " rank the class enumeration guard 12"):
-                fn(spec, t)
+        with pytest.raises(InvariantError, match=f"spectrum support {m} exceeds the enumeration guard 24 and its"
+                                                 " rank the class enumeration guard 12"):
+            boolean_mgf(spec, t)
         return
     u = walsh_values(spec)
     mgf = math.fsum(np.exp(t * u).tolist()) / u.size
-    phi = math.fsum((2.0 * np.sinh(0.5 * t * u) ** 2).tolist()) / u.size
     # the parity path sums signed terms whose magnitudes add up to at most exp(|t| sum |c|);
     # the class path averages positive terms, so its error is relative to the mean itself
     if 2 * (m - rank) <= m <= 24:
-        mgf_scale = phi_scale = math.exp(abs(t) * math.fsum(abs(c) for c in spec.coeffs.values()))
+        scale = math.exp(abs(t) * math.fsum(abs(c) for c in spec.coeffs.values()))
     else:
-        mgf_scale, phi_scale = mgf, 1.0 + phi
-    assert abs(boolean_mgf(spec, t) - mgf) <= 1e-13 * mgf_scale
-    assert abs(boolean_phi_moment(spec, t) - phi) <= 1e-13 * phi_scale
+        scale = mgf
+    assert abs(boolean_mgf(spec, t) - mgf) <= 1e-13 * scale
 
 
 @settings(max_examples=300, deadline=None)
