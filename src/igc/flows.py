@@ -88,22 +88,23 @@ class CurveRecord(NamedTuple):
         return max(abs(d.mass() - 1.0) for d in self.densities)
 
 
-def _require_steps(t_final: float, dt: float) -> None:
-    """Finite dt > 0 and t_final >= 0 whose step count t_final / dt is finite; NaN fails every comparison too."""
+def _require_steps(t_final: float, dt: float) -> int:
+    """The fewest equal steps <= dt over [0, t_final], for finite dt > 0, t_final >= 0 and t_final / dt (NaN fails)."""
     if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf and t_final / dt < math.inf):
         raise InvariantError(f"need dt > 0 and t_final >= 0 with a finite t_final / dt, got {t_final!r} / {dt!r}")
+    return math.ceil(t_final / dt * (1.0 - 1e-12))
 
 
-def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, dt: float):
-    """Yield the classical RK4 states of dy/dt = rhs(y) over [0, t_final], in the fewest equal steps <= dt.
+def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float, n_steps: int):
+    """Yield the classical RK4 states of dy/dt = rhs(y) over [0, t_final], in n_steps equal steps.
 
     ``rhs`` must return a fresh array, which the stepper may overwrite.  A caller may overwrite a
     yielded state in place to restart from there.  One stage buffer serves every step: k1's array
     becomes the slope sum, accumulated in the order ((k1 + 2 k2) + 2 k3) + k4 of the textbook
-    update, so only y, the stage, the sum and one slope are live at a time.
+    update, and each doubled slope is dropped once summed, so only y, the stage and the sum are
+    live while rhs runs.
     """
-    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))
-    h = t_final / n_steps if n_steps else dt
+    h = t_final / max(n_steps, 1)
     stage = np.empty_like(y)
     for _ in range(n_steps):
         acc = rhs(y)  # k1, whose array becomes the slope sum
@@ -114,11 +115,13 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float,
         stage += y
         k *= 2.0
         acc += k
+        del k
         k = rhs(stage)  # k3
         np.multiply(k, h, out=stage)
         stage += y
         k *= 2.0
         acc += k
+        del k
         acc += rhs(stage)  # k4
         acc *= h / 6.0
         acc += y
@@ -126,13 +129,14 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float,
         yield y
 
 
-def _centred_field(field: VectorField, q: Density, anchor: Density) -> np.ndarray:
-    """The field at q, centred under the anchor and checked finite: at q = anchor, ``field(q).values``.
+def _centred_field(field: VectorField, q: Density, anchor: Density, out: np.ndarray | None = None) -> np.ndarray:
+    """The field at q, centred under the anchor into ``out`` and checked finite: at q = anchor, ``field(q).values``.
 
     Only the centred value is checked: a non-finite field value leaves its mean, and so every entry, non-finite.
     """
     f = values_on(anchor.base, field._evaluator(q))
-    out = f - _dot(anchor.prob, f)
+    del q  # a stage patch is freed before the centred value is allocated
+    out = np.subtract(f, _dot(anchor.prob, f), out=out)
     if not _all_finite(out):
         raise FlowError("non-finite vector field value; step rejected")
     return out
@@ -163,21 +167,34 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
     the chart state is re-centered in place once per step.  A stage state
     y + a*k is then a sum of anchor-centered vectors and goes to ``patch_e``
     as it is; ``patch_e`` still checks that it is centered.
+
+    The record is one array allocated before the first step: a read-only row per
+    emitted density after p0, then a row per velocity.  So keeping any one sample
+    keeps its run's whole record, and a step count whose record cannot be
+    allocated raises InvariantError before the first step.
     """
-    _require_steps(t_final, dt)
+    n_steps = _require_steps(t_final, dt)
+    try:
+        rows = np.empty((2 * n_steps + 1, p0.base.size))
+    except (MemoryError, ValueError):  # ValueError: more rows than numpy can index
+        what = f"whose record of {n_steps:.4g} steps can be allocated"
+        raise InvariantError(f"need dt > 0 and t_final >= 0 {what}, got {t_final!r} / {dt!r}") from None
     anchor = p0
     densities = [p0]
+    velocities = list(rows[n_steps:])
     # each value made under the errstate is checked (FlowError); rhs reads anchor when called: re-anchors act next step
     def rhs(u_state: np.ndarray) -> np.ndarray:
         return _centred_field(field, _chart_patch(anchor, u_state), anchor)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        velocities = [_centred_field(field, p0, p0)]
-        for u in _rk4(rhs, np.zeros(p0.base.size), t_final, dt):
+        _centred_field(field, p0, p0, velocities[0])
+        for u, row, velocity in zip(_rk4(rhs, np.zeros(p0.base.size), t_final, n_steps), rows, velocities[1:]):
             u -= _dot(anchor.prob, u)  # the next step starts from the centered state
-            pt = _chart_patch(anchor, u)
+            row[:] = _chart_patch(anchor, u).values  # the patch's own array is freed at once
+            row.setflags(write=False)
+            pt = Density._adopt(p0.base, row)  # patch_e has checked these bits
             densities.append(pt)
-            velocities.append(_centred_field(field, pt, pt))
+            _centred_field(field, pt, pt, velocity)
             if max(_max(u), -_min(u)) > REANCHOR_SUP:
                 anchor = pt
                 u[:] = 0.0  # the next step starts from the new anchor
@@ -380,9 +397,9 @@ def reference_heat_solution(
     """Explicit RK4 finite-difference reference for dp/dt = D2(p), in plain value space.
 
     Takes the same time steps as :func:`integrate_e_chart` for equal ``t_final`` and ``dt``."""
-    _require_steps(t_final, dt)
+    n_steps = _require_steps(t_final, dt)
     p = np.array(p0_values, dtype=float)
-    for p in _rk4(lambda y: second_difference(y, h), p, t_final, dt):
+    for p in _rk4(lambda y: second_difference(y, h), p, t_final, n_steps):
         pass
     return p
 

@@ -84,7 +84,7 @@ def patch_e(p: Density, u) -> Density:
         q /= (mass := _dot(q, weights))
         low = _FLOOR / mass  # dividing by mass > 0 keeps the order, so a raised entry stays the least
     q.setflags(write=False)
-    return Density._adopt(p.base, q, low)
+    return Density._adopt(p.base, q)._check(low)
 
 
 def chart_s(p: Density, q: Density) -> TangentVector:

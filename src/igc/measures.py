@@ -314,11 +314,11 @@ class Density:
         return self
 
     @classmethod
-    def _adopt(cls, base: Measure, values: np.ndarray, low: float) -> "Density":
-        """A patch: fresh read-only values of base's shape, minimum low, mass near 1; checked once, prob preset."""
+    def _adopt(cls, base: Measure, values: np.ndarray) -> "Density":
+        """Read-only values of base's shape that nothing else writes, adopted unchecked, prob preset."""
         density = object.__new__(cls)
         density.__dict__.update(base=base, values=values, **({"prob": values} if base.unit_weights else {}))
-        return density._check(low)
+        return density
 
     @cached_property
     def prob(self) -> np.ndarray:

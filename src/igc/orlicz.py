@@ -132,12 +132,17 @@ class YoungFunction:
         return float(self.sloped(np.array([self.unit_level]))[1][0])
 
 
+def _magnitude(x) -> np.ndarray:
+    """|x| with +-inf read as the largest double, where every public form overflows to inf without inf - inf."""
+    return np.minimum(np.abs(np.asarray(x, dtype=float)), sys.float_info.max)
+
+
 def _even(sloped: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """The even Young function x -> sloped(|x|)[0], which overflows to inf without a warning."""
+    """The even Young function x -> sloped(|x|)[0], which overflows to inf without a warning, at +-inf too."""
 
     def even(x):
         with np.errstate(over="ignore"):
-            return sloped(np.abs(np.asarray(x, dtype=float)))[0]
+            return sloped(_magnitude(x))[0]
 
     return even
 
@@ -187,7 +192,7 @@ def _dual_cosh(y):  # cosh(arcsinh(y)) - 1 = y**2 / (1 + h), slope y / h, h = sq
 
 @np.errstate(over="ignore")  # as in _even
 def _phi_a_conj(y):
-    y = np.abs(np.asarray(y, dtype=float))
+    y = _magnitude(y)
     return np.expm1(y) - y
 
 

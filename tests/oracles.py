@@ -85,14 +85,13 @@ def rk4_scalar(f, y0, t_final, n_steps):
     return y
 
 
-def allocating_rk4(rhs, y, t_final, dt):
+def allocating_rk4(rhs, y, t_final, n_steps):
     """The RK4 states the chart flows take, each stage and the update built as fresh arrays.
 
-    The reference for the stepper with one stage buffer: the same fewest equal steps <= dt, the
+    The reference for the stepper with one stage buffer: the same n_steps equal steps, the
     same operations in the textbook order, and a yielded state may be overwritten to restart.
     """
-    n_steps = math.ceil(t_final / dt * (1.0 - 1e-12))
-    h = t_final / n_steps if n_steps else dt
+    h = t_final / max(n_steps, 1)
     for _ in range(n_steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)

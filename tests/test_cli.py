@@ -122,6 +122,7 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
         ["flow", "opt", "--iters", "-1"],
         ["flow", "geodesic", "--dt", "inf"],
         ["flow", "geodesic", "--dt", "nan"],
+        ["flow", "geodesic", "--T", "1e12", "--dt", "1e-3"],
         ["flow", "heat", "--dt", "nan"],
         ["orlicz", "profile", "--alphas", "nan"],
         ["steepness", "--alphas", "1,nan"],

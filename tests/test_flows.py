@@ -1,5 +1,7 @@
 import math
 import os
+import platform
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -302,11 +304,46 @@ def _heat_record():
 ], ids=["geodesic", "heat", "ascent-basis", "ascent-full"])
 def test_recorded_densities_and_velocities_share_no_memory(run):
     # the RK4 stage buffer and the ascent's centring, weighted-row and step buffers are reused across steps;
-    # nothing the record keeps may be one of them, or a view of another kept array
+    # nothing the record keeps may be one of them, or overlap another kept array (the chart flows keep disjoint rows)
     record = run()
     arrays = [d.values for d in record.densities] + list(record.velocities)
     assert len(arrays) > 20
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+
+@pytest.mark.parametrize("run", [_geodesic_record, _heat_record], ids=["geodesic", "heat"])
+def test_chart_flow_records_every_sample_in_one_array(run):
+    # one allocation per run: the densities after p0, then every velocity, are the rows of one array, in order
+    record = run()
+    rows = [d.values for d in record.densities[1:]] + list(record.velocities)
+    block = rows[0].base
+    assert block.shape == (len(rows), rows[0].size)
+    assert all(a.base is block and np.shares_memory(a, row) for a, row in zip(rows, block))
+    assert not any(d.values.flags.writeable for d in record.densities)
+    with pytest.raises(ValueError, match="read-only"):
+        record.densities[-1].values[0] = 1.0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc raises its thresholds on free")
+def test_repeated_large_geodesics_take_no_page_faults():
+    # glibc raises its mmap and trim thresholds to the largest block freed, so once one run's record (a single
+    # 5.25 MiB block) is freed, later runs reuse the heap; recorded as 21 arrays of 256 KiB, 1,312 pages were
+    # handed back to the kernel and faulted in again on every run
+    src = str(Path(igc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import resource; import numpy as np; "
+        "from igc import flows, measures; "
+        "rng = np.random.default_rng(32); m = measures.finite_measure(np.arange(32768.0)); "
+        "p0 = measures.Density.random(m, rng); field = flows.exponential_field(measures.RandomVariable(m, "
+        "rng.standard_normal(m.size)))\n"
+        "for _ in range(8):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    flows.integrate_e_chart(field, p0, 0.2, 0.02)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    faults = [int(line) for line in out.stdout.split()]
+    assert len(faults) == 8 and statistics.median(faults[-5:]) < 131
 
 
 def test_hessian_expectation(space):
@@ -502,11 +539,12 @@ STEP_MESSAGE = "need dt > 0 and t_final >= 0"
 @pytest.mark.parametrize(
     "t_final, dt",
     [(0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -0.01), (math.nan, 0.01), (math.inf, 0.01), (-0.1, 0.01),
-     (1e308, 1e-300)],
+     (1e308, 1e-300), (1e12, 1e-3), (1e300, 1e-3)],
 )
 def test_integrator_requires_finite_positive_steps(space, t_final, dt):
     # NaN fails every comparison and inf makes math.ceil fail or a zero-step run end at t = 0; so does an
-    # overflowing t_final / dt
+    # overflowing t_final / dt, and a step count whose record cannot be allocated before the first step: 114 PiB
+    # for 10^15 steps of 8 values, and more rows than numpy can index for 10^303
     rng, m = space
     p = Density.random(m, rng)
     f = RandomVariable(m, rng.standard_normal(8))
@@ -523,7 +561,9 @@ def test_heat_reference_requires_finite_positive_steps(t_final, dt):
         reference_heat_solution(np.ones(16), grid.spacing, t_final, dt)
 
 
-@pytest.mark.parametrize("t_final, dt", [(0.01, math.nan), (math.nan, 1e-4), (math.inf, 1e-4), (1e308, 1e-300)])
+@pytest.mark.parametrize(
+    "t_final, dt", [(0.01, math.nan), (math.nan, 1e-4), (math.inf, 1e-4), (1e308, 1e-300), (1e12, 1e-3)]
+)
 def test_heat_flow_requires_finite_positive_steps(t_final, dt):
     grid = periodic_grid_measure(0.0, 1.0, 16)
     with pytest.raises(InvariantError, match=STEP_MESSAGE):

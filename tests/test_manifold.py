@@ -124,13 +124,13 @@ def test_patch_e_checks_its_density_on_the_minimum_it_took(monkeypatch, base):
     # one minimum serves the floor and the Density check; after the floor's renormalisation it is derived as
     # floor / mass, and must still be the least entry, bit for bit
     seen = []
-    adopt = Density._adopt.__func__
+    check = Density._check
 
-    def spy(cls, b, values, low):
-        seen.append((values, low))
-        return adopt(cls, b, values, low)
+    def spy(density, low):
+        seen.append((density.values, low))
+        return check(density, low)
 
-    monkeypatch.setattr(Density, "_adopt", classmethod(spy))
+    monkeypatch.setattr(Density, "_check", spy)
     rng = np.random.default_rng(3)
     floor = math.exp(-700.0)
     for k in range(60):

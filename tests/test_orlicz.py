@@ -670,6 +670,16 @@ def test_arcsinh_young_function_stays_finite_where_x_squared_overflows(x):
     assert row.value == pytest.approx(0.5 * want, rel=1e-14)
 
 
+@pytest.mark.parametrize("tag", YOUNG_TAGS)
+@pytest.mark.parametrize("form", ["Phi", "Phi_conj"])
+def test_young_forms_are_inf_at_infinity(tag, form):
+    # three forms subtract a term that is also inf at inf (x arcsinh x - x + 1, (1 + x) log1p x - x, e**y - 1 - y):
+    # read there as inf, not as NaN with an invalid-value warning, which the suite makes an error
+    phi = getattr(young_pair(tag), form)
+    assert phi(np.array([math.inf, -math.inf])).tolist() == [math.inf, math.inf]
+    assert phi(-math.inf) == math.inf
+
+
 def test_steepness_profile_reports_a_zero_weight_under_an_overflow_as_divergent():
     # p.prob[0] underflows to 0 while cosh(1000) - 1 overflows: the sum meets 0 * inf, a divergent point
     m = finite_measure(np.arange(3.0), [1e-300, 1.0, 1.0])
