@@ -30,7 +30,6 @@ from .measures import (
     _max,
     _min,
     expect,
-    require_same_base,
     tangent,
     values_on,
 )
@@ -62,19 +61,20 @@ class FlowError(RuntimeError):
 class VectorField:
     """Moving-frame vector field p -> F(p), defined at every density.
 
-    The evaluator may return raw values, a random variable or a tangent
-    vector; the result is centered under p, which is what conserves mass
-    along integral curves.
+    The evaluator reads the density's values array (read-only, on its base) and
+    may return raw values, a random variable or a tangent vector, whose base is
+    checked; the result is centered under p, which conserves mass along integral curves.
     """
 
-    def __init__(self, evaluator: Callable[[Density], object]):
+    def __init__(self, evaluator: Callable[[np.ndarray], object]):
         self._evaluator = evaluator
 
     def __call__(self, p: Density) -> TangentVector:
-        vals = values_on(p.base, self._evaluator(p))
-        if not _all_finite(vals):
-            raise FlowError("vector field produced non-finite values")
-        return tangent(p, vals)
+        """F(p), centred under p as the chart loops centre it; a non-finite value raises FlowError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _centred_field(self, p.values, p)
+        vals.setflags(write=False)
+        return TangentVector(p, vals)
 
 
 class CurveRecord(NamedTuple):
@@ -129,13 +129,13 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_final: float,
         yield y
 
 
-def _centred_field(field: VectorField, q: Density, anchor: Density, out: np.ndarray | None = None) -> np.ndarray:
-    """The field at q, centred under the anchor into ``out`` and checked finite: at q = anchor, ``field(q).values``.
+def _centred_field(field: VectorField, vals: np.ndarray, anchor: Density, out: np.ndarray | None = None) -> np.ndarray:
+    """The field at the density with values ``vals``, centred under the anchor into ``out`` and checked finite.
 
     Only the centred value is checked: a non-finite field value leaves its mean, and so every entry, non-finite.
     """
-    f = values_on(anchor.base, field._evaluator(q))
-    del q  # a stage patch is freed before the centred value is allocated
+    f = values_on(anchor.base, field._evaluator(vals))
+    del vals  # a stage patch's array is freed before the centred value is allocated
     out = np.subtract(f, _dot(anchor.prob, f), out=out)
     if not _all_finite(out):
         raise FlowError("non-finite vector field value; step rejected")
@@ -184,17 +184,17 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
     velocities = list(rows[n_steps:])
     # each value made under the errstate is checked (FlowError); rhs reads anchor when called: re-anchors act next step
     def rhs(u_state: np.ndarray) -> np.ndarray:
-        return _centred_field(field, _chart_patch(anchor, u_state), anchor)
+        return _centred_field(field, _chart_patch(anchor, u_state).values, anchor)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _centred_field(field, p0, p0, velocities[0])
+        _centred_field(field, p0.values, p0, velocities[0])
         for u, row, velocity in zip(_rk4(rhs, np.zeros(p0.base.size), t_final, n_steps), rows, velocities[1:]):
             u -= _dot(anchor.prob, u)  # the next step starts from the centered state
             row[:] = _chart_patch(anchor, u).values  # the patch's own array is freed at once
             row.setflags(write=False)
             pt = Density._adopt(p0.base, row)  # patch_e has checked these bits
             densities.append(pt)
-            _centred_field(field, pt, pt, velocity)
+            _centred_field(field, row, pt, velocity)
             if max(_max(u), -_min(u)) > REANCHOR_SUP:
                 anchor = pt
                 u[:] = 0.0  # the next step starts from the new anchor
@@ -204,19 +204,14 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
 def exponential_field(f: RandomVariable) -> VectorField:
     """The field whose value at q is f - E_q[f]; its integral curves are geodesics.
 
-    The evaluator returns f - f[0] uncentered: a constant shift changes no field
-    value, and taking it once here removes a large offset of f exactly, so the
-    one centering in the caller (under q in ``field(q)``, under the anchor in
-    the chart flows) leaves a mean error of eps times the range of f.
+    The evaluator returns the random variable f - f[0] uncentered: a constant
+    shift changes no field value, and taking it once here removes a large offset
+    of f exactly, so the one centering in the caller (under q in ``field(q)``,
+    under the anchor in the chart flows) leaves a mean error of eps times the
+    range of f.  A q on another base than f's raises BaseMismatchError there.
     """
-    shifted = f.values - f.values[0]
-    shifted.setflags(write=False)
-
-    def evaluator(q: Density) -> np.ndarray:
-        require_same_base(q, f, "exponential_field")
-        return shifted
-
-    return VectorField(evaluator)
+    shifted = RandomVariable(f.base, f.values - f.values[0])
+    return VectorField(lambda values: shifted)
 
 
 def e_geodesic(p: Density, f, t: float) -> Density:
@@ -253,39 +248,34 @@ class OptimizationResult(NamedTuple):
 def natural_gradient_ascent(
     objective: RandomVariable,
     p0: Density,
-    directions: Sequence[TangentVector] | str = "full",
+    directions: Sequence[TangentVector],
     gamma: float = 0.1,
     iters: int = 100,
 ) -> OptimizationResult:
     """Steepest ascent of E_q[objective] in the exponential chart at p0, with step size ``gamma``.
 
-    With ``directions="full"`` the ascent direction at q is
-    objective - E_q[objective]; with a basis V it is the covariance-orthogonal
-    projection onto span(V), obtained from the Gram system
+    The ascent direction at q is the covariance-orthogonal projection of the
+    objective onto the span of the basis V = ``directions``, obtained from the Gram system
     Cov_q(v_i, v_j) c = Cov_q(v_i, objective).  The objective is stacked under
     the basis once per call; each step centres and weights the rows and forms its
     update in buffers made once per call, and the Gram system in one product.
     Cholesky only tests that the Gram matrix is positive definite; one solve
     gives c.  A Gram matrix that fails the test gets 1e-10 added to its diagonal,
     and the result reports ``regularized``.  An ``iters`` that is not a
-    non-negative integer, a ``gamma`` that is not finite and positive, any other
-    string and an empty basis raise InvariantError; an overflowing step, FlowError.
+    non-negative integer, a ``gamma`` that is not finite and positive and an empty
+    basis raise InvariantError; an overflowing step, FlowError.  The basis
+    [objective] gives objective - E_q[objective], the e-geodesic at t = k gamma.
     """
     if not isinstance(iters, (int, np.integer)) or iters < 0:
         raise InvariantError(f"need an integer iters >= 0, got {iters!r}")
     if not 0.0 < gamma < math.inf:
         raise InvariantError(f"need a finite gamma > 0, got {gamma!r}")
     f = values_on(p0.base, objective)
-    rows = None
-    if isinstance(directions, str):
-        if directions != "full":
-            raise InvariantError(f'directions must be "full" or a sequence of directions, got {directions!r}')
-    else:
-        basis = [values_on(p0.base, v) for v in directions]
-        if not basis:
-            raise InvariantError("directions must hold at least one direction")
-        rows = np.stack(basis + [f])  # the basis, then the objective as the last row
-        centered, weighted = np.empty_like(rows), np.empty_like(rows[:-1])  # weighted: centred basis rows * q.prob
+    basis = [values_on(p0.base, v) for v in directions]
+    if not basis:
+        raise InvariantError("directions must hold at least one direction")
+    rows = np.stack(basis + [f])  # the basis, then the objective as the last row
+    centered, weighted = np.empty_like(rows), np.empty_like(rows[:-1])  # weighted: centred basis rows * q.prob
     u, step = np.zeros(p0.base.size), np.empty(p0.base.size)
     regularized = False
     times = [0.0]
@@ -299,22 +289,17 @@ def natural_gradient_ascent(
             objective_trace.append(_dot(q.prob, f))
             # shifting each function by its value at the mode of q leaves every covariance as it is,
             # but keeps the centered values exact once q concentrates there
-            mode = q.prob.argmax()
-            if rows is None:
-                direction = f - f[mode]
-                direction -= _dot(q.prob, direction)
-            else:
-                np.subtract(rows, rows[:, mode, None], out=centered)
-                centered -= (centered @ q.prob)[:, None]
-                covs = np.multiply(centered[:-1], q.prob, out=weighted) @ centered.T  # the Gram matrix, then the rhs
-                gram, rhs = covs[:, :-1], covs[:, -1]
-                try:
-                    np.linalg.cholesky(gram)  # raises unless gram is positive definite
-                    coef = np.linalg.solve(gram, rhs)
-                except np.linalg.LinAlgError:
-                    regularized = True
-                    coef = np.linalg.solve(gram + 1e-10 * np.eye(len(gram)), rhs)
-                direction = coef @ centered[:-1]
+            np.subtract(rows, rows[:, q.prob.argmax(), None], out=centered)
+            centered -= (centered @ q.prob)[:, None]
+            covs = np.multiply(centered[:-1], q.prob, out=weighted) @ centered.T  # the Gram matrix, then the rhs
+            gram, rhs = covs[:, :-1], covs[:, -1]
+            try:
+                np.linalg.cholesky(gram)  # raises unless gram is positive definite
+                coef = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                regularized = True
+                coef = np.linalg.solve(gram + 1e-10 * np.eye(len(gram)), rhs)
+            direction = coef @ centered[:-1]
             velocities.append(direction)
             if k == iters:
                 break
@@ -339,29 +324,33 @@ def one_sided_lipschitz_probe(
     centered under p; a non-finite value of F, or of a ratio (an overflowing
     difference), raises FlowError.  The returned ratio bounds the one-sided growth rate of
     the chart dynamics near p.  The samples come from a generator seeded with 0.
-    Raises unless trials >= 1 and scale is finite and positive, and when no trial contributes:
-    on a one-point measure every centred difference is 0, and at a tiny scale its square underflows.
+    Raises InvariantError unless trials >= 1 and scale is finite and positive, when a sampled
+    difference does not square to a finite number, and when no trial contributes: on a one-point
+    measure every centred difference is 0, and at a tiny scale its square underflows.
     """
     if trials < 1 or not 0.0 < scale < math.inf:
         raise InvariantError(f"need trials >= 1 and a finite positive scale, got trials={trials}, scale={scale!r}")
     rng = np.random.default_rng(0)
     ratios = []
-    for _ in range(trials):
-        a = rng.standard_normal(p.base.size) * scale
-        b = rng.standard_normal(p.base.size) * scale
-        a -= _dot(p.prob, a)
-        b -= _dot(p.prob, b)
-        diff = a - b
-        denom = _dot(p.prob, diff * diff)
-        if denom == 0.0:
-            continue
-        # an overflowing field value or difference is caught, on the centred value or the ratio, as FlowError
-        with np.errstate(over="ignore", invalid="ignore"):
-            fa = _centred_field(field, patch_e(p, a), p)
-            ratio = _dot(p.prob, (fa - _centred_field(field, patch_e(p, b), p)) * diff) / denom
-        if not math.isfinite(ratio):
-            raise FlowError("non-finite vector field difference; pair rejected")
-        ratios.append(ratio)
+    # each value made under the errstate is checked: the squared difference (InvariantError), the centred field
+    # value and the ratio (FlowError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            a = rng.standard_normal(p.base.size) * scale
+            b = rng.standard_normal(p.base.size) * scale
+            a -= _dot(p.prob, a)
+            b -= _dot(p.prob, b)
+            diff = a - b
+            denom = _dot(p.prob, diff * diff)
+            if not math.isfinite(denom):
+                raise InvariantError(f"need a scale whose sampled differences square to a finite number, got {scale!r}")
+            if denom == 0.0:
+                continue
+            fa = _centred_field(field, _chart_patch(p, a).values, p)
+            ratio = _dot(p.prob, (fa - _centred_field(field, _chart_patch(p, b).values, p)) * diff) / denom
+            if not math.isfinite(ratio):
+                raise FlowError("non-finite vector field difference; pair rejected")
+            ratios.append(ratio)
     if not ratios:
         raise InvariantError("no sampled pair has a nonzero difference in L2(p)")
     return float(max(ratios))
@@ -381,11 +370,7 @@ def second_difference(values: np.ndarray, h: float) -> np.ndarray:
 def heat_field(p0: Density) -> VectorField:
     """The moving-frame heat field p -> D2(p)/p on a periodic grid."""
     h = p0.base.spacing
-
-    def evaluator(p: Density) -> np.ndarray:
-        return second_difference(p.values, h) / p.values
-
-    return VectorField(evaluator)
+    return VectorField(lambda values: second_difference(values, h) / values)
 
 
 def reference_heat_solution(

@@ -5,6 +5,7 @@ import statistics
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from igc.flows import (
 )
 from igc.manifold import chart_m, patch_e, transport_e
 from igc.measures import (
+    BaseMismatchError,
     Density,
     InvariantError,
     RandomVariable,
@@ -166,7 +168,9 @@ def test_velocity_representations_agree(space):
 def test_natural_gradient_constant_objective_fixed_point(space):
     rng, m = space
     p = Density.random(m, rng)
-    res = natural_gradient_ascent(RandomVariable.constant(m, 3.0), p, "full", gamma=0.2, iters=10)
+    # a random direction keeps the Gram matrix regular: the constant objective's row centres to exactly 0
+    direction = RandomVariable(m, rng.standard_normal(8))
+    res = natural_gradient_ascent(RandomVariable.constant(m, 3.0), p, [direction], gamma=0.2, iters=10)
     assert np.max(np.abs(res.record.densities[-1].values - p.values)) < 1e-14
     assert np.max(np.abs(res.objective - 3.0)) < 1e-12
 
@@ -175,7 +179,7 @@ def test_natural_gradient_full_space_monotone(space):
     rng, m = space
     p = Density.random(m, rng)
     f = RandomVariable(m, rng.standard_normal(8))
-    res = natural_gradient_ascent(f, p, "full", gamma=0.1, iters=200)
+    res = natural_gradient_ascent(f, p, [f], gamma=0.1, iters=200)
     assert np.all(np.diff(res.objective) >= -1e-12)
     # the full flow runs along the one-parameter family generated by f
     t_reached = 0.1 * 200
@@ -299,9 +303,7 @@ def _heat_record():
     _geodesic_record,
     _heat_record,
     lambda: _site_basis_ascent(6, 5, 12)[1].record,
-    lambda: natural_gradient_ascent(_site_basis_ascent(6, 5, 0)[0], Density.uniform(boolean_measure(6)),
-                                    iters=12).record,
-], ids=["geodesic", "heat", "ascent-basis", "ascent-full"])
+], ids=["geodesic", "heat", "ascent-basis"])
 def test_recorded_densities_and_velocities_share_no_memory(run):
     # the RK4 stage buffer and the ascent's centring, weighted-row and step buffers are reused across steps;
     # nothing the record keeps may be one of them, or overlap another kept array (the chart flows keep disjoint rows)
@@ -415,7 +417,7 @@ def test_exponential_field_leaves_f_uncentered_and_centers_once():
     f = RandomVariable(m, 3.0 * rng.standard_normal(16) + 5.0)
     q = Density.random(m, rng)
     field = exponential_field(f)
-    assert np.array_equal(field._evaluator(q), f.values - f.values[0])
+    assert np.array_equal(field._evaluator(q.values).values, f.values - f.values[0])
     want = f.values - math.fsum((q.prob * f.values).tolist())
     assert np.max(np.abs(field(q).values - want)) <= 1e-15 * np.max(np.abs(f.values))
     # the true value is 0; centering the field under q and again under p gave 2.230490151877035e-17
@@ -509,7 +511,7 @@ def test_a_non_finite_stage_value_fails_the_one_check_on_the_centred_value():
     # finite at p0, so the first velocity passes; every stage value is infinite, and its centred value
     # (inf - inf) is what the chart loop checks, with no numpy warning first
     p = Density.uniform(finite_measure(np.arange(3.0)))
-    field = VectorField(lambda q: np.zeros(3) if q is p else np.full(3, np.inf))
+    field = VectorField(lambda values: np.zeros(3) if values is p.values else np.full(3, np.inf))
     with pytest.raises(FlowError, match=r"^non-finite vector field value; step rejected$"):
         integrate_e_chart(field, p, 0.1, 0.1)
 
@@ -527,10 +529,47 @@ def test_emitted_velocities_are_the_field_at_each_density(space):
     rng, m = space
     p0 = Density.random(m, rng)
     f = RandomVariable(m, rng.standard_normal(m.size))
-    field = VectorField(lambda q: f.values * q.values)
+    field = VectorField(lambda values: f.values * values)
     record = integrate_e_chart(field, p0, 0.3, 0.1)
     for q, velocity in zip(record.densities, record.velocities):
         assert np.array_equal(velocity, field(q).values)
+
+
+def test_the_evaluator_reads_p0_values_first_and_only_read_only_arrays(space):
+    # the first velocity is the field at p0 itself; every stage and emitted sample hands over patch_e's array
+    rng, m = space
+    p0 = Density.random(m, rng)
+    f = RandomVariable(m, rng.standard_normal(m.size))
+    seen = []
+
+    def evaluator(values):
+        seen.append(values)
+        return f.values * values
+
+    record = integrate_e_chart(VectorField(evaluator), p0, 0.3, 0.1)
+    assert seen[0] is p0.values and len(seen) > len(record.times)
+    assert not any(values.flags.writeable for values in seen)
+
+
+def test_exponential_field_refuses_a_density_on_another_base():
+    m = finite_measure(np.arange(8.0))
+    field = exponential_field(RandomVariable(m, np.arange(8.0) ** 2))
+    q = Density.uniform(finite_measure(np.arange(8.0) + 0.5))
+    with pytest.raises(BaseMismatchError):
+        integrate_e_chart(field, q, 0.1, 0.1)
+    with pytest.raises(BaseMismatchError):
+        field(q)
+
+
+def test_a_field_call_rejects_an_overflowing_centred_value_as_the_chart_loops_do():
+    # the value of test_an_overflowing_first_velocity_is_a_flow_error: its centring under p overflows in entry 0,
+    # and field(p) reports it with the chart loops' message, with no numpy warning first
+    p = Density(finite_measure(np.arange(4.0)), [0.1, 0.7, 0.1, 0.1])
+    field = VectorField(lambda values: np.array([1.7e308, -1.7e308, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowError, match=r"^non-finite vector field value; step rejected$"):
+            field(p)
 
 
 STEP_MESSAGE = "need dt > 0 and t_final >= 0"
@@ -573,8 +612,9 @@ def test_heat_flow_requires_finite_positive_steps(t_final, dt):
 def test_natural_gradient_rejects_negative_iters(space):
     rng, m = space
     p = Density.random(m, rng)
+    f = RandomVariable(m, rng.standard_normal(8))
     with pytest.raises(InvariantError, match="iters >= 0"):
-        natural_gradient_ascent(RandomVariable(m, rng.standard_normal(8)), p, "full", iters=-1)
+        natural_gradient_ascent(f, p, [f], iters=-1)
 
 
 def test_natural_gradient_monotone_threshold_probe(space):
@@ -583,7 +623,7 @@ def test_natural_gradient_monotone_threshold_probe(space):
     p = Density.random(m, rng)
     f = RandomVariable(m, rng.standard_normal(8))
     for gamma in (0.02, 0.05, 0.1):
-        res = natural_gradient_ascent(f, p, "full", gamma=gamma, iters=100)
+        res = natural_gradient_ascent(f, p, [f], gamma=gamma, iters=100)
         assert np.all(np.diff(res.objective) >= -1e-12), f"not monotone at step {gamma}"
 
 

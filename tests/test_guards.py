@@ -11,6 +11,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,16 @@ def _flipping():
     2 * 0.9 * 1.7e308 in entry 0, which overflows."""
     signs = itertools.cycle((1.0, -1.0))
     return igc.VectorField(lambda q: next(signs) * np.array([1.7e308, 0.0, 0.0, 0.0]))
+
+
+def _probe_at(scale):
+    """The Lipschitz probe of an exponential field on 8 points (seed 3) at scale: from 1e154 up, some sampled
+    difference overflows when squared (and from 1e308 the draw itself)."""
+    rng = np.random.default_rng(3)
+    m = igc.finite_measure(np.arange(8.0))
+    p = igc.Density.random(m, rng)
+    field = igc.exponential_field(igc.RandomVariable(m, rng.standard_normal(8)))
+    return igc.one_sided_lipschitz_probe(field, p, scale=scale)
 
 
 GUARDS = [
@@ -162,6 +173,9 @@ GUARDS = [
      "non-finite vector field value"),
     ("field-difference-overflow", lambda: igc.one_sided_lipschitz_probe(_flipping(), P, trials=1), FlowError,
      "non-finite vector field difference; pair rejected"),
+    *((f"probe-scale-{scale:g}", lambda scale=scale: _probe_at(scale), InvariantError,
+       "need a scale whose sampled differences square to a finite number, got " + re.escape(repr(scale)))
+      for scale in (1e154, 1e200, 1e308)),
     ("chart-state-overflow", lambda: igc.integrate_e_chart(_STEEP, _HALVES, 1.0, 1.0), FlowError,
      "non-finite chart state"),
     # the stage state y + (h/2) k1 = 2 * (1e308, -1e308) overflows before any step state does
@@ -172,22 +186,20 @@ GUARDS = [
      "m_geodesic: operands live on different base measures"),
     ("m-geodesic-other-density", lambda: igc.m_geodesic(P, U_AT_Q, 1.0), InvariantError,
      "m_geodesic: values are not centered under the base density"),
-    ("ascent-directions-name", lambda: igc.natural_gradient_ascent(U.rv, P, "ful"), InvariantError,
-     'directions must be "full" or a sequence of directions, got \'ful\''),
     ("ascent-directions-empty", lambda: igc.natural_gradient_ascent(U.rv, P, []), InvariantError,
      "directions must hold at least one direction"),
-    ("ascent-gamma-inf", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=np.inf), InvariantError,
+    ("ascent-gamma-inf", lambda: igc.natural_gradient_ascent(U.rv, P, [U], gamma=np.inf), InvariantError,
      "need a finite gamma > 0, got inf"),
-    ("ascent-gamma-nan", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=np.nan), InvariantError,
+    ("ascent-gamma-nan", lambda: igc.natural_gradient_ascent(U.rv, P, [U], gamma=np.nan), InvariantError,
      "need a finite gamma > 0, got nan"),
-    ("ascent-gamma-zero", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=0.0), InvariantError,
+    ("ascent-gamma-zero", lambda: igc.natural_gradient_ascent(U.rv, P, [U], gamma=0.0), InvariantError,
      "need a finite gamma > 0, got 0.0"),
-    ("ascent-iters-fraction", lambda: igc.natural_gradient_ascent(U.rv, P, iters=2.5), InvariantError,
+    ("ascent-iters-fraction", lambda: igc.natural_gradient_ascent(U.rv, P, [U], iters=2.5), InvariantError,
      "need an integer iters >= 0, got 2.5"),
-    ("ascent-iters-nan", lambda: igc.natural_gradient_ascent(U.rv, P, iters=np.nan), InvariantError,
+    ("ascent-iters-nan", lambda: igc.natural_gradient_ascent(U.rv, P, [U], iters=np.nan), InvariantError,
      "need an integer iters >= 0, got nan"),
     # a finite gamma whose step overflows the chart state, with no warning leaking first
-    ("ascent-step-overflow", lambda: igc.natural_gradient_ascent(U.rv, P, gamma=1e308), FlowError,
+    ("ascent-step-overflow", lambda: igc.natural_gradient_ascent(U.rv, P, [U], gamma=1e308), FlowError,
      "non-finite chart state; step rejected"),
     # deformed
     ("kaniadakis-param", lambda: igc.make_deformed("kaniadakis"), InvariantError, "kaniadakis needs a parameter"),

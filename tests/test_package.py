@@ -57,7 +57,7 @@ def test_every_fibre_valued_function_returns_the_one_centred_vector_type():
         "cumulant_gradient": igc.cumulant_gradient(p, u),
         "hilbert_transport": igc.hilbert_transport(p, q, u),
         "metric_derivative": igc.metric_derivative(p, u, np.zeros(4), u),
-        "VectorField.__call__": igc.VectorField(lambda r: r.values)(p),
+        "VectorField.__call__": igc.VectorField(lambda values: values)(p),
     }
     for name, v in results.items():
         assert type(v) is igc.TangentVector, name
