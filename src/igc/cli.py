@@ -3,7 +3,7 @@
 Exit codes: 0 when all checks pass, 1 on a tolerance failure, 2 on usage
 errors and on input the library rejects; the latter prints one JSON record
 {schema_version, command, error, pass: false}.  Identical (command, seed,
-version) triples produce byte-identical output.
+version) triples produce byte-identical output, under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -163,13 +163,11 @@ def cmd_transport(args, rng):
     return {"trials": args.trials, "max_size": args.max_size}, values, worst <= _tol(args, 1e-12)
 
 
-def _trajectory_rows(record) -> tuple[tuple, list]:
+def _trajectory_rows(record):
+    """The table's header and its rows, made only as a table is written (a 16-site run has 2**16 columns)."""
     n = record.densities[0].base.size
     header = ("time",) + tuple(f"v{i:03d}" for i in range(n))
-    rows = [
-        (float(t),) + tuple(float(x) for x in d.values)
-        for t, d in zip(record.times, record.densities)
-    ]
+    rows = ((float(t),) + tuple(d.values.tolist()) for t, d in zip(record.times, record.densities))
     return header, rows
 
 

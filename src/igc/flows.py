@@ -29,6 +29,7 @@ from .measures import (
     _fibre_values,
     _max,
     _min,
+    _mode_centred,
     expect,
     tangent,
     values_on,
@@ -204,24 +205,26 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
 def exponential_field(f: RandomVariable) -> VectorField:
     """The field whose value at q is f - E_q[f]; its integral curves are geodesics.
 
-    The evaluator returns the random variable f - f[0] uncentered: a constant
-    shift changes no field value, and taking it once here removes a large offset
-    of f exactly, so the one centering in the caller (under q in ``field(q)``,
-    under the anchor in the chart flows) leaves a mean error of eps times the
-    range of f.  A q on another base than f's raises BaseMismatchError there.
+    The evaluator returns the random variable f - f[0] uncentered: a constant shift changes no
+    field value, and taking it once here removes a large offset of f exactly, so the one centering
+    in the caller (under q in ``field(q)``, under the anchor in the chart flows) leaves a mean error
+    of eps times the range of f.  A q on another base than f's raises BaseMismatchError there; an
+    f whose range overflows, InvariantError here.
     """
-    shifted = RandomVariable(f.base, f.values - f.values[0])
+    with np.errstate(over="ignore"):  # an overflowing shift reads inf, which RandomVariable refuses
+        shifted = RandomVariable(f.base, f.values - f.values[0])
     return VectorField(lambda values: shifted)
 
 
 def e_geodesic(p: Density, f, t: float) -> Density:
     """Closed-form exponential geodesic exp(t f - K_p(t f)) * p for centered f.
 
-    f is shifted by its first value before the one centering, as in
-    :func:`exponential_field`, so a large constant offset costs no accuracy.
+    f is shifted by its first value before the one centering, as in :func:`exponential_field`, so a
+    large constant offset costs no accuracy; an f whose range overflows raises InvariantError.
     """
     fv = values_on(p.base, f)
-    return patch_e(p, tangent(p, t * (fv - fv[0])))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing shift is refused as not finite
+        return patch_e(p, tangent(p, t * (fv - fv[0])))
 
 
 class MixtureGeodesic(NamedTuple):
@@ -287,10 +290,7 @@ def natural_gradient_ascent(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters + 1):
             objective_trace.append(_dot(q.prob, f))
-            # shifting each function by its value at the mode of q leaves every covariance as it is,
-            # but keeps the centered values exact once q concentrates there
-            np.subtract(rows, rows[:, q.prob.argmax(), None], out=centered)
-            centered -= (centered @ q.prob)[:, None]
+            _mode_centred(q.prob, rows, out=centered)
             covs = np.multiply(centered[:-1], q.prob, out=weighted) @ centered.T  # the Gram matrix, then the rhs
             gram, rhs = covs[:, :-1], covs[:, -1]
             try:

@@ -23,6 +23,7 @@ from .measures import (
     _fibre_values,
     _max,
     _min,
+    _mode_centred,
     require_same_base,
     tangent,
     values_on,
@@ -102,18 +103,15 @@ def cumulant_derivatives(
 
     Returns (grad, hess) with grad[i] = E_q[v_i] and hess[i, j] = Cov_q(v_i, v_j)
     where q is the patched density at u.  As in ``covariance``, each direction is
-    first shifted by its value at the mode of q, which keeps a large common offset.
+    first shifted by its value at the mode of q, which removes a large common offset exactly.
     """
     q = patch_e(p, u)
     rows = [values_on(p.base, v) for v in dirs]
     if not rows:
         raise InvariantError("cumulant_derivatives needs at least one direction")
     mats = np.stack(rows)
-    means = mats @ q.prob
-    shifted = mats - mats[:, [q.prob.argmax()]]
-    centered = shifted - (shifted @ q.prob)[:, None]
-    hess = (centered * q.prob) @ centered.T
-    return means, hess
+    centered = _mode_centred(q.prob, mats)
+    return _dot(mats, q.prob), (centered * q.prob) @ centered.T
 
 
 def cumulant_gradient(p: Density, u) -> TangentVector:
@@ -125,9 +123,7 @@ def cumulant_gradient(p: Density, u) -> TangentVector:
 def cumulant_gradient_derivative(p: Density, u, w) -> RandomVariable:
     """Directional derivative of the gradient map: (q/p) * (w - E_q[w]), w shifted first by its value at q's mode."""
     q = patch_e(p, u)
-    wv = values_on(p.base, w)
-    wv = wv - wv[q.prob.argmax()]
-    return RandomVariable(p.base, (q.values / p.values) * (wv - _dot(q.prob, wv)))
+    return RandomVariable(p.base, (q.values / p.values) * _mode_centred(q.prob, values_on(p.base, w)))
 
 
 def transition_e(p1: Density, p2: Density, u) -> TangentVector:

@@ -58,16 +58,18 @@ __all__ = [
 _DOT_BLOCK = 8192
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) for 1-D float arrays, in one thread and in a fixed order.
+def _dot(a: np.ndarray, b: np.ndarray):
+    """sum(a * b) for 1-D float arrays, in one thread and in a fixed order; for a 2-D a, the array of its rows' sums.
 
-    Up to _DOT_BLOCK entries a.dot(b), bitwise a @ b with less set-up (a view with a
-    negative stride aside); longer arrays are summed as the leading remainder plus
-    one BLAS dot product per block of _DOT_BLOCK entries, each below the threading cut-off.
+    Up to _DOT_BLOCK entries a.dot(b), bitwise a @ b with less set-up (a view with a negative stride
+    aside), and a @ b for rows; longer arrays are summed as the leading remainder plus one BLAS dot
+    product per block of _DOT_BLOCK entries, each below the threading cut-off, row by row for rows.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     if n <= _DOT_BLOCK:
-        return float(a.dot(b))
+        return float(a.dot(b)) if a.ndim == 1 else a @ b
+    if a.ndim == 2:
+        return np.array([_dot(row, b) for row in a])
     k, r = divmod(n, _DOT_BLOCK)
     blocks = np.matmul(a[r:].reshape(k, 1, _DOT_BLOCK), b[r:].reshape(k, _DOT_BLOCK, 1))
     return (float(a[:r] @ b[:r]) if r else 0.0) + float(blocks.sum())
@@ -431,14 +433,22 @@ def expect(p: Density, u) -> float:
     return _dot(p.prob, values_on(p.base, u))
 
 
-def covariance(p: Density, u, v) -> float:
-    """Cov_p(u, v) = E_p[(u - E_p u)(v - E_p v)], each function first shifted by its value at the mode of p.
+def _mode_centred(prob: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rows (one function, or one per row) shifted by their values at the mode of prob, then centred under prob.
 
     The shift changes no covariance but removes a large common offset exactly, which
-    E_p[uv] - E_p[u] E_p[v] would cancel away."""
-    mode = p.prob.argmax()
-    uc, vc = (w - w[mode] for w in (values_on(p.base, u), values_on(p.base, v)))
-    return _dot(p.prob, (uc - _dot(p.prob, uc)) * (vc - _dot(p.prob, vc)))
+    E[uv] - E[u] E[v] would cancel away, and keeps the centred values exact once prob
+    concentrates at its mode."""
+    out = np.subtract(rows, rows[..., prob.argmax(), None], out=out)
+    means = _dot(out, prob)
+    out -= means[:, None] if out.ndim == 2 else means
+    return out
+
+
+def covariance(p: Density, u, v) -> float:
+    """Cov_p(u, v) = E_p[(u - E_p u)(v - E_p v)], each function first shifted by its value at the mode of p."""
+    uc, vc = (_mode_centred(p.prob, values_on(p.base, w)) for w in (u, v))
+    return _dot(p.prob, uc * vc)
 
 
 def lp_norm(p: Density, u, alpha: float) -> float:

@@ -290,3 +290,16 @@ def e_m_pairing_reference(p, q, u_vals, v_vals):
     pp, qq, u, v = ([Fraction(a) for a in np.asarray(x, dtype=float).tolist()] for x in (p.prob, q.prob, u_vals, v_vals))
     mean_q_u = sum(a * b for a, b in zip(qq, u))
     return float(sum(a * b * c for a, b, c in zip(pp, v, u)) - mean_q_u * sum(a * b for a, b in zip(pp, v)))
+
+
+def cumulant_derivatives_reference(q_prob, rows):
+    """(E_q[v_i], Cov_q(v_i, v_j)) in exact rational arithmetic on the floats of q_prob and of the rows v_i, with
+    q_prob rescaled to unit mass exactly: the first and second derivatives of K_p at u when q = patch_e(p, u)."""
+    qq = [Fraction(a) for a in np.asarray(q_prob, dtype=float).tolist()]
+    mass = sum(qq)
+    qq = [a / mass for a in qq]
+    vs = [[Fraction(a) for a in row] for row in np.asarray(rows, dtype=float).tolist()]
+    means = [sum(a * b for a, b in zip(qq, v)) for v in vs]
+    centred = [[b - m for b in v] for v, m in zip(vs, means)]
+    hess = [[float(sum(a * b * c for a, b, c in zip(qq, ci, cj))) for cj in centred] for ci in centred]
+    return np.array([float(m) for m in means]), np.array(hess)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -262,3 +263,31 @@ def test_chart_and_flow_opt_leave_numpy_ma_unloaded():
         "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
     )
     assert run_fresh_interpreter(runs) == [[0, 0], False]
+
+
+def test_output_is_the_same_under_one_and_two_blas_threads():
+    # at 2**16 points a BLAS sum over the support that OpenBLAS splits across threads rounds by the thread count;
+    # igc blocks each such sum below the threading cut-off, so the record of a 16-site ascent and the bits of the
+    # cumulant derivatives must agree under one and two threads
+    code = (
+        "import hashlib, numpy as np\n"
+        "from igc.cli import main\n"
+        "from igc.manifold import cumulant_derivatives\n"
+        "from igc.measures import Density, finite_measure, tangent\n"
+        "main(['flow', 'opt', '--n-sites', '16', '--iters', '20', '--seed', '1'])\n"
+        "rng = np.random.default_rng(0)\n"
+        "p = Density.random(finite_measure(np.arange(65536.0)), rng)\n"
+        "grad, hess = cumulant_derivatives(p, tangent(p, rng.standard_normal(65536)), rng.standard_normal((9, 65536)))\n"
+        "print(hashlib.sha256(grad.tobytes() + hess.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(igc.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code]
+    children = [
+        subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env={
+            **os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+        })
+        for threads in ("1", "2")
+    ]
+    (one, code_one), (two, code_two) = ((child.communicate()[0], child.returncode) for child in children)
+    assert code_one == code_two == 0
+    assert len(one.splitlines()) == 2 and one == two

@@ -44,6 +44,9 @@ def _pair(**fields):
 _BIG = igc.VectorField(lambda q: np.array([1.7e308, -1.7e308, 0.0, 0.0]))  # centered under P: entry 0 overflows
 _STEEP = igc.VectorField(lambda q: np.array([1e308, -1e308]))  # centered under the uniform density on 2 points
 _HALVES = igc.Density.uniform(igc.finite_measure([0.0, 1.0]))
+# centred under P once, a field value keeps a mean of about eps * 1e10, far above TOL times its spread of 0.3
+_OFFSET = igc.VectorField(lambda q: 1e10 + np.array([0.1, 0.2, 0.3, 0.4]))
+_WIDE = igc.RandomVariable(M, [1.7e308, -1.7e308, 0.0, 0.0])  # f - f[0] overflows in entry 1
 
 
 def _flipping():
@@ -181,6 +184,14 @@ GUARDS = [
     # the stage state y + (h/2) k1 = 2 * (1e308, -1e308) overflows before any step state does
     ("chart-stage-overflow", lambda: igc.integrate_e_chart(_STEEP, _HALVES, 4.0, 4.0), FlowError,
      "^non-finite chart state; step rejected$"),
+    # a finite stage state that patch_e refuses is passed on as it is, not reported as an overflow
+    ("chart-state-uncentred", lambda: igc.integrate_e_chart(_OFFSET, P, 1.0, 1.0), InvariantError,
+     "^patch_e: values are not centered under the base density$"),
+    # the shift f - f[0] overflows: refused as not finite, with no numpy warning first
+    ("exponential-field-overflow", lambda: igc.exponential_field(_WIDE), InvariantError,
+     "^random variable values must be finite$"),
+    ("e-geodesic-overflow", lambda: igc.e_geodesic(P, _WIDE, 1.0), InvariantError,
+     "^TangentVector: values are not finite$"),
     ("heat-grid", lambda: igc.heat_flow(P, 0.1, 0.01), InvariantError, "needs a periodic uniform grid"),
     ("m-geodesic-other-base", lambda: igc.m_geodesic(P, U_FAR, 1.0), BaseMismatchError,
      "m_geodesic: operands live on different base measures"),

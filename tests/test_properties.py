@@ -1,6 +1,6 @@
 """Property-based checks of the centering policy, the deformed log/exp pairs, the exponential chart,
-the Hilbert transport, the Pythagorean pairing, the Walsh layer, the shared root-finder, the
-norms built on it and the half-line integral c_integral."""
+the cumulant derivatives, the Hilbert transport, the Pythagorean pairing, the Walsh layer, the shared
+root-finder, the norms built on it and the half-line integral c_integral."""
 
 import math
 import sys
@@ -21,7 +21,16 @@ from igc.bundle import (
     sphere_transport,
 )
 from igc.deformed import make_deformed, phi_norm
-from igc.manifold import _log_partition, chart_s, divergence, patch_e, pythagorean_check, transport_e, transport_m
+from igc.manifold import (
+    _log_partition,
+    chart_s,
+    cumulant_derivatives,
+    divergence,
+    patch_e,
+    pythagorean_check,
+    transport_e,
+    transport_m,
+)
 from igc.measures import (
     TOL,
     Density,
@@ -45,7 +54,14 @@ from igc.orlicz import (
     walsh_transform,
     young_pair,
 )
-from oracles import c_integral_reference, e_m_pairing_reference, hermite_values, log_space_patch, walsh_values
+from oracles import (
+    c_integral_reference,
+    cumulant_derivatives_reference,
+    e_m_pairing_reference,
+    hermite_values,
+    log_space_patch,
+    walsh_values,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -100,6 +116,32 @@ def test_e_and_m_transports_are_dual(n, spread, scale, seed):
         p.prob @ abs_v
     )
     assert abs(pairing - e_m_pairing_reference(p, q, u.values, v.values)) <= 1e-13 * bound
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 16),
+    k=st.integers(1, 4),
+    spread=st.floats(0.1, 3.0),
+    scale=st.floats(1e-3, 1e3),
+    offset=st.sampled_from([0.0, 1.0, 1e4, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cumulant_derivatives_are_the_mean_and_covariance_under_the_patch(n, k, spread, scale, offset, seed):
+    # criterion 03 with no step size: grad_i = E_q[v_i] and hess_ij = Cov_q(v_i, v_j) at q = patch_e(p, u), against
+    # the exact rational values on q's bits; a large common offset of the directions costs no accuracy
+    rng = np.random.default_rng(seed)
+    p = Density.random(finite_measure(np.arange(float(n))), rng, spread)
+    u = tangent(p, scale * rng.standard_normal(n))
+    dirs = offset + rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+    grad, hess = cumulant_derivatives(p, u, dirs)
+    q = patch_e(p, u).prob
+    want_grad, want_hess = cumulant_derivatives_reference(q, dirs)
+    assert np.all(np.abs(grad - want_grad) <= 1e-13 * (np.abs(dirs) @ q))
+    # the rounding of a covariance is bounded through the directions shifted by their values at the mode of q
+    s = np.abs(dirs - dirs[:, [q.argmax()]])
+    s += (s @ q)[:, None]
+    assert np.all(np.abs(hess - want_hess) <= 1e-13 * ((s * q) @ s.T))
 
 
 # subnormal kappa is left out: kappa * u then loses all its digits

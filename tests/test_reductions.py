@@ -1,9 +1,9 @@
 """Property checks of the reduction helpers in ``igc.measures``: ``_max``, ``_min`` and ``_all_finite``
 agree with numpy's reductions and ``_dot`` with the matmul it replaces, on both sides of the size
-cut-off ``_DOT_BLOCK`` and on strided views, and the checks built on them still reject a NaN or an
-infinity anywhere in an array, with the same messages.  The centring and sphere-tangent checks, which
-decide on the mean or the pairing first, accept and refuse exactly what the rules that took the sup
-first did (``oracles``), with the same messages and no numpy warning."""
+cut-off ``_DOT_BLOCK``, on strided views and on stacked rows, and the checks built on them still
+reject a NaN or an infinity anywhere in an array, with the same messages.  The centring and
+sphere-tangent checks, which decide on the mean or the pairing first, accept and refuse exactly what
+the rules that took the sup first did (``oracles``), with the same messages and no numpy warning."""
 
 import math
 
@@ -83,6 +83,20 @@ def test_dot_is_matmul_up_to_the_block_and_blocked_above(n, stride, seed):
     assert _dot(a, b).hex() == want.hex()
     if stride == 1 and n <= _DOT_BLOCK:  # require_centered's mean: np.vdot makes the same BLAS call on these
         assert float(np.vdot(b, a)).hex() == _dot(b, a).hex()
+
+
+@pytest.mark.parametrize("n", [1, 64, _DOT_BLOCK, 3 * _DOT_BLOCK + 5])
+def test_dot_of_rows_is_the_matmul_up_to_the_block_and_each_row_dot_above(n):
+    rng = np.random.default_rng(n)
+    # at 2**16 columns a gemv rows @ prob changed its bits from one to two OpenBLAS threads at k = 1, 9, 12, 17,
+    # 25 and 33, and kept them at k = 2 and 40
+    for k in (1, 2, 9, 12, 17, 25, 33, 40):
+        rows, prob = rng.standard_normal((k, n)), rng.uniform(0.0, 1.0, n)
+        got = _dot(rows, prob)
+        if n <= _DOT_BLOCK:
+            assert got.tobytes() == (rows @ prob).tobytes()
+        else:
+            assert [x.hex() for x in got.tolist()] == [_dot(row, prob).hex() for row in rows]
 
 
 @SETTINGS
