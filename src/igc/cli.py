@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -166,7 +167,7 @@ def cmd_transport(args, rng):
 def _trajectory_rows(record):
     """The table's header and its rows, made only as a table is written (a 16-site run has 2**16 columns)."""
     n = record.densities[0].base.size
-    header = ("time",) + tuple(f"v{i:03d}" for i in range(n))
+    header = itertools.chain(("time",), (f"v{i:03d}" for i in range(n)))
     rows = ((float(t),) + tuple(d.values.tolist()) for t, d in zip(record.times, record.densities))
     return header, rows
 
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0.0 <= args.tol < math.inf:
             raise InvariantError(f"--tol must be finite and non-negative, got {args.tol!r}")
         inputs, values, ok = args.run(args, np.random.default_rng(args.seed))
-    except (InvariantError, FlowError) as exc:
+    except (InvariantError, FlowError, MemoryError) as exc:  # MemoryError: an input too large to allocate
         record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "pass": False}
         code = 2
     else:

@@ -153,6 +153,24 @@ def _chart_patch(anchor: Density, u: np.ndarray) -> Density:
         raise FlowError("non-finite chart state; step rejected") from None
 
 
+def _record(n_steps: int, size: int, need: str, got: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A chart flow's record, one array allocated before its first step: the rows of the densities after p0, which
+    :func:`_emit` fills, then a list of the rows of the velocities.  So keeping any one sample keeps its run's whole
+    record, and a step count whose record cannot be allocated raises InvariantError "need <need> whose record ..."."""
+    try:
+        rows = np.empty((2 * n_steps + 1, size))
+    except (MemoryError, ValueError):  # ValueError: more rows than numpy can index
+        raise InvariantError(f"need {need} whose record of {n_steps:.4g} steps can be allocated, got {got}") from None
+    return rows[:n_steps], list(rows[n_steps:])
+
+
+def _emit(row: np.ndarray, patch: Density) -> Density:
+    """The patch as a density on the record row ``row``: its values copied there, then made read-only."""
+    row[:] = patch.values
+    row.setflags(write=False)
+    return Density._adopt(patch.base, row)  # patch_e has checked these bits
+
+
 REANCHOR_SUP = 30.0
 
 
@@ -167,22 +185,12 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
     Centering policy: each field value is centered once, under the anchor, and
     the chart state is re-centered in place once per step.  A stage state
     y + a*k is then a sum of anchor-centered vectors and goes to ``patch_e``
-    as it is; ``patch_e`` still checks that it is centered.
-
-    The record is one array allocated before the first step: a read-only row per
-    emitted density after p0, then a row per velocity.  So keeping any one sample
-    keeps its run's whole record, and a step count whose record cannot be
-    allocated raises InvariantError before the first step.
+    as it is; ``patch_e`` still checks that it is centered.  :func:`_record` holds the run's record.
     """
     n_steps = _require_steps(t_final, dt)
-    try:
-        rows = np.empty((2 * n_steps + 1, p0.base.size))
-    except (MemoryError, ValueError):  # ValueError: more rows than numpy can index
-        what = f"whose record of {n_steps:.4g} steps can be allocated"
-        raise InvariantError(f"need dt > 0 and t_final >= 0 {what}, got {t_final!r} / {dt!r}") from None
+    rows, velocities = _record(n_steps, p0.base.size, "dt > 0 and t_final >= 0", f"{t_final!r} / {dt!r}")
     anchor = p0
     densities = [p0]
-    velocities = list(rows[n_steps:])
     # each value made under the errstate is checked (FlowError); rhs reads anchor when called: re-anchors act next step
     def rhs(u_state: np.ndarray) -> np.ndarray:
         return _centred_field(field, _chart_patch(anchor, u_state).values, anchor)
@@ -191,10 +199,7 @@ def integrate_e_chart(field: VectorField, p0: Density, t_final: float, dt: float
         _centred_field(field, p0.values, p0, velocities[0])
         for u, row, velocity in zip(_rk4(rhs, np.zeros(p0.base.size), t_final, n_steps), rows, velocities[1:]):
             u -= _dot(anchor.prob, u)  # the next step starts from the centered state
-            row[:] = _chart_patch(anchor, u).values  # the patch's own array is freed at once
-            row.setflags(write=False)
-            pt = Density._adopt(p0.base, row)  # patch_e has checked these bits
-            densities.append(pt)
+            densities.append(pt := _emit(row, _chart_patch(anchor, u)))
             _centred_field(field, row, pt, velocity)
             if max(_max(u), -_min(u)) > REANCHOR_SUP:
                 anchor = pt
@@ -261,12 +266,12 @@ def natural_gradient_ascent(
     objective onto the span of the basis V = ``directions``, obtained from the Gram system
     Cov_q(v_i, v_j) c = Cov_q(v_i, objective).  The objective is stacked under
     the basis once per call; each step centres and weights the rows and forms its
-    update in buffers made once per call, and the Gram system in one product.
-    Cholesky only tests that the Gram matrix is positive definite; one solve
-    gives c.  A Gram matrix that fails the test gets 1e-10 added to its diagonal,
-    and the result reports ``regularized``.  An ``iters`` that is not a
-    non-negative integer, a ``gamma`` that is not finite and positive and an empty
-    basis raise InvariantError; an overflowing step, FlowError.  The basis
+    update in buffers made once per call, the Gram system in one product, and its direction and
+    density in rows of the run's one record (:func:`_record`).  Cholesky only tests that the Gram
+    matrix is positive definite; one solve gives c; a Gram matrix that fails the test gets 1e-10 added
+    to its diagonal, and the result reports ``regularized``.  An ``iters`` that is not a non-negative
+    integer or whose record cannot be allocated, a ``gamma`` that is not finite and positive and an
+    empty basis raise InvariantError before the first step; an overflowing step, FlowError.  The basis
     [objective] gives objective - E_q[objective], the e-geodesic at t = k gamma.
     """
     if not isinstance(iters, (int, np.integer)) or iters < 0:
@@ -277,13 +282,12 @@ def natural_gradient_ascent(
     basis = [values_on(p0.base, v) for v in directions]
     if not basis:
         raise InvariantError("directions must hold at least one direction")
+    samples, velocities = _record(int(iters), p0.base.size, "an integer iters >= 0", repr(iters))
     rows = np.stack(basis + [f])  # the basis, then the objective as the last row
     centered, weighted = np.empty_like(rows), np.empty_like(rows[:-1])  # weighted: centred basis rows * q.prob
     u, step = np.zeros(p0.base.size), np.empty(p0.base.size)
     regularized = False
-    times = [0.0]
     densities = [p0]
-    velocities = []
     objective_trace = []
     q = p0
     # an overflowing step fails _chart_patch's check and is reported as FlowError
@@ -299,16 +303,13 @@ def natural_gradient_ascent(
             except np.linalg.LinAlgError:
                 regularized = True
                 coef = np.linalg.solve(gram + 1e-10 * np.eye(len(gram)), rhs)
-            direction = coef @ centered[:-1]
-            velocities.append(direction)
+            direction = np.matmul(coef, centered[:-1], out=velocities[k])
             if k == iters:
                 break
             u += np.multiply(np.subtract(direction, _dot(p0.prob, direction), out=step), gamma, out=step)
             u -= _dot(p0.prob, u)
-            q = _chart_patch(p0, u)
-            times.append(float(k + 1))
-            densities.append(q)
-    record = CurveRecord(np.asarray(times), densities, velocities)
+            densities.append(q := _emit(samples[k], _chart_patch(p0, u)))
+    record = CurveRecord(np.arange(iters + 1.0), densities, velocities)
     return OptimizationResult(record, np.asarray(objective_trace), regularized)
 
 

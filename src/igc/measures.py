@@ -76,15 +76,13 @@ def _dot(a: np.ndarray, b: np.ndarray):
 
 
 def _max(a: np.ndarray) -> float:
-    """float(a.max()) of a non-empty array; up to _DOT_BLOCK entries the entry at a.argmax(),
-    which is NaN when any entry is NaN, since argmax stops at the first NaN."""
-    return a.item(a.argmax()) if a.size <= _DOT_BLOCK else float(a.max())
+    """float(a.max()) of a non-empty array: the entry at a.argmax(), NaN when any entry is (argmax stops there)."""
+    return a.item(a.argmax())
 
 
 def _min(a: np.ndarray) -> float:
-    """float(a.min()) of a non-empty array; up to _DOT_BLOCK entries the entry at a.argmin(),
-    which is NaN when any entry is NaN, since argmin stops at the first NaN."""
-    return a.item(a.argmin()) if a.size <= _DOT_BLOCK else float(a.min())
+    """float(a.min()) of a non-empty array: the entry at a.argmin(), NaN when any entry is (argmin stops there)."""
+    return a.item(a.argmin())
 
 
 def _all_finite(a: np.ndarray) -> bool:

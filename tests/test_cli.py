@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,6 +139,11 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
         ["div", "--tol", "inf"],
         ["pyth", "--tol", "-1"],
         ["orlicz", "profile", "--tol", "nan"],
+        # inputs too large to allocate (numpy's MemoryError), each at 10**15 entries or more
+        ["chart", "--n", "1000000000000000"],
+        ["deformed", "arc", "--steps", "1000000000000000"],
+        ["flow", "geodesic", "--n", "1000000000000000"],
+        ["transport", "--trials", "1", "--max-size", "10000000000000000", "--seed", "0"],  # draws n = 6.4e15
     ],
 )
 def test_invalid_input_exit_code(capsys, argv):
@@ -148,6 +155,18 @@ def test_invalid_input_exit_code(capsys, argv):
     assert set(record) == {"schema_version", "command", "error", "pass"}
     assert record["schema_version"] == 1 and record["command"] == argv[0]
     assert record["error"] and record["pass"] is False
+
+
+def test_json_only_flow_builds_no_table_header():
+    # a 16-site record has 2**16 + 1 header names, about 4 MiB of strings, which only a written table needs
+    record = SimpleNamespace(times=[0.0], densities=[SimpleNamespace(base=SimpleNamespace(size=2**16))])
+    tracemalloc.start()
+    try:
+        cli._write_csv(SimpleNamespace(out=None, fmt="json"), *cli._trajectory_rows(record))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_invalid_tol_writes_no_table(capsys, tmp_path):

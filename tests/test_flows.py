@@ -114,6 +114,22 @@ def test_reanchoring_is_exact(space):
     assert np.max(np.abs(record.densities[-1].values - closed.values)) <= 1e-7
 
 
+def test_reanchoring_keeps_a_long_steep_geodesic_accurate():
+    # f = 30 N(0, 1) on 16 points to T = 20: the last density's largest relative error against the closed form,
+    # over its entries above 1e-200, is 1.7e-13 to 5.7e-13 for these draws with re-anchoring and 5.3e-11 to
+    # 5.5e-11 with none (REANCHOR_SUP = 1e300), which the 1e-7 absolute bound of test_reanchoring_is_exact
+    # cannot tell apart; these draws keep 4 to 8 such entries, and a draw that keeps only the mode is exact either way
+    m = finite_measure(np.arange(16.0))
+    for seed in (6, 7, 10):
+        rng = np.random.default_rng(seed)
+        p = Density.random(m, rng)
+        f = RandomVariable(m, 30.0 * rng.standard_normal(16))
+        got = integrate_e_chart(exponential_field(f), p, 20.0, 1e-2).densities[-1].values
+        want = e_geodesic(p, f, 20.0).values
+        kept = want > 1e-200
+        assert np.max(np.abs(got[kept] / want[kept] - 1.0)) <= 5e-12, seed
+
+
 def test_m_geodesic(space):
     rng, m = space
     p = Density.random(m, rng)
@@ -313,7 +329,11 @@ def test_recorded_densities_and_velocities_share_no_memory(run):
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
 
 
-@pytest.mark.parametrize("run", [_geodesic_record, _heat_record], ids=["geodesic", "heat"])
+@pytest.mark.parametrize("run", [
+    _geodesic_record,
+    _heat_record,
+    lambda: _site_basis_ascent(6, 5, 12)[1].record,
+], ids=["geodesic", "heat", "ascent-basis"])
 def test_chart_flow_records_every_sample_in_one_array(run):
     # one allocation per run: the densities after p0, then every velocity, are the rows of one array, in order
     record = run()

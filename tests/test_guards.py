@@ -49,6 +49,9 @@ _OFFSET = igc.VectorField(lambda q: 1e10 + np.array([0.1, 0.2, 0.3, 0.4]))
 _WIDE = igc.RandomVariable(M, [1.7e308, -1.7e308, 0.0, 0.0])  # f - f[0] overflows in entry 1
 
 
+_K512 = igc.tangent(igc.Density.uniform(igc.finite_measure(np.arange(512.0))), np.arange(512.0))  # on 512 points
+
+
 def _flipping():
     """A field whose sign flips at each call: centred under P each value is finite, but two in a row differ by
     2 * 0.9 * 1.7e308 in entry 0, which overflows."""
@@ -209,6 +212,13 @@ GUARDS = [
      "need an integer iters >= 0, got 2.5"),
     ("ascent-iters-nan", lambda: igc.natural_gradient_ascent(U.rv, P, [U], iters=np.nan), InvariantError,
      "need an integer iters >= 0, got nan"),
+    # 2 * 10**12 + 1 rows of 512 floats, 8 PiB: refused before the first iteration, at once
+    ("ascent-iters-unrecordable", lambda: igc.natural_gradient_ascent(_K512.rv, _K512.at, [_K512], iters=10**12),
+     InvariantError,
+     r"^need an integer iters >= 0 whose record of 1e\+12 steps can be allocated, got 1000000000000$"),
+    # 2 * iters + 1 would wrap around as an int64, with a RuntimeWarning
+    ("ascent-iters-int64-unrecordable", lambda: igc.natural_gradient_ascent(U.rv, P, [U], iters=np.int64(2**62)),
+     InvariantError, r"^need an integer iters >= 0 whose record of 4.612e\+18 steps can be allocated, got "),
     # a finite gamma whose step overflows the chart state, with no warning leaking first
     ("ascent-step-overflow", lambda: igc.natural_gradient_ascent(U.rv, P, [U], gamma=1e308), FlowError,
      "non-finite chart state; step rejected"),
@@ -242,6 +252,7 @@ CLI_GUARDS = [
     (["flow", "opt", "--n-sites", "21"], "n_sites must be between 1 and 20"),
     (["flow", "opt", "--gamma", "inf"], "need a finite gamma > 0, got inf"),
     (["flow", "opt", "--gamma", "1e308"], "non-finite chart state; step rejected"),
+    (["flow", "opt", "--iters", "1000000000000"], "whose record of 1e+12 steps can be allocated"),
     (["flow", "heat", "--nodes", "2"], "need b > a and n >= 3"),
     (["flow", "geodesic", "--T", "1e308", "--dt", "1e-300"], "with a finite t_final / dt, got 1e+308 / 1e-300"),
 ]
