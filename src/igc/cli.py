@@ -58,6 +58,9 @@ NONSTEEP_REFERENCE = 0.8037381  # profile value at the domain edge for a = 1/2
 PROFILE_CSV_HEADER = ("alpha", "value", "divergent")
 ARC_CSV_HEADER = ("t", "mass", "psi")
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.1)
+# the most entries a float64 array can have: numpy caps its byte count below 2**63, and the commands size their
+# arrays through float(count), which rounds every count above the largest double below 2**60 up to 2**60
+_MAX_ENTRIES = 2**60 - 128
 
 # Each cmd_* handler takes the parsed arguments and a generator seeded with --seed and
 # returns (inputs, values, ok); main writes the one record, with inputs only as their hash.
@@ -82,9 +85,19 @@ def _write_csv(args, header, rows) -> None:
         dump(sys.stdout)
 
 
+def _entries(flag: str, count: int) -> int:
+    """count, refused before any allocation when no float64 array can have that many entries.
+
+    numpy would raise a ValueError there, which ``main`` cannot tell apart from a program error.
+    """
+    if count > _MAX_ENTRIES:
+        raise InvariantError(f"{flag} {count} exceeds {_MAX_ENTRIES}, the most entries a float64 array can have")
+    return count
+
+
 def _density_pair(n: int, rng) -> tuple[Density, Density]:
     """Two random densities on the n-point support {0, ..., n-1}."""
-    m = finite_measure(np.arange(float(n)))
+    m = finite_measure(np.arange(float(_entries("--n", n))))
     return Density.random(m, rng), Density.random(m, rng)
 
 
@@ -150,6 +163,7 @@ def cmd_transport(args, rng):
         raise InvariantError(f"--max-size {args.max_size} is below the smallest support size 2")
     if args.trials < 1:
         raise InvariantError(f"--trials {args.trials} checks nothing; give at least 1")
+    _entries("--max-size", args.max_size)
     worst = 0.0
     for _ in range(args.trials):
         n = int(rng.integers(2, args.max_size + 1))
@@ -175,7 +189,7 @@ def _trajectory_rows(record):
 def cmd_flow(args, rng):
     t_final = args.T if args.T is not None else (0.1 if args.kind == "heat" else 1.0)
     if args.kind == "geodesic":
-        m = finite_measure(np.arange(float(args.n)))
+        m = finite_measure(np.arange(float(_entries("--n", args.n))))
         p0 = Density.random(m, rng)
         f = RandomVariable(m, rng.standard_normal(args.n))
         record = integrate_e_chart(exponential_field(f), p0, t_final, args.dt if args.dt is not None else 1e-3)
@@ -185,7 +199,7 @@ def cmd_flow(args, rng):
         final_objective = expect(record.densities[-1], f)
         ok = gap <= _tol(args, 1e-6) and drift <= 1e-12
     elif args.kind == "heat":
-        grid = periodic_grid_measure(0.0, 1.0, args.nodes)
+        grid = periodic_grid_measure(0.0, 1.0, _entries("--nodes", args.nodes))
         x = grid.points
         p0 = Density.from_unnormalized(
             grid, 1.0 + 0.3 * np.cos(2 * math.pi * x) + 0.1 * np.sin(4 * math.pi * x)
@@ -227,7 +241,7 @@ def cmd_deformed(args, rng):
     if args.kind == "arc":
         if args.steps < 2:
             raise InvariantError(f"--steps {args.steps} is below the two arc endpoints")
-        ts = [float(t) for t in np.linspace(0.0, 1.0, args.steps)]
+        ts = [float(t) for t in np.linspace(0.0, 1.0, _entries("--steps", args.steps))]
         masses = phi_connected(p, q, d, ts)
         rows = []
         worst = 0.0

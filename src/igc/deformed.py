@@ -16,6 +16,7 @@ p in every pairing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
 
@@ -134,11 +135,43 @@ def _newton() -> DeformedLogarithm:
 
     def exp_n(u):
         # v - 1 + log(v) = u  <=>  log(v) + v = u + 1, so v is the Wright omega of u + 1
-        from scipy.special import wrightomega  # imported here so that `import igc` does not load scipy
-
-        return wrightomega(np.asarray(u, dtype=float) + 1.0)
+        x = np.asarray(u, dtype=float) + 1.0
+        return np.array([_wright_omega(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)[()]
 
     return DeformedLogarithm("newton", phi, log_n, exp_n, -math.inf)
+
+
+_EPS = sys.float_info.epsilon
+
+
+def _wright_omega(x: float) -> float:
+    """The real Wright omega, the w with w + log(w) = x.
+
+    Lawrence, Corless & Jeffrey, Algorithm 917 (ACM TOMS 38(3), 2012): a start value on each of
+    (-inf, -2), [-2, 1) and [1, inf), then one Fritsch-Shafer-Crowley step (CACM 16(2), 1973) and
+    a second one only when the first one's error bound reaches 72 eps.  Every expression keeps the
+    operation order of the algorithm's C implementation, whose libm ``math`` calls, so the result is
+    bitwise that implementation's.
+    """
+    if x != x or x > 1e20:  # NaN, and omega(x) = x to double precision
+        return x
+    if x < -50.0:  # omega(x) = exp(x) to double precision; 0.0 at -inf
+        return math.exp(x)
+    if x < -2.0:
+        w = math.exp(x)
+    elif x < 1.0:
+        w = math.exp(2.0 * (x - 1.0) / 3.0)
+    else:
+        w = math.log(x)
+        w = x - w + w / x
+    for second in (False, True):
+        r = x - w - math.log(w)
+        wp1 = w + 1.0
+        a = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)  # written out twice in the C implementation
+        w = w * (1.0 + r / wp1 * (a - r) / (a - 2.0 * r))
+        if second or abs((2.0 * w * w - 8.0 * w - 1.0) * math.pow(abs(r), 4.0)) < _EPS * 72.0 * math.pow(abs(wp1), 6.0):
+            break
+    return w
 
 
 def make_deformed(tag: str, param: float | None = None) -> DeformedLogarithm:

@@ -144,6 +144,15 @@ def test_deformed_cumulant_tsallis_patch_stays_positive(capsys):
         ["deformed", "arc", "--steps", "1000000000000000"],
         ["flow", "geodesic", "--n", "1000000000000000"],
         ["transport", "--trials", "1", "--max-size", "10000000000000000", "--seed", "0"],  # draws n = 6.4e15
+        # sizes no float64 array can have (numpy's ValueError), refused before any allocation
+        ["chart", "--n", "100000000000000000000"],
+        ["div", "--n", "100000000000000000000"],
+        ["pyth", "--n", "100000000000000000000"],
+        ["flow", "geodesic", "--n", "100000000000000000000"],
+        ["flow", "heat", "--nodes", "100000000000000000000"],
+        ["deformed", "norm", "--n", "100000000000000000000"],
+        ["deformed", "arc", "--steps", "100000000000000000000"],
+        ["transport", "--trials", "1", "--max-size", "100000000000000000000"],
     ],
 )
 def test_invalid_input_exit_code(capsys, argv):
@@ -247,7 +256,8 @@ PROFILE_RUNS = (
     "import contextlib, io, json\n"
     "from igc.cli import main\n"
     "runs = []\n"
-    "for argv in (['orlicz', 'profile', '--a', '0.5'], ['steepness', '--a', '0.5']):\n"
+    "newton = [['deformed', kind, '--family', 'newton', '--seed', '1'] for kind in ('norm', 'cumulant', 'arc')]\n"
+    "for argv in [['orlicz', 'profile', '--a', '0.5'], ['steepness', '--a', '0.5']] + newton:\n"
     "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
     "        runs.append([main(argv), json.loads(out.getvalue())['pass']])\n"
 )
@@ -260,14 +270,15 @@ def run_fresh_interpreter(code):
 
 
 def test_import_cli_leaves_scipy_unloaded():
-    # nor does running the two profile commands: their half-line integral is pure math
+    # nor does running the two profile commands, whose half-line integral is pure math, or the three Newton
+    # commands, whose Wright omega is too
     loaded = "print(json.dumps([runs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
-    assert run_fresh_interpreter(PROFILE_RUNS + loaded) == [[[0, True], [0, True]], []]
+    assert run_fresh_interpreter(PROFILE_RUNS + loaded) == [[[0, True]] * 5, []]
 
 
 def test_profile_commands_pass_with_scipy_unimportable():
     block = "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
-    assert run_fresh_interpreter(block + PROFILE_RUNS + "print(json.dumps(runs))") == [[0, True], [0, True]]
+    assert run_fresh_interpreter(block + PROFILE_RUNS + "print(json.dumps(runs))") == [[0, True]] * 5
 
 
 def test_chart_and_flow_opt_leave_numpy_ma_unloaded():

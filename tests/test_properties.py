@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, wrightomega
 
 from igc._rootfind import decreasing_root
 from igc.bundle import (
@@ -168,6 +168,18 @@ def test_deformed_log_inverts_exp(family, u):
     back = float(d.log(np.array([v]))[0])
     assert math.isfinite(back)
     assert abs(back - u) <= 1e-12 * max(1.0, abs(u))
+
+
+@PROPERTY_SETTINGS
+@given(u=st.floats(allow_nan=False, width=64))
+def test_newton_exp_is_bitwise_scipy_wrightomega(u):
+    # the pure-math port keeps the reference code's operation order, so it must return its bits,
+    # as an np.float64 for 0-d input and an array of the input's shape otherwise
+    exp = make_deformed("newton").exp
+    for arg in (u, np.array([u, -u]), np.full((2, 3), u)):
+        ours, theirs = exp(arg), wrightomega(np.asarray(arg, dtype=float) + 1.0)
+        assert type(ours) is type(theirs) and np.shape(ours) == np.shape(theirs)
+        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
 
 
 @PROPERTY_SETTINGS
